@@ -425,8 +425,7 @@ def build_nodes(cfg: RunConfig) -> list[NodeState]:
     """
     sim = cfg.sim
     n = sim.fog_nodes
-    k = math.ceil(math.sqrt(n))
-    cell = sim.area_m / k
+    k, cell = _grid_shape(sim)
     trng = random.Random(sim.topology_seed)
     freqs = [trng.uniform(sim.node_cpu_min_hz, sim.node_cpu_max_hz) for _ in range(n)]
     nodes = []
@@ -436,6 +435,85 @@ def build_nodes(cfg: RunConfig) -> list[NodeState]:
             NodeState(i, (col + 0.5) * cell, (row + 0.5) * cell, freqs[i], sim)
         )
     return nodes
+
+
+def _grid_shape(sim: SimParams) -> tuple[int, float]:
+    """Side k of the k x k fog grid and the width of one cell in metres."""
+    k = math.ceil(math.sqrt(sim.fog_nodes))
+    return k, sim.area_m / k
+
+
+class CellIndex:
+    """Cell lists over the fog grid (Allen & Tildesley, Computer Simulation
+    of Liquids): each arrival looks at a handful of nodes, not all of them.
+
+    Node i sits at the centre of cell (i // k, i % k) of the k x k grid of
+    build_nodes. Each cell keeps, in node-id order, the nodes of the block
+    of cells within `rings` Chebyshev rings of it. A node j rings away is
+    at least (j - 1/2) cells from every point of the cell, so `rings`
+    covers both
+    - the V2I range: with ceil(range / cell) rings, every node left out is
+      more than range + cell / 2 away, never reachable;
+    - the nearest node: when the nearest occupied cell is m rings away
+      (m = 0 unless fog_nodes is not a square), a kept node lies within
+      sqrt(2) (m + 1/2) cells, and every node left out is farther.
+    Scanning a cell's list therefore finds the same nearest node (strict <,
+    ties to the lowest id) and the same reachable nodes, in the same order,
+    as a scan of every node.
+    """
+
+    __slots__ = ("k", "cell", "range_sq", "lists")
+
+    def __init__(self, nodes: list[NodeState], sim: SimParams, v2i_range_m: float):
+        k, cell = _grid_shape(sim)
+        n = len(nodes)
+        self.k = k
+        self.cell = cell
+        self.range_sq = v2i_range_m * v2i_range_m
+        reach = math.ceil(v2i_range_m / cell)
+        occupied = [divmod(i, k) for i in range(n)]
+        everything = tuple(nodes)
+        self.lists: list[tuple[NodeState, ...]] = []
+        for row in range(k):
+            for col in range(k):
+                m = 0 if row * k + col < n else min(
+                    max(abs(r - row), abs(c - col)) for r, c in occupied
+                )
+                rings = max(reach, math.floor(math.sqrt(2.0) * (m + 0.5) + 0.5 + 1e-9))
+                r0, r1 = max(row - rings, 0), min(row + rings, k - 1)
+                c0, c1 = max(col - rings, 0), min(col + rings, k - 1)
+                if r0 == 0 and c0 == 0 and r1 == k - 1 and c1 == k - 1:
+                    self.lists.append(everything)
+                    continue
+                self.lists.append(tuple(
+                    nodes[r * k + c]
+                    for r in range(r0, r1 + 1)
+                    for c in range(c0, c1 + 1)
+                    if r * k + c < n
+                ))
+
+    def scan(self, x: float, y: float) -> tuple[NodeState, list[tuple[NodeState, float]]]:
+        """The nearest node to (x, y), ties to the lowest id, and the nodes
+        within V2I range with their squared distances, in node-id order."""
+        k = self.k
+        row = int(y / self.cell)
+        col = int(x / self.cell)
+        # _reflect can return exactly area_m, one past the last cell
+        index = (row if row < k else k - 1) * k + (col if col < k else k - 1)
+        range_sq = self.range_sq
+        nearest = None
+        nearest_d2 = math.inf
+        reachable = []
+        for node in self.lists[index]:
+            dx = node.x - x
+            dy = node.y - y
+            d2 = dx * dx + dy * dy
+            if d2 < nearest_d2:
+                nearest_d2 = d2
+                nearest = node
+            if d2 <= range_sq:
+                reachable.append((node, d2))
+        return nearest, reachable
 
 
 def resolve_wfq_weights(cfg: RunConfig, nodes: list[NodeState]) -> list[float]:
@@ -458,13 +536,12 @@ def build_scheduler(
     tables: dict[int, QTable] | None = None,
     epsilon: float = 0.0,
 ) -> Scheduler:
-    nodes = build_nodes(cfg)
     if name == "fcfs":
         return FcfsScheduler()
     if name == "rr":
         return RoundRobinScheduler(cfg.sim.fog_nodes)
     if name == "wfq":
-        return WfqScheduler(resolve_wfq_weights(cfg, nodes))
+        return WfqScheduler(resolve_wfq_weights(cfg, build_nodes(cfg)))
     if name == "qlearn":
         if tables is None:
             raise ValidationError(
@@ -501,6 +578,7 @@ class _Episode:
         self.episode_index = episode_index
         self.rng = random.Random(seed)
         self.nodes = build_nodes(cfg)
+        self.grid = CellIndex(self.nodes, self.sim, self.link.v2i_range_m)
         self.area = self.sim.area_m
         if vehicles is None:
             vehicles = sample_vehicles(
@@ -537,11 +615,12 @@ class _Episode:
         self.seq += 1
 
     def log(self, time: float, kind: str, task_id: int, node_id: int, detail: dict) -> None:
-        if self.events is not None:
-            detail["episode"] = self.episode_index
-            self.events.append(
-                {"time": time, "kind": kind, "task_id": task_id, "node_id": node_id, "detail": detail}
-            )
+        """Append one event; callers check self.events first so that no
+        detail dict is built when logging is off."""
+        detail["episode"] = self.episode_index
+        self.events.append(
+            {"time": time, "kind": kind, "task_id": task_id, "node_id": node_id, "detail": detail}
+        )
 
     # -- setup ------------------------------------------------------------
 
@@ -582,14 +661,7 @@ class _Episode:
             storage_availability=_clamp01(1.0 - node.disk_commit),
         )
 
-    def state_for(self, node: NodeState, task: Task, x: float, y: float) -> int:
-        available = 0
-        range_sq = self.link.v2i_range_m * self.link.v2i_range_m
-        for nd in self.nodes:
-            dx = nd.x - x
-            dy = nd.y - y
-            if dx * dx + dy * dy <= range_sq:
-                available += 1
+    def state_for(self, node: NodeState, task: Task, available: int) -> int:
         return snapshot_ordinal(self.snapshot(node, task, available), self.cfg.state)
 
     # -- event handlers ---------------------------------------------------
@@ -617,6 +689,7 @@ class _Episode:
             raise RuntimeError(
                 f"task conservation violated: {self.resolved} resolved of {self.task_counter}"
             )
+        self.check_resources_released()
         tasks = self.ledger.k_total
         if tasks:
             agg = EpisodeAggregate(
@@ -633,15 +706,33 @@ class _Episode:
         eps = self.scheduler.epsilon if self.scheduler.uses_state else 0.0
         return EpisodeResult(self.ledger, agg, self.edge_log, self.events, eps)
 
+    def check_resources_released(self) -> None:
+        """Every task has resolved, so every commit is back where it began."""
+        sim = self.sim
+        for node in self.nodes:
+            for name, value, initial in (
+                ("cpu", node.cpu_commit, sim.node_cpu_init),
+                ("mem", node.mem_commit, sim.node_mem_init),
+                ("disk", node.disk_commit, sim.node_disk_init),
+                ("bw", node.bw_commit, 0.0),
+            ):
+                if abs(value - initial) > 1e-9:
+                    raise RuntimeError(
+                        f"node {node.node_id}: {name} commit {value!r} did not return "
+                        f"to {initial!r} at episode end"
+                    )
+
     def on_vehicle_enter(self, now: float, spec: VehicleSpec) -> None:
         veh = VehicleState(spec)
         self.active[spec.vehicle_id] = veh
         self.push(veh.exit_time, EventKind.VEHICLE_EXIT, spec.vehicle_id)
-        self.log(now, "VehicleEnter", -1, -1, {"vehicle": spec.vehicle_id})
+        if self.events is not None:
+            self.log(now, "VehicleEnter", -1, -1, {"vehicle": spec.vehicle_id})
 
     def on_vehicle_exit(self, now: float, vehicle_id: int) -> None:
         self.active.pop(vehicle_id, None)
-        self.log(now, "VehicleExit", -1, -1, {"vehicle": vehicle_id})
+        if self.events is not None:
+            self.log(now, "VehicleExit", -1, -1, {"vehicle": vehicle_id})
 
     def on_snapshot(self, now: float) -> None:
         p = self.arrival_prob
@@ -682,33 +773,15 @@ class _Episode:
         veh = task.vehicle
         x, y = veh.position_at(now, self.area)
         link = self.link
-        range_sq = link.v2i_range_m * link.v2i_range_m
         slack = task.bound - now
+        decision, reachable = self.grid.scan(x, y)
 
         views: list[NodeView] = []
-        decision: NodeState | None = None
-        decision_d2 = math.inf
-        reachable_count = 0
-        for node in self.nodes:
-            dx = node.x - x
-            dy = node.y - y
-            d2 = dx * dx + dy * dy
-            if d2 < decision_d2:
-                decision_d2 = d2
-                decision = node
-            reachable = d2 <= range_sq
-            if reachable:
-                reachable_count += 1
-                dist = math.sqrt(d2)
-                rate = shannon_rate(link.v2i_bandwidth_hz, snr_at_distance(link, dist))
-                up = task.size_bits / rate
-                remaining = slack - up
-                req_share = (
-                    (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf
-                )
-            else:
-                dist = math.sqrt(d2)
-                req_share = math.inf
+        for node, d2 in reachable:
+            dist = math.sqrt(d2)
+            rate = shannon_rate(link.v2i_bandwidth_hz, snr_at_distance(link, dist))
+            up = task.size_bits / rate
+            remaining = slack - up
             free = 1.0 - node.cpu_commit
             views.append(
                 NodeView(
@@ -716,24 +789,26 @@ class _Episode:
                     cpu_freq_hz=node.cpu_freq,
                     free_share=free if free > 0.0 else 0.0,
                     max_share=1.0 - node.baseline,
-                    reachable=reachable,
                     distance_m=dist,
-                    req_share=req_share,
-                    weight=1.0,
+                    req_share=(
+                        (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf
+                    ),
+                    upload_s=up,
                 )
             )
 
         task.decision_node = decision.node_id
         decision.record_arrival(now, self.sim.rate_window_s, self.sim.demand_ema_alpha)
-        self.log(
-            now, "TaskArrival", task.task_id, decision.node_id,
-            {
-                "vehicle": veh.spec.vehicle_id,
-                "size_bits": task.size_bits,
-                "demand_mips": task.demand_mips,
-                "deadline": task.deadline,
-            },
-        )
+        if self.events is not None:
+            self.log(
+                now, "TaskArrival", task.task_id, decision.node_id,
+                {
+                    "vehicle": veh.spec.vehicle_id,
+                    "size_bits": task.size_bits,
+                    "demand_mips": task.demand_mips,
+                    "deadline": task.deadline,
+                },
+            )
 
         requirement = Allocation(
             cpu_mips=(task.cycles / slack) / 1e6,
@@ -748,7 +823,7 @@ class _Episode:
         )
         scheduler = self.scheduler
         if scheduler.uses_state:
-            task.state_ordinal = self.state_for(decision, task, x, y)
+            task.state_ordinal = self.state_for(decision, task, len(views))
             ctx.state_ordinal = task.state_ordinal
             scheduler.decision_node = decision.node_id
 
@@ -780,38 +855,28 @@ class _Episode:
             self.push(completion, EventKind.EXECUTION_DONE, task)
             return
 
-        if placement.tier == Tier.CLOUD:
-            relay = self.nodes[placement.node_id]
-            view = views[placement.node_id]
-            rate = shannon_rate(
-                self.link.v2i_bandwidth_hz, snr_at_distance(self.link, view.distance_m)
+        for view in views:
+            if view.node_id == placement.node_id:
+                break
+        else:
+            raise RuntimeError(
+                f"task {task.task_id}: placed via node {placement.node_id}, "
+                "which is out of V2I range"
             )
-            v2i = task.size_bits / rate
-            wired = task.size_bits / self.link.wired_rate_bps
-            task.upload_planned = v2i + wired
-            task.exec_node = placement.node_id
-            task.eff_cpu = _clamp01((task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz)
-            task.bw_alloc = _clamp01(task.bw_frac * placement.bundle_factor)
-            relay.bw_commit += task.bw_alloc
-            task.stage = _UPLOADING
-            task.proc_planned = task.cycles / self.sim.cloud_cpu_hz
-            self.push(now + task.upload_planned, EventKind.UPLOAD_DONE, task)
-            return
-
-        # fog tier
         node = self.nodes[placement.node_id]
-        view = views[placement.node_id]
-        rate = shannon_rate(
-            self.link.v2i_bandwidth_hz, snr_at_distance(self.link, view.distance_m)
-        )
-        task.upload_planned = task.size_bits / rate
         task.exec_node = placement.node_id
-        task.cpu_share = placement.cpu_share
-        task.eff_cpu = view.req_share if view.req_share <= view.max_share else view.max_share
-        task.proc_planned = task.cycles / (placement.cpu_share * node.cpu_freq)
         task.bw_alloc = _clamp01(task.bw_frac * placement.bundle_factor)
         node.bw_commit += task.bw_alloc
         task.stage = _UPLOADING
+        if placement.tier == Tier.CLOUD:
+            task.upload_planned = view.upload_s + task.size_bits / self.link.wired_rate_bps
+            task.eff_cpu = _clamp01((task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz)
+            task.proc_planned = task.cycles / self.sim.cloud_cpu_hz
+        else:
+            task.upload_planned = view.upload_s
+            task.cpu_share = placement.cpu_share
+            task.eff_cpu = view.req_share if view.req_share <= view.max_share else view.max_share
+            task.proc_planned = task.cycles / (placement.cpu_share * node.cpu_freq)
         self.push(now + task.upload_planned, EventKind.UPLOAD_DONE, task)
 
     def on_upload_done(self, now: float, task: Task) -> None:
@@ -821,8 +886,9 @@ class _Episode:
         node.bw_commit -= task.bw_alloc
         task.upload = task.upload_planned
         task.upload_done_time = now
-        self.log(now, "UploadDone", task.task_id, task.exec_node,
-                 {"tier": "cloud" if task.tier == Tier.CLOUD else "fog"})
+        if self.events is not None:
+            self.log(now, "UploadDone", task.task_id, task.exec_node,
+                     {"tier": "cloud" if task.tier == Tier.CLOUD else "fog"})
 
         if task.tier == Tier.CLOUD:
             completion = now + task.proc_planned
@@ -999,30 +1065,31 @@ class _Episode:
             components=components,
         )
         self.ledger.append(record)
-        self.log(
-            now,
-            "ExecutionDone" if serviced else "TaskDropped",
-            task.task_id,
-            task.exec_node,
-            {
-                "serviced": serviced,
-                "tier": task.tier,
-                "local": task.tier == Tier.LOCAL,
-                "arrival": task.arrival,
-                "upload": record.upload,
-                "wait": record.wait,
-                "proc": record.proc,
-                "reward": reward,
-                "components": list(components),
-                "decision_node": task.decision_node,
-            },
-        )
+        if self.events is not None:
+            self.log(
+                now,
+                "ExecutionDone" if serviced else "TaskDropped",
+                task.task_id,
+                task.exec_node,
+                {
+                    "serviced": serviced,
+                    "tier": task.tier,
+                    "local": task.tier == Tier.LOCAL,
+                    "arrival": task.arrival,
+                    "upload": record.upload,
+                    "wait": record.wait,
+                    "proc": record.proc,
+                    "reward": reward,
+                    "components": list(components),
+                    "decision_node": task.decision_node,
+                },
+            )
         if self.train and task.action_ordinal >= 0:
             veh = task.vehicle
             t = now if now < veh.exit_time else veh.exit_time
             x, y = veh.position_at(t, self.area)
             decision = self.nodes[task.decision_node]
-            next_state = self.state_for(decision, task, x, y)
+            next_state = self.state_for(decision, task, len(self.grid.scan(x, y)[1]))
             table = self.scheduler.tables[task.decision_node]
             alpha = None
             if self.visit_counts is not None:

@@ -5,6 +5,10 @@ availability plus the task's resource requirement) and emits a Placement
 or None when no infrastructure can take the task. Baselines allocate
 exactly the requirement; the learned policy scales it by a bundle factor.
 
+Contract: ctx.nodes holds the fog nodes within V2I range of the vehicle,
+and only those, in ascending node id; it is empty when no node is in
+range. Placements on the fog or cloud tier must name one of them.
+
 Shared fallback rule: a task whose CPU requirement exceeds the grantable
 share of every reachable node can never start on the fog tier and is
 routed to the cloud through the nearest reachable node.
@@ -30,16 +34,15 @@ class Allocation:
 
 @dataclass(slots=True)
 class NodeView:
-    """One fog node as seen at decision time."""
+    """One fog node within V2I range, as seen at decision time."""
 
     node_id: int
     cpu_freq_hz: float
     free_share: float      # CPU share grantable right now
     max_share: float       # CPU share the node can ever grant
-    reachable: bool        # within V2I range of the vehicle
     distance_m: float
     req_share: float       # this task's CPU-share requirement on this node
-    weight: float          # WFQ weight
+    upload_s: float        # V2I upload time of this task to this node
 
 
 @dataclass(slots=True)
@@ -49,9 +52,8 @@ class DecisionContext:
     time: float
     task_id: int
     requirement: Allocation
-    nodes: list[NodeView]
+    nodes: list[NodeView]     # reachable nodes only, in ascending node id
     state_ordinal: int = -1   # filled when the scheduler uses telemetry
-    local_feasible: bool = True
 
 
 @dataclass(slots=True)
@@ -69,14 +71,14 @@ class Placement:
 def _nearest_reachable(nodes: list[NodeView]) -> NodeView | None:
     best: NodeView | None = None
     for nv in nodes:
-        if nv.reachable and (best is None or nv.distance_m < best.distance_m):
+        if best is None or nv.distance_m < best.distance_m:
             best = nv
     return best
 
 
 def _fits_somewhere(nodes: list[NodeView]) -> bool:
     """True if at least one reachable node could ever grant the requirement."""
-    return any(nv.reachable and nv.req_share <= nv.max_share for nv in nodes)
+    return any(nv.req_share <= nv.max_share for nv in nodes)
 
 
 def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placement | None:
@@ -128,16 +130,21 @@ class FcfsScheduler(Scheduler):
         if not _fits_somewhere(ctx.nodes):
             return _cloud_placement(ctx)
         for nv in ctx.nodes:
-            if nv.reachable and nv.req_share <= nv.free_share:
+            if nv.req_share <= nv.free_share:
                 return _fog_placement(ctx, nv)
         for nv in ctx.nodes:
-            if nv.reachable and nv.req_share <= nv.max_share:
+            if nv.req_share <= nv.max_share:
                 return _fog_placement(ctx, nv)
         return None
 
 
 class RoundRobinScheduler(Scheduler):
-    """Cycle a cursor over node IDs, skipping busy or unreachable nodes."""
+    """Cycle a cursor over node IDs, skipping busy or unreachable nodes.
+
+    The cursor ranges over all num_nodes IDs; each decision walks the
+    reachable nodes cyclically from the first ID at or past the cursor,
+    which visits them in the order a walk over every ID would.
+    """
 
     name = "rr"
 
@@ -151,20 +158,23 @@ class RoundRobinScheduler(Scheduler):
         self.cursor = 0
 
     def select(self, ctx: DecisionContext) -> Placement | None:
-        if not _fits_somewhere(ctx.nodes):
+        nodes = ctx.nodes
+        if not _fits_somewhere(nodes):
             return _cloud_placement(ctx)
-        n = len(ctx.nodes)
-        for step in range(n):
-            nv = ctx.nodes[(self.cursor + step) % n]
-            if nv.reachable and nv.req_share <= nv.free_share:
-                self.cursor = (nv.node_id + 1) % n
+        n = len(nodes)
+        start = 0
+        while start < n and nodes[start].node_id < self.cursor:
+            start += 1
+        order = nodes[start:] + nodes[:start]
+        for nv in order:
+            if nv.req_share <= nv.free_share:
+                self.cursor = (nv.node_id + 1) % self.num_nodes
                 return _fog_placement(ctx, nv)
         # Full cycle without free capacity: queue at the first runnable
         # node from the cursor, still advancing the rotation.
-        for step in range(n):
-            nv = ctx.nodes[(self.cursor + step) % n]
-            if nv.reachable and nv.req_share <= nv.max_share:
-                self.cursor = (nv.node_id + 1) % n
+        for nv in order:
+            if nv.req_share <= nv.max_share:
+                self.cursor = (nv.node_id + 1) % self.num_nodes
                 return _fog_placement(ctx, nv)
         return None
 
@@ -209,7 +219,7 @@ class WfqScheduler(Scheduler):
         vft = self.state.virtual_finish
         best: NodeView | None = None
         for nv in ctx.nodes:
-            if not (nv.reachable and nv.req_share <= nv.max_share):
+            if not nv.req_share <= nv.max_share:
                 continue
             if best is None or vft[nv.node_id] < vft[best.node_id]:
                 best = nv
@@ -270,7 +280,7 @@ class QLearningScheduler(Scheduler):
         # lowest node ID
         best: NodeView | None = None
         for nv in ctx.nodes:
-            if not (nv.reachable and nv.req_share <= nv.max_share):
+            if not nv.req_share <= nv.max_share:
                 continue
             if best is None or nv.free_share > best.free_share:
                 best = nv

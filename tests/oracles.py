@@ -148,3 +148,48 @@ def replay_metrics(events: list[dict], num_edges: int) -> dict:
             merged[key] = merged.get(key, 0.0) + r
     aap_v = sum(merged.values()) / num_edges
     return {"apt": apt_v, "ast": ast_v, "asr": asr_v, "cr": cr_v, "aap": aap_v, "tasks": total}
+
+
+def nearest_and_reachable(
+    centres: list[tuple[float, float]], x: float, y: float, range_m: float
+) -> tuple[int, list[int]]:
+    """Full scan over every node: the nearest node id (strict <, so ties go
+    to the lowest id) and the ids within range, ascending."""
+    range_sq = range_m * range_m
+    nearest = -1
+    nearest_d2 = float("inf")
+    reachable = []
+    for node_id, (cx, cy) in enumerate(centres):
+        dx = cx - x
+        dy = cy - y
+        d2 = dx * dx + dy * dy
+        if d2 < nearest_d2:
+            nearest_d2 = d2
+            nearest = node_id
+        if d2 <= range_sq:
+            reachable.append(node_id)
+    return nearest, reachable
+
+
+def round_robin_full_list(
+    cursor: int, nodes: list[tuple[bool, float, float, float, float]]
+) -> tuple[str | None, int, int]:
+    """Round-robin over the full node list, unreachable nodes included.
+
+    ``nodes[i]`` describes node i as (reachable, req_share, free_share,
+    max_share, distance_m). Returns (tier, node_id, next cursor), with tier
+    "fog", "cloud" or None for no placement (node_id -1).
+    """
+    n = len(nodes)
+    if not any(r and req <= mx for r, req, _free, mx, _d in nodes):
+        relay = -1
+        for i, (r, _req, _free, _mx, d) in enumerate(nodes):
+            if r and (relay < 0 or d < nodes[relay][4]):
+                relay = i
+        return ("cloud" if relay >= 0 else None), relay, cursor
+    for share in (2, 3):  # free share first, then ever-grantable share
+        for step in range(n):
+            i = (cursor + step) % n
+            if nodes[i][0] and nodes[i][1] <= nodes[i][share]:
+                return "fog", i, (i + 1) % n
+    return None, -1, cursor

@@ -243,10 +243,7 @@ def test_criterion_10_invariant_suites():
     sched = WfqScheduler([2.0, 1.0])
     counts = [0, 0]
     for task_id in range(300):
-        views = [
-            NodeView(i, 5e9, 0.8, 0.8, True, 100.0, 0.1, weight)
-            for i, weight in ((0, 2.0), (1, 1.0))
-        ]
+        views = [NodeView(i, 5e9, 0.8, 0.8, 100.0, 0.1, 1.0) for i in (0, 1)]
         ctx = DecisionContext(0.0, task_id, Allocation(100.0, 5.0, 4.0), views)
         counts[sched.select(ctx).node_id] += 1
     if abs(counts[0] / 300 - 2 / 3) > 0.02:

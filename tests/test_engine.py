@@ -1,7 +1,9 @@
 """End-to-end engine behavior: worked examples, invariants, determinism."""
 
+import hashlib
 import json
 import math
+import struct
 
 import pytest
 
@@ -9,6 +11,7 @@ from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values
 from vfcsim.engine import (
     NodeState,
     VehicleState,
+    _Episode,
     _reflect,
     build_nodes,
     build_scheduler,
@@ -204,7 +207,7 @@ def test_fog_fifo_queue_waits_for_release():
 
         def select(self, ctx):
             from vfcsim.schedulers import Allocation, Placement
-            nv = ctx.nodes[4]
+            nv = next(v for v in ctx.nodes if v.node_id == 4)
             return Placement(Tier.FOG, 4, Allocation(
                 0.5 * nv.cpu_freq_hz / 1e6, ctx.requirement.mem_mb, ctx.requirement.bw_mbps,
             ), 0.5, 1.0)
@@ -294,12 +297,70 @@ def test_heavy_load_respects_capacity_guards():
         assert result.ledger.k_total > 1000
 
 
+def test_episode_end_guard_checks_every_resource(tiny_cfg):
+    for attr in ("cpu_commit", "mem_commit", "disk_commit", "bw_commit"):
+        episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
+                           False, False, None, 0)
+        episode.check_resources_released()
+        node = episode.nodes[3]
+        setattr(node, attr, getattr(node, attr) + 1e-6)
+        with pytest.raises(RuntimeError, match=f"node 3: {attr.split('_')[0]} commit"):
+            episode.check_resources_released()
+
+
+def test_leaked_commit_fails_the_episode(monkeypatch):
+    original = _Episode.on_upload_done
+
+    def leaky(self, now, task):
+        original(self, now, task)
+        self.nodes[task.exec_node].disk_commit += 1e-6
+
+    monkeypatch.setattr(_Episode, "on_upload_done", leaky)
+    with pytest.raises(RuntimeError, match="disk commit"):
+        run_short()
+
+
 def test_same_seed_reproduces_bit_identical_events():
     _, a = run_short()
     _, b = run_short()
     assert json.dumps(a.events, sort_keys=True) == json.dumps(b.events, sort_keys=True)
     assert repr(a.ledger.records) == repr(b.ledger.records)
     assert a.edge_log.rewards == b.edge_log.rewards
+
+
+# Ledger SHA-256 of NO.1 seed 1 under overlapping coverage (800 m range)
+# and a non-square grid (10 nodes, where some cells hold no node). The
+# rows are packed as task_id, arrival, upload, wait, proc, completion,
+# serviced, tier, node_id, reward and the four reward components.
+PINNED_LEDGERS = {
+    ("link.v2i_range_m", "800"): {
+        "fcfs": "941be00679fe27dc22706bbaa46e12b0789b61b354d396062a23737564bfdc40",
+        "rr": "bb9fe130427c2b9e4889718aaf500892a09b6edc604c305f42e98decec7ae5d1",
+        "wfq": "978053415fa55b01a4d92bcd5b407e604422ec01ca0ddd1db0e349eda70aee97",
+    },
+    ("sim.fog_nodes", "10"): {
+        "fcfs": "3dd1917037a5aab637457b511f5174f1fdfb25094078160e5401a8c4796b73ab",
+        "rr": "9e009ff6d8b566b43283a034fc588c7ed7f8637c51336843475e53b10fde7c6f",
+        "wfq": "60dd94199eeefa39c9714b05a35be235ae633fff03c9909bccee2338472d66df",
+    },
+}
+
+
+def ledger_sha256(ledger):
+    row = struct.Struct("<q5d?2qd4d")
+    h = hashlib.sha256()
+    for r in ledger.records:
+        h.update(row.pack(r.task_id, r.arrival, r.upload, r.wait, r.proc, r.completion,
+                          r.serviced, r.tier, r.node_id, r.reward, *r.components))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("override", sorted(PINNED_LEDGERS))
+def test_baseline_ledgers_pinned(override):
+    cfg = build_config({"scenario.name": "NO.1", override[0]: override[1]})
+    digests = {name: ledger_sha256(run_evaluation(cfg, name, 1).ledger)
+               for name in ("fcfs", "rr", "wfq")}
+    assert digests == PINNED_LEDGERS[override]
 
 
 def test_different_seeds_differ():

@@ -19,17 +19,15 @@ from vfcsim.schedulers import (
 )
 
 
-def view(node_id, free=0.8, max_share=0.8, reachable=True, dist=100.0, req=0.1,
-         freq=5.0e9, weight=1.0):
+def view(node_id, free=0.8, max_share=0.8, dist=100.0, req=0.1, freq=5.0e9):
     return NodeView(
         node_id=node_id,
         cpu_freq_hz=freq,
         free_share=free,
         max_share=max_share,
-        reachable=reachable,
         distance_m=dist,
         req_share=req,
-        weight=weight,
+        upload_s=1.0,
     )
 
 
@@ -52,7 +50,8 @@ def test_fcfs_takes_first_free_node():
 
 
 def test_fcfs_skips_unreachable():
-    ctx = make_ctx([view(0, reachable=False), view(1), view(2)])
+    # node 0 is out of range, so it is not in ctx.nodes
+    ctx = make_ctx([view(1), view(2)])
     p = FcfsScheduler().select(ctx)
     assert p.node_id == 1
 
@@ -73,7 +72,7 @@ def test_fcfs_oversized_task_goes_to_cloud():
 
 
 def test_fcfs_returns_none_when_nothing_reachable():
-    ctx = make_ctx([view(0, reachable=False), view(1, reachable=False)])
+    ctx = make_ctx([])
     assert FcfsScheduler().select(ctx) is None
 
 
@@ -178,7 +177,7 @@ def test_wfq_virtual_clocks_never_decrease():
 def test_wfq_ignores_ineligible_nodes():
     wfq = WfqScheduler([1.0, 1.0])
     wfq.on_episode_start()
-    p = wfq.select(make_ctx([view(0, reachable=False), view(1)]))
+    p = wfq.select(make_ctx([view(1)]))
     assert p.node_id == 1
     p = wfq.select(make_ctx([view(0, req=0.9), view(1)]))
     assert p.node_id == 1
@@ -252,7 +251,7 @@ def test_qlearn_cloud_action_uses_nearest_relay():
 
 def test_qlearn_failed_fog_resolution_reports_action():
     sched = make_qlearn({(0, 3): 1.0})  # Fog/Small with no viable node
-    ctx = make_ctx([view(0, reachable=False)])
+    ctx = make_ctx([])
     assert sched.select(ctx) is None
     assert sched.last_action_ordinal == 3
 
@@ -292,16 +291,16 @@ def test_parity_allocation_covers_requirement():
             assert a.mem_mb >= r.mem_mb * (1.0 - 1e-12)
             assert a.bw_mbps >= r.bw_mbps * (1.0 - 1e-12)
             if p.tier is Tier.FOG:
-                node = ctx.nodes[p.node_id]
+                node = next(nv for nv in ctx.nodes if nv.node_id == p.node_id)
                 assert p.cpu_share <= node.max_share + 1e-12
 
 
 def test_parity_none_when_isolated():
-    ctx = make_ctx([view(0, reachable=False)])
+    ctx = make_ctx([])
     for sched in all_schedulers():
         sched.on_episode_start()
         if isinstance(sched, QLearningScheduler):
-            sched_ctx = make_ctx([view(0, reachable=False)], state=0)
+            sched_ctx = make_ctx([], state=0)
             # force a non-local action so the fog/cloud path must resolve
             sched.tables[0].set(0, 8, 1.0)
             assert sched.select(sched_ctx) is None
