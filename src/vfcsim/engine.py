@@ -6,7 +6,8 @@ vehicle may emit a task; the scheduler under test places it on the vehicle
 itself, a fog node, or the cloud. Fog nodes grant CPU shares (the single
 hard capacity constraint) and run FIFO queues; every task resolves to
 serviced or dropped no later than min(arrival + deadline, vehicle exit),
-enforced by an internal expiry event, so ledgers always conserve tasks.
+enforced by an internal expiry event for every task still outstanding
+after its decision, so ledgers always conserve tasks.
 
 Events dispatch in (time, sequence) order from a single heap, and all
 randomness flows through one seeded generator per episode, which makes
@@ -66,7 +67,7 @@ from .schedulers import (
     Scheduler,
     WfqScheduler,
 )
-from .state_space import NUM_STATES, StateSpaceConfig, TelemetrySnapshot, snapshot_ordinal
+from .state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 from .traffic import Scenario, VehicleSpec, sample_vehicles
 
 
@@ -80,15 +81,6 @@ class EventKind(IntEnum):
     # internal bookkeeping kind: resolves tasks that silently outlived
     # min(arrival + deadline, vehicle exit)
     TASK_EXPIRE = 6
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """Public face of one dispatched event (the hot loop uses bare tuples)."""
-
-    time: float
-    sequence: int
-    kind: EventKind
 
 
 # task lifecycle stages
@@ -297,10 +289,10 @@ class NodeState:
     """One fog node: capacity commitments, FIFO queue, rolling telemetry."""
 
     __slots__ = (
-        "node_id", "x", "y", "cpu_freq", "baseline", "cpu_commit", "mem_commit",
-        "disk_commit", "bw_commit", "run_queue", "resp_window", "resp_sum",
-        "dl_window", "dl_sum", "outcome_window", "outcome_sum", "arrivals",
-        "demand_ema", "window_size",
+        "node_id", "x", "y", "cpu_freq", "baseline", "mem_base", "disk_base",
+        "cpu_commit", "mem_commit", "disk_commit", "bw_commit", "run_queue",
+        "resp_window", "resp_sum", "dl_window", "dl_sum", "outcome_window",
+        "outcome_sum", "arrivals", "demand_ema", "window_size",
     )
 
     def __init__(self, node_id: int, x: float, y: float, cpu_freq: float, sim: SimParams):
@@ -309,6 +301,8 @@ class NodeState:
         self.y = y
         self.cpu_freq = cpu_freq
         self.baseline = sim.node_cpu_init
+        self.mem_base = sim.node_mem_init
+        self.disk_base = sim.node_disk_init
         self.cpu_commit = sim.node_cpu_init
         self.mem_commit = sim.node_mem_init
         self.disk_commit = sim.node_disk_init
@@ -353,31 +347,39 @@ class NodeState:
         n = len(self.outcome_window)
         return self.outcome_sum / n if n else 1.0
 
-    def recent_response(self) -> float:
-        n = len(self.resp_window)
-        return self.resp_sum / n if n else 0.0
-
-    def sla_met(self) -> bool:
-        n = len(self.resp_window)
-        if n == 0:
-            return True
-        return self.resp_sum <= self.dl_sum
+    # The guards are written as `not (in range)` so that a NaN fails them.
 
     def commit_cpu(self, share: float) -> None:
         new = self.cpu_commit + share
-        if new > 1.0 + 1e-9:
+        if not (new <= 1.0 + 1e-9):
             raise RuntimeError(
-                f"node {self.node_id}: cpu share overflow ({new!r} > 1.0)"
+                f"node {self.node_id}: cpu share overflow ({new!r} above 1.0 or NaN)"
             )
         self.cpu_commit = new if new <= 1.0 else 1.0
 
     def release_cpu(self, share: float) -> None:
         new = self.cpu_commit - share
-        if new < self.baseline - 1e-9:
+        if not (self.baseline - 1e-9 <= new < math.inf):
             raise RuntimeError(
-                f"node {self.node_id}: cpu share underflow ({new!r} < baseline)"
+                f"node {self.node_id}: cpu share underflow ({new!r} below baseline or not finite)"
             )
         self.cpu_commit = new if new >= self.baseline else self.baseline
+
+    def release_bw(self, amount: float) -> None:
+        self.bw_commit = self._released("bw", self.bw_commit - amount, 0.0)
+
+    def release_resident(self, mem: float, disk: float) -> None:
+        """Give back the memory and disk a task held while on this node."""
+        self.mem_commit = self._released("mem", self.mem_commit - mem, self.mem_base)
+        self.disk_commit = self._released("disk", self.disk_commit - disk, self.disk_base)
+
+    def _released(self, name: str, new: float, base: float) -> float:
+        if not (base - 1e-9 <= new < math.inf):
+            raise RuntimeError(
+                f"node {self.node_id}: {name} commit underflow ({new!r} below {base!r} "
+                "or not finite)"
+            )
+        return new
 
 
 @dataclass
@@ -577,6 +579,7 @@ class _Episode:
         self.collect_events = collect_events
         self.episode_index = episode_index
         self.rng = random.Random(seed)
+        self.deadline_span = self.sim.task_deadline_s_max - self.sim.task_deadline_s_min
         self.nodes = build_nodes(cfg)
         self.grid = CellIndex(self.nodes, self.sim, self.link.v2i_range_m)
         self.area = self.sim.area_m
@@ -637,32 +640,38 @@ class _Episode:
 
     # -- telemetry --------------------------------------------------------
 
-    def snapshot(self, node: NodeState, task: Task, available: int) -> TelemetrySnapshot:
+    def state_for(self, node: NodeState, task: Task, available: int) -> int:
+        """State ordinal of the decision node `node` for `task`, encoded
+        straight from the node and task fields (readings in
+        TelemetrySnapshot order; fractions clamped into [0, 1])."""
         sim = self.sim
+        cpu = node.cpu_commit
+        mem = node.mem_commit
+        disk = node.disk_commit
+        bw = node.bw_commit
+        free_disk = 1.0 - disk
         at_weight = task.demand_mips / sim.app_type_mips_scale
-        dl_span = sim.task_deadline_s_max - sim.task_deadline_s_min
-        if dl_span > 0.0:
-            op_req = (sim.task_deadline_s_max - task.deadline) / dl_span
+        if self.deadline_span > 0.0:
+            op_req = (sim.task_deadline_s_max - task.deadline) / self.deadline_span
             op_req = 0.0 if op_req < 0.0 else (1.0 if op_req > 1.0 else op_req)
         else:
             op_req = 0.0
-        return TelemetrySnapshot(
-            cpu_usage=_clamp01(node.cpu_commit),
-            mem_usage=_clamp01(node.mem_commit),
-            disk_usage=_clamp01(node.disk_commit),
-            net_bw_usage=_clamp01(node.bw_commit),
-            request_rate=len(node.arrivals) / sim.rate_window_s,
-            app_type_weight=at_weight if at_weight <= 1.0 else 1.0,
-            expected_demand=node.demand_ema,
-            recent_response_time=node.recent_response(),
-            sla_met=node.sla_met(),
-            op_requirement=op_req,
-            available_nodes=available,
-            storage_availability=_clamp01(1.0 - node.disk_commit),
+        n = len(node.resp_window)
+        return snapshot_ordinal(
+            0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu),
+            0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),
+            0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk),
+            0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),
+            len(node.arrivals) / sim.rate_window_s,
+            at_weight if at_weight <= 1.0 else 1.0,
+            node.demand_ema,
+            node.resp_sum / n if n else 0.0,
+            n == 0 or node.resp_sum <= node.dl_sum,
+            op_req,
+            available,
+            0.0 if free_disk < 0.0 else (1.0 if free_disk > 1.0 else free_disk),
+            self.cfg.state,
         )
-
-    def state_for(self, node: NodeState, task: Task, available: int) -> int:
-        return snapshot_ordinal(self.snapshot(node, task, available), self.cfg.state)
 
     # -- event handlers ---------------------------------------------------
 
@@ -716,7 +725,7 @@ class _Episode:
                 ("disk", node.disk_commit, sim.node_disk_init),
                 ("bw", node.bw_commit, 0.0),
             ):
-                if abs(value - initial) > 1e-9:
+                if not (abs(value - initial) <= 1e-9):  # a NaN fails too
                     raise RuntimeError(
                         f"node {node.node_id}: {name} commit {value!r} did not return "
                         f"to {initial!r} at episode end"
@@ -828,7 +837,6 @@ class _Episode:
             scheduler.decision_node = decision.node_id
 
         placement = scheduler.select(ctx)
-        self.push(task.bound, EventKind.TASK_EXPIRE, task)
         if placement is None:
             if scheduler.uses_state:
                 task.action_ordinal = scheduler.last_action_ordinal
@@ -852,6 +860,9 @@ class _Episode:
             task.wait = start - now
             task.proc = proc
             task.stage = _EXECUTING
+            # the expiry is pushed only for a task still outstanding, just
+            # before its next event, so every other event keeps its order
+            self.push(task.bound, EventKind.TASK_EXPIRE, task)
             self.push(completion, EventKind.EXECUTION_DONE, task)
             return
 
@@ -877,13 +888,14 @@ class _Episode:
             task.cpu_share = placement.cpu_share
             task.eff_cpu = view.req_share if view.req_share <= view.max_share else view.max_share
             task.proc_planned = task.cycles / (placement.cpu_share * node.cpu_freq)
+        self.push(task.bound, EventKind.TASK_EXPIRE, task)
         self.push(now + task.upload_planned, EventKind.UPLOAD_DONE, task)
 
     def on_upload_done(self, now: float, task: Task) -> None:
         if task.stage != _UPLOADING:
             return
         node = self.nodes[task.exec_node]
-        node.bw_commit -= task.bw_alloc
+        node.release_bw(task.bw_alloc)
         task.upload = task.upload_planned
         task.upload_done_time = now
         if self.events is not None:
@@ -938,8 +950,7 @@ class _Episode:
         )
         if node is not None:
             node.release_cpu(task.cpu_share)
-            node.mem_commit -= task.mem_alloc
-            node.disk_commit -= task.disk_alloc
+            node.release_resident(task.mem_alloc, task.disk_alloc)
 
         t_current = now - task.arrival
         stats_node.record_response(t_current, task.deadline)
@@ -997,12 +1008,9 @@ class _Episode:
                 raise RuntimeError(f"task {task.task_id} executing past its bound")
             return
         if task.stage == _UPLOADING:
-            node = self.nodes[task.exec_node]
-            node.bw_commit -= task.bw_alloc
+            self.nodes[task.exec_node].release_bw(task.bw_alloc)
         elif task.stage == _QUEUED:
-            node = self.nodes[task.exec_node]
-            node.mem_commit -= task.mem_alloc
-            node.disk_commit -= task.disk_alloc
+            self.nodes[task.exec_node].release_resident(task.mem_alloc, task.disk_alloc)
         self.drop(task, now)
 
     def drain(self, node: NodeState, now: float) -> None:
@@ -1014,8 +1022,7 @@ class _Episode:
                 continue
             if now + head.proc_planned > head.bound:
                 queue.popleft()
-                node.mem_commit -= head.mem_alloc
-                node.disk_commit -= head.disk_alloc
+                node.release_resident(head.mem_alloc, head.disk_alloc)
                 self.drop(head, now)
                 continue
             if head.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:

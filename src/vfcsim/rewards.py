@@ -99,10 +99,21 @@ class QualitySample:
 
 
 def _check_unit(name: str, value: float) -> None:
+    if value.__class__ is float and 0.0 <= value <= 1.0:  # False for NaN
+        return
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if value < 0.0 or value > 1.0:
         raise ValidationError(f"{name}={value!r} outside [0, 1]")
+
+
+def _check_pair(name: str, actual: float, efficient: float) -> None:
+    _check_unit(f"actual_{name}", actual)
+    _check_unit(f"efficient_{name}", efficient)
+    if efficient > actual:
+        raise ValidationError(
+            f"efficient_{name}={efficient!r} exceeds actual_{name}={actual!r}"
+        )
 
 
 def resource_wastage(samples: Iterable[WastageSample]) -> float:
@@ -120,12 +131,11 @@ def resource_wastage(samples: Iterable[WastageSample]) -> float:
             ("mem", s.actual_mem, s.efficient_mem),
             ("bw", s.actual_bw, s.efficient_bw),
         ):
-            _check_unit(f"actual_{name}", actual)
-            _check_unit(f"efficient_{name}", efficient)
-            if efficient > actual:
-                raise ValidationError(
-                    f"efficient_{name}={efficient!r} exceeds actual_{name}={actual!r}"
-                )
+            if not (
+                actual.__class__ is efficient.__class__ is float
+                and 0.0 <= efficient <= actual <= 1.0
+            ):
+                _check_pair(name, actual, efficient)
             total += actual - efficient
         n += 1
     if n == 0:

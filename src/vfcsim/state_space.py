@@ -139,6 +139,8 @@ NUM_STATES = 354294  # 3**11 * 2
 
 assert math.prod(_RADICES) == NUM_STATES
 
+_INF = math.inf
+
 
 def _check_fraction(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -154,68 +156,26 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name}={value!r} must be >= 0")
 
 
-def _tri(value: float, low: float, high: float) -> int:
-    if value < low:
-        return 0
-    if value < high:
-        return 1
-    return 2
-
-
 def discretize(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
-    """Map a raw telemetry snapshot to its discrete state.
-
-    Raises ValidationError naming the offending field when a fraction
-    leaves [0, 1], a rate or response time is negative, or anything is
-    non-finite.
-    """
-    low = config.low_threshold
-    high = config.high_threshold
-    caps = config.caps
-
-    _check_fraction("cpu_usage", snapshot.cpu_usage)
-    _check_fraction("mem_usage", snapshot.mem_usage)
-    _check_fraction("disk_usage", snapshot.disk_usage)
-    _check_fraction("net_bw_usage", snapshot.net_bw_usage)
-    _check_fraction("app_type_weight", snapshot.app_type_weight)
-    _check_fraction("op_requirement", snapshot.op_requirement)
-    _check_fraction("storage_availability", snapshot.storage_availability)
-    _check_nonnegative("request_rate", snapshot.request_rate)
-    _check_nonnegative("expected_demand", snapshot.expected_demand)
-    _check_nonnegative("recent_response_time", snapshot.recent_response_time)
-    if snapshot.available_nodes < 0:
-        raise ValidationError(f"available_nodes={snapshot.available_nodes!r} must be >= 0")
-
-    rate_scale = config.rate_scale
-    rt_val = snapshot.recent_response_time
-    if rt_val < config.response_fast:
-        rt = ResponseLevel.FAST
-    elif rt_val < config.response_slow:
-        rt = ResponseLevel.MEDIUM
-    else:
-        rt = ResponseLevel.SLOW
-
-    n = snapshot.available_nodes
-    if n < config.node_count_low:
-        ncn = Level.LOW
-    elif n < config.node_count_high:
-        ncn = Level.MEDIUM
-    else:
-        ncn = Level.HIGH
-
-    return DiscreteState(
-        cu=Level(_tri(snapshot.cpu_usage / caps["cpu_usage"], low, high)),
-        mu=Level(_tri(snapshot.mem_usage / caps["mem_usage"], low, high)),
-        dsu=Level(_tri(snapshot.disk_usage / caps["disk_usage"], low, high)),
-        nbu=Level(_tri(snapshot.net_bw_usage / caps["net_bw_usage"], low, high)),
-        nr=Level(_tri(snapshot.request_rate / rate_scale, low, high)),
-        at=AppType(_tri(snapshot.app_type_weight / caps["app_type_weight"], low, high)),
-        ed=Level(_tri(snapshot.expected_demand / rate_scale, low, high)),
-        rt=rt,
-        sla=SlaLevel.FULFILLED if snapshot.sla_met else SlaLevel.NOT_FULFILLED,
-        or_=Level(_tri(snapshot.op_requirement / caps["op_requirement"], low, high)),
-        ncn=ncn,
-        asd=Level(_tri(snapshot.storage_availability / caps["storage_availability"], low, high)),
+    """Map a raw telemetry snapshot to its discrete state: the decoded
+    snapshot_ordinal, which raises ValidationError naming the offending
+    field."""
+    return state_from_index(
+        snapshot_ordinal(
+            snapshot.cpu_usage,
+            snapshot.mem_usage,
+            snapshot.disk_usage,
+            snapshot.net_bw_usage,
+            snapshot.request_rate,
+            snapshot.app_type_weight,
+            snapshot.expected_demand,
+            snapshot.recent_response_time,
+            snapshot.sla_met,
+            snapshot.op_requirement,
+            snapshot.available_nodes,
+            snapshot.storage_availability,
+            config,
+        )
     )
 
 
@@ -263,57 +223,92 @@ def state_from_index(ordinal: int) -> DiscreteState:
     )
 
 
-def snapshot_ordinal(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> int:
-    """Fused discretize + state_index used on the simulator hot path.
+def snapshot_ordinal(
+    cpu_usage: float,
+    mem_usage: float,
+    disk_usage: float,
+    net_bw_usage: float,
+    request_rate: float,
+    app_type_weight: float,
+    expected_demand: float,
+    recent_response_time: float,
+    sla_met: bool,
+    op_requirement: float,
+    available_nodes: int,
+    storage_availability: float,
+    config: StateSpaceConfig,
+) -> int:
+    """State ordinal in [0, NUM_STATES) of one telemetry reading.
 
-    Equivalent to state_index(discretize(snapshot, config)) by construction
-    (covered by a property test) but avoids building the intermediate
-    DiscreteState.
+    The readings come positionally in TelemetrySnapshot field order; this
+    is the only encoder, and state_from_index its inverse. Raises
+    ValidationError naming the offending field when a fraction leaves
+    [0, 1], a rate, response time or node count is negative, or a reading
+    is non-finite or not a number.
     """
+    # One combined check on the success path: every chained comparison is
+    # False for NaN, and `< inf` rejects +inf. Only when it fails do the
+    # field-by-field checks run, so that the error names the first
+    # offending field; readings that are not floats (ints included) take
+    # them too, and they accept exactly what they always did.
+    if not (
+        cpu_usage.__class__ is mem_usage.__class__ is disk_usage.__class__
+        is net_bw_usage.__class__ is request_rate.__class__
+        is app_type_weight.__class__ is expected_demand.__class__
+        is recent_response_time.__class__ is op_requirement.__class__
+        is storage_availability.__class__ is float
+        and 0.0 <= cpu_usage <= 1.0
+        and 0.0 <= mem_usage <= 1.0
+        and 0.0 <= disk_usage <= 1.0
+        and 0.0 <= net_bw_usage <= 1.0
+        and 0.0 <= app_type_weight <= 1.0
+        and 0.0 <= op_requirement <= 1.0
+        and 0.0 <= storage_availability <= 1.0
+        and 0.0 <= request_rate < _INF
+        and 0.0 <= expected_demand < _INF
+        and 0.0 <= recent_response_time < _INF
+        and available_nodes >= 0
+    ):
+        _check_fraction("cpu_usage", cpu_usage)
+        _check_fraction("mem_usage", mem_usage)
+        _check_fraction("disk_usage", disk_usage)
+        _check_fraction("net_bw_usage", net_bw_usage)
+        _check_fraction("app_type_weight", app_type_weight)
+        _check_fraction("op_requirement", op_requirement)
+        _check_fraction("storage_availability", storage_availability)
+        _check_nonnegative("request_rate", request_rate)
+        _check_nonnegative("expected_demand", expected_demand)
+        _check_nonnegative("recent_response_time", recent_response_time)
+        if available_nodes < 0:
+            raise ValidationError(f"available_nodes={available_nodes!r} must be >= 0")
+
     low = config.low_threshold
     high = config.high_threshold
     caps = config.caps
-
-    _check_fraction("cpu_usage", snapshot.cpu_usage)
-    _check_fraction("mem_usage", snapshot.mem_usage)
-    _check_fraction("disk_usage", snapshot.disk_usage)
-    _check_fraction("net_bw_usage", snapshot.net_bw_usage)
-    _check_fraction("app_type_weight", snapshot.app_type_weight)
-    _check_fraction("op_requirement", snapshot.op_requirement)
-    _check_fraction("storage_availability", snapshot.storage_availability)
-    _check_nonnegative("request_rate", snapshot.request_rate)
-    _check_nonnegative("expected_demand", snapshot.expected_demand)
-    _check_nonnegative("recent_response_time", snapshot.recent_response_time)
-    if snapshot.available_nodes < 0:
-        raise ValidationError(f"available_nodes={snapshot.available_nodes!r} must be >= 0")
-
     rate_scale = config.rate_scale
-    rt_val = snapshot.recent_response_time
-    if rt_val < config.response_fast:
-        rt = 0
-    elif rt_val < config.response_slow:
-        rt = 1
-    else:
-        rt = 2
 
-    n = snapshot.available_nodes
-    if n < config.node_count_low:
-        ncn = 0
-    elif n < config.node_count_high:
-        ncn = 1
-    else:
-        ncn = 2
-
-    idx = _tri(snapshot.cpu_usage / caps["cpu_usage"], low, high)
-    idx = idx * 3 + _tri(snapshot.mem_usage / caps["mem_usage"], low, high)
-    idx = idx * 3 + _tri(snapshot.disk_usage / caps["disk_usage"], low, high)
-    idx = idx * 3 + _tri(snapshot.net_bw_usage / caps["net_bw_usage"], low, high)
-    idx = idx * 3 + _tri(snapshot.request_rate / rate_scale, low, high)
-    idx = idx * 3 + _tri(snapshot.app_type_weight / caps["app_type_weight"], low, high)
-    idx = idx * 3 + _tri(snapshot.expected_demand / rate_scale, low, high)
-    idx = idx * 3 + rt
-    idx = idx * 2 + (0 if snapshot.sla_met else 1)
-    idx = idx * 3 + _tri(snapshot.op_requirement / caps["op_requirement"], low, high)
-    idx = idx * 3 + ncn
-    idx = idx * 3 + _tri(snapshot.storage_availability / caps["storage_availability"], low, high)
-    return idx
+    # mixed-radix digits in DiscreteState field order; a value exactly on
+    # a threshold takes the upper level
+    x = cpu_usage / caps["cpu_usage"]
+    idx = 0 if x < low else 1 if x < high else 2
+    x = mem_usage / caps["mem_usage"]
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = disk_usage / caps["disk_usage"]
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = net_bw_usage / caps["net_bw_usage"]
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = request_rate / rate_scale
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = app_type_weight / caps["app_type_weight"]
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = expected_demand / rate_scale
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = recent_response_time
+    idx = idx * 3 + (0 if x < config.response_fast else 1 if x < config.response_slow else 2)
+    idx = idx * 2 + (0 if sla_met else 1)
+    x = op_requirement / caps["op_requirement"]
+    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    x = available_nodes
+    idx = idx * 3 + (0 if x < config.node_count_low else 1 if x < config.node_count_high else 2)
+    x = storage_availability / caps["storage_availability"]
+    return idx * 3 + (0 if x < low else 1 if x < high else 2)

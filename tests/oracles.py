@@ -7,6 +7,15 @@ have independent arithmetic to compare against.
 import random
 
 from vfcsim.agent import HyperParams, QTable, init_q_values, select_action, update_q_value
+from vfcsim.state_space import (
+    AppType,
+    DiscreteState,
+    Level,
+    ResponseLevel,
+    SlaLevel,
+    StateSpaceConfig,
+    TelemetrySnapshot,
+)
 
 
 class ToyMdp:
@@ -193,3 +202,56 @@ def round_robin_full_list(
             if nodes[i][0] and nodes[i][1] <= nodes[i][share]:
                 return "fog", i, (i + 1) % n
     return None, -1, cursor
+
+
+def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:
+    """The telemetry snapshot of a decision node for a task, built field by
+    field from the node's and task's public state and the sim parameters."""
+
+    def clamp(v):
+        return min(max(v, 0.0), 1.0)
+
+    responses = list(node.resp_window)
+    deadlines = list(node.dl_window)
+    span = sim.task_deadline_s_max - sim.task_deadline_s_min
+    op_req = clamp((sim.task_deadline_s_max - task.deadline) / span) if span > 0.0 else 0.0
+    return TelemetrySnapshot(
+        cpu_usage=clamp(node.cpu_commit),
+        mem_usage=clamp(node.mem_commit),
+        disk_usage=clamp(node.disk_commit),
+        net_bw_usage=clamp(node.bw_commit),
+        request_rate=len(node.arrivals) / sim.rate_window_s,
+        app_type_weight=min(task.demand_mips / sim.app_type_mips_scale, 1.0),
+        expected_demand=node.demand_ema,
+        recent_response_time=node.resp_sum / len(responses) if responses else 0.0,
+        sla_met=node.resp_sum <= node.dl_sum if deadlines else True,
+        op_requirement=op_req,
+        available_nodes=available,
+        storage_availability=clamp(1.0 - node.disk_commit),
+    )
+
+
+def discretize_by_field(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
+    """Level of each reading on its own (no validation): value / cap, or
+    value / rate_scale for rates, against the two thresholds, with a value
+    on a threshold taking the upper level."""
+
+    def tri(value, low=config.low_threshold, high=config.high_threshold):
+        return 0 if value < low else (1 if value < high else 2)
+
+    caps = config.caps
+    return DiscreteState(
+        cu=Level(tri(snapshot.cpu_usage / caps["cpu_usage"])),
+        mu=Level(tri(snapshot.mem_usage / caps["mem_usage"])),
+        dsu=Level(tri(snapshot.disk_usage / caps["disk_usage"])),
+        nbu=Level(tri(snapshot.net_bw_usage / caps["net_bw_usage"])),
+        nr=Level(tri(snapshot.request_rate / config.rate_scale)),
+        at=AppType(tri(snapshot.app_type_weight / caps["app_type_weight"])),
+        ed=Level(tri(snapshot.expected_demand / config.rate_scale)),
+        rt=ResponseLevel(tri(snapshot.recent_response_time,
+                             config.response_fast, config.response_slow)),
+        sla=SlaLevel.FULFILLED if snapshot.sla_met else SlaLevel.NOT_FULFILLED,
+        or_=Level(tri(snapshot.op_requirement / caps["op_requirement"])),
+        ncn=Level(tri(snapshot.available_nodes, config.node_count_low, config.node_count_high)),
+        asd=Level(tri(snapshot.storage_availability / caps["storage_availability"])),
+    )

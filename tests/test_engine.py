@@ -7,8 +7,10 @@ import struct
 
 import pytest
 
+from oracles import snapshot_from_node
 from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values
 from vfcsim.engine import (
+    EventKind,
     NodeState,
     VehicleState,
     _Episode,
@@ -27,7 +29,7 @@ from vfcsim.engine import (
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import Scheduler, _cloud_placement
-from vfcsim.state_space import NUM_STATES
+from vfcsim.state_space import NUM_STATES, discretize, state_index
 from vfcsim.traffic import VehicleSpec
 
 
@@ -110,6 +112,33 @@ def test_node_capacity_guards():
     node.release_cpu(0.8)
     with pytest.raises(RuntimeError, match="underflow"):
         node.release_cpu(0.01)
+
+
+def test_cpu_guards_reject_nan():
+    node = NodeState(0, 0.0, 0.0, 5e9, build_config({}).sim)
+    with pytest.raises(RuntimeError, match="cpu share overflow"):
+        node.commit_cpu(math.nan)
+    with pytest.raises(RuntimeError, match="cpu share underflow"):
+        node.release_cpu(math.nan)
+    assert node.cpu_commit == node.baseline
+
+
+@pytest.mark.parametrize("amount", [0.01, math.nan, -math.inf])
+@pytest.mark.parametrize("resource", ["mem", "disk", "bw"])
+def test_release_guards(resource, amount):
+    node = NodeState(0, 0.0, 0.0, 5e9, build_config({}).sim)
+    release = {
+        "mem": lambda a: node.release_resident(a, 0.0),
+        "disk": lambda a: node.release_resident(0.0, a),
+        "bw": node.release_bw,
+    }[resource]
+    start = getattr(node, f"{resource}_commit")
+    release(-0.25)
+    release(0.25 + 5e-10)  # rounding residue within 1e-9 is kept, not clamped
+    after = getattr(node, f"{resource}_commit")
+    assert after == (start + 0.25) - (0.25 + 5e-10) < start
+    with pytest.raises(RuntimeError, match=f"node 0: {resource} commit underflow"):
+        release(amount)
 
 
 def test_wfq_weight_resolution():
@@ -298,14 +327,15 @@ def test_heavy_load_respects_capacity_guards():
 
 
 def test_episode_end_guard_checks_every_resource(tiny_cfg):
-    for attr in ("cpu_commit", "mem_commit", "disk_commit", "bw_commit"):
-        episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
-                           False, False, None, 0)
-        episode.check_resources_released()
-        node = episode.nodes[3]
-        setattr(node, attr, getattr(node, attr) + 1e-6)
-        with pytest.raises(RuntimeError, match=f"node 3: {attr.split('_')[0]} commit"):
+    for leak in (1e-6, math.nan):
+        for attr in ("cpu_commit", "mem_commit", "disk_commit", "bw_commit"):
+            episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
+                               False, False, None, 0)
             episode.check_resources_released()
+            node = episode.nodes[3]
+            setattr(node, attr, getattr(node, attr) + leak)
+            with pytest.raises(RuntimeError, match=f"node 3: {attr.split('_')[0]} commit"):
+                episode.check_resources_released()
 
 
 def test_leaked_commit_fails_the_episode(monkeypatch):
@@ -318,6 +348,68 @@ def test_leaked_commit_fails_the_episode(monkeypatch):
     monkeypatch.setattr(_Episode, "on_upload_done", leaky)
     with pytest.raises(RuntimeError, match="disk commit"):
         run_short()
+
+
+@pytest.mark.parametrize("name", ["fcfs", "qlearn"])
+def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
+    pushed = []
+    original = _Episode.push
+
+    def counting(self, time, kind, payload):
+        if kind == EventKind.TASK_EXPIRE:
+            pushed.append(payload.task_id)
+        original(self, time, kind, payload)
+
+    monkeypatch.setattr(_Episode, "push", counting)
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
+                        "sim.arrival_prob": "0.7"})
+    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
+    sched = build_scheduler(cfg, name, tables, epsilon=1.0)
+    records = run_episode(cfg, sched, 7).ledger.records
+    # a task dropped at its decision resolves at its arrival time, before
+    # any event of its own; every other task has exactly one expiry
+    outstanding = sorted(r.task_id for r in records if r.serviced or r.completion > r.arrival)
+    assert len(outstanding) < len(records)
+    assert sorted(pushed) == outstanding
+
+
+# Q-tables and learning curve of two training episodes on NO.1, master
+# seed 1: entries packed as (node, state, action, value) in key order,
+# curve rows as (episode, epsilon, tasks, serviced, reward_sum).
+PINNED_TRAINING = (
+    "dc97246882ae5807c9bac409bc436c23f3563b76ba8e37bc024375b56714b322",
+    "3b28b664d5d75b393baa431f7d00515abb49f5dfc01c01dd8b06ae6406d81c6e",
+)
+
+
+def test_training_state_encoding_matches_snapshot_oracle(monkeypatch):
+    cfg = build_config({"scenario.name": "NO.1", "agent.episodes": "2"})
+    original = _Episode.state_for
+    calls = []
+
+    def checked(self, node, task, available):
+        ordinal = original(self, node, task, available)
+        snapshot = snapshot_from_node(node, task, available, self.sim)
+        assert ordinal == state_index(discretize(snapshot, self.cfg.state))
+        calls.append(ordinal)
+        return ordinal
+
+    monkeypatch.setattr(_Episode, "state_for", checked)
+    result = run_training(cfg, 1)
+    tasks = sum(row["tasks"] for row in result.curve)
+    assert len(calls) == 2 * tasks  # the state at decision and the next state
+    assert len(set(calls)) > 100
+
+    tables = hashlib.sha256()
+    for node_id in sorted(result.tables):
+        values = result.tables[node_id].values
+        for state, action in sorted(values):
+            tables.update(struct.pack("<3qd", node_id, state, action, values[(state, action)]))
+    curve = hashlib.sha256()
+    for row in result.curve:
+        curve.update(struct.pack("<qd2qd", row["episode"], row["epsilon"], row["tasks"],
+                                 row["serviced"], row["reward_sum"]))
+    assert (tables.hexdigest(), curve.hexdigest()) == PINNED_TRAINING
 
 
 def test_same_seed_reproduces_bit_identical_events():

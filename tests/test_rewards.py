@@ -195,6 +195,24 @@ def test_total_validates_components():
         total_reward(-0.2, 0.0, 0.0, 0.0, W)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None, 1.5, -0.1])
+def test_unit_checks_name_the_field(bad):
+    with pytest.raises(ValidationError, match="utilization"):
+        total_reward(0.0, bad, 0.0, 0.0, W)
+    with pytest.raises(ValidationError, match="nnbu"):
+        resource_utilization(UtilizationSample(0.0, 0.0, bad), W)
+    with pytest.raises(ValidationError, match="actual_mem"):
+        resource_wastage([wsample(0.5, 0.5, bad, 0.0, 0.5, 0.5)])
+    with pytest.raises(ValidationError, match="efficient_bw"):
+        resource_wastage([wsample(0.5, 0.5, 0.5, 0.5, 1.0, bad)])
+
+
+def test_integer_fractions_accepted():
+    # ints skip the float-only fast checks and pass the full ones
+    assert total_reward(0, 1, 1, 1, W) == pytest.approx(0.7, abs=1e-12)
+    assert resource_wastage([wsample(1, 0, 1, 1, 0, 0)]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
 def test_total_bounds_over_random_tuples():
     rng = random.Random(99)
     lo, hi = 0.0, 0.0

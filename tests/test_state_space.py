@@ -1,11 +1,14 @@
 """Discretization and state encoding tests."""
 
+import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import discretize_by_field
 from vfcsim.errors import ValidationError
 from vfcsim.state_space import (
     FRACTION_FIELDS,
@@ -41,6 +44,11 @@ def make_snapshot(**overrides) -> TelemetrySnapshot:
     )
     base.update(overrides)
     return TelemetrySnapshot(**base)
+
+
+def readings(snapshot: TelemetrySnapshot) -> list:
+    """The snapshot's fields in declaration order, as snapshot_ordinal takes them."""
+    return [getattr(snapshot, f.name) for f in dataclasses.fields(TelemetrySnapshot)]
 
 
 CFG = StateSpaceConfig()
@@ -151,6 +159,34 @@ def test_nan_rejected():
         discretize(make_snapshot(cpu_usage=float("nan")), CFG)
 
 
+FLOAT_FIELDS = FRACTION_FIELDS + ("request_rate", "expected_demand", "recent_response_time")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_snapshot_ordinal_names_non_finite_or_non_numeric_field(field, bad):
+    with pytest.raises(ValidationError, match=field):
+        snapshot_ordinal(*readings(make_snapshot(**{field: bad})), CFG)
+    with pytest.raises(ValidationError, match=field):
+        discretize(make_snapshot(**{field: bad}), CFG)
+
+
+def test_first_offending_field_is_named():
+    snap = make_snapshot(request_rate=-1.0, storage_availability=2.0, cpu_usage=math.nan)
+    with pytest.raises(ValidationError, match="cpu_usage"):
+        snapshot_ordinal(*readings(snap), CFG)
+
+
+def test_integer_readings_encode_like_floats():
+    # ints skip the combined check and pass the field-by-field one
+    ints = make_snapshot(cpu_usage=1, mem_usage=0, request_rate=2, recent_response_time=7,
+                         available_nodes=1, storage_availability=1)
+    floats = make_snapshot(cpu_usage=1.0, mem_usage=0.0, request_rate=2.0,
+                           recent_response_time=7.0, available_nodes=1,
+                           storage_availability=1.0)
+    assert snapshot_ordinal(*readings(ints), CFG) == snapshot_ordinal(*readings(floats), CFG)
+
+
 def test_index_of_all_lowest_is_zero():
     lowest = DiscreteState(
         cu=Level.LOW, mu=Level.LOW, dsu=Level.LOW, nbu=Level.LOW,
@@ -208,7 +244,11 @@ def test_snapshot_ordinal_matches_two_step_path(
         recent_response_time=rt, sla_met=sla, op_requirement=opr,
         available_nodes=nodes, storage_availability=stor,
     )
-    assert snapshot_ordinal(snap, CFG) == state_index(discretize(snap, CFG))
+    # discretize decodes snapshot_ordinal, so both are checked against
+    # levels taken one field at a time
+    reference = discretize_by_field(snap, CFG)
+    assert snapshot_ordinal(*readings(snap), CFG) == state_index(reference)
+    assert discretize(snap, CFG) == reference
 
 
 @settings(max_examples=100, deadline=None)
