@@ -20,17 +20,9 @@ import sys
 from pathlib import Path
 
 from .config import dump_config, load_config
-from .engine import (
-    CheckpointError,
-    build_scheduler,
-    load_tables,
-    run_episode,
-    run_evaluation,
-    run_training,
-    write_event_log,
-)
+from .engine import CheckpointError, load_tables, run_evaluation, run_training, write_event_log
 from .errors import ConfigError, ValidationError
-from .metrics import RUN_CSV_COLUMNS, build_report, mean_std, run_csv_row
+from .metrics import RUN_CSV_COLUMNS, mean_std, run_csv_row
 from .traffic import load_trace_csv
 
 SCHEDULER_NAMES = ("qlearn", "fcfs", "rr", "wfq")
@@ -181,6 +173,7 @@ def _evaluate_rows(cfg, scheduler, seeds, tables, arrival_prob, episodes, out=No
                 arrival_prob=arrival_prob,
                 episodes=episodes,
                 collect_events=events,
+                vehicles=vehicles,
             )
         except (ValidationError, RuntimeError) as exc:
             failures.append((scheduler, cfg.scenario.name, seed, str(exc)))
@@ -199,41 +192,16 @@ def cmd_eval(args) -> int:
     _write_echo(cfg, out)
     seeds = _parse_seeds(args.seed)
     tables = _load_checkpoint(args, cfg) if args.scheduler == "qlearn" else None
+    vehicles = None
     if args.trace:
-        # recorded traces replace synthetic traffic for every seed
+        # recorded traces replace synthetic traffic in every seed and episode
         vehicles = load_trace_csv(
             args.trace, random.Random(seeds[0]), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
         )
-    else:
-        vehicles = None
-    rows, reports, failures = [], [], []
-    for seed in seeds:
-        try:
-            if vehicles is not None:
-                scheduler = build_scheduler(cfg, args.scheduler, tables)
-                result_ep = run_episode(
-                    cfg, scheduler, seed, args.arrival_prob, collect_events=True, vehicles=vehicles
-                )
-                report = build_report(
-                    result_ep.ledger, [result_ep.aggregate], result_ep.edge_log, cfg.sim.fog_nodes
-                )
-                events = result_ep.events
-            else:
-                result = run_evaluation(
-                    cfg, args.scheduler, seed,
-                    tables=tables, arrival_prob=args.arrival_prob,
-                    episodes=args.episodes, collect_events=True,
-                )
-                report = result.report
-                events = result.events
-        except (ValidationError, RuntimeError) as exc:
-            failures.append((args.scheduler, cfg.scenario.name, seed, str(exc)))
-            continue
-        prob = cfg.sim.arrival_prob if args.arrival_prob is None else args.arrival_prob
-        rows.append(run_csv_row(report, args.scheduler, cfg.scenario.name, seed, prob))
-        reports.append((seed, report))
-        if events is not None:
-            write_event_log(events, out / f"events_{args.scheduler}_seed{seed}.ndjson")
+    rows, reports, failures = _evaluate_rows(
+        cfg, args.scheduler, seeds, tables, args.arrival_prob, args.episodes,
+        out=out, events=True, vehicles=vehicles,
+    )
     _write_csv(out / "metrics.csv", RUN_CSV_COLUMNS, rows)
     _report_failures(failures, out)
     for seed, report in reports:

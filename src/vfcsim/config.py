@@ -66,7 +66,6 @@ _LINK_KEYS = {
     "v2i_bandwidth_hz": "float",
     "tx_power_mw": "float",
     "noise_power_dbm": "float",
-    "awgn_dbm": "float",
     "path_loss_exp": "float",
     "v2i_range_m": "float",
     "wired_rate_bps": "float",
@@ -164,13 +163,6 @@ def _coerce(key: str, value: str, kind: str):
             return float(value)
         if kind == "int":
             return int(value)
-        if kind == "bool":
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
         return value
     except ValueError as exc:
         raise ConfigError(f"invalid {kind} for {key}: {value!r}") from exc
@@ -274,8 +266,6 @@ def load_config(
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

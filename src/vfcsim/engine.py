@@ -35,7 +35,7 @@ from .agent import (
     update_q_value,
 )
 from .errors import ValidationError
-from .link import BITS_PER_MB, LinkParams, Position, shannon_rate, snr_at_distance
+from .link import BITS_PER_MB, LinkParams, shannon_rate, snr_at_distance
 from .metrics import (
     EdgeRewardLog,
     EpisodeAggregate,
@@ -57,7 +57,6 @@ from .rewards import (
     total_reward,
 )
 from .schedulers import (
-    Allocation,
     DecisionContext,
     FcfsScheduler,
     NodeView,
@@ -388,7 +387,6 @@ class EpisodeResult:
     aggregate: EpisodeAggregate
     edge_log: EdgeRewardLog
     events: list[dict] | None
-    epsilon: float
 
 
 @dataclass
@@ -712,8 +710,7 @@ class _Episode:
             )
         else:
             agg = EpisodeAggregate(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-        eps = self.scheduler.epsilon if self.scheduler.uses_state else 0.0
-        return EpisodeResult(self.ledger, agg, self.edge_log, self.events, eps)
+        return EpisodeResult(self.ledger, agg, self.edge_log, self.events)
 
     def check_resources_released(self) -> None:
         """Every task has resolved, so every commit is back where it began."""
@@ -795,7 +792,6 @@ class _Episode:
             views.append(
                 NodeView(
                     node_id=node.node_id,
-                    cpu_freq_hz=node.cpu_freq,
                     free_share=free if free > 0.0 else 0.0,
                     max_share=1.0 - node.baseline,
                     distance_m=dist,
@@ -819,17 +815,7 @@ class _Episode:
                 },
             )
 
-        requirement = Allocation(
-            cpu_mips=(task.cycles / slack) / 1e6,
-            mem_mb=task.size_bits / BITS_PER_MB,
-            bw_mbps=(task.size_bits / slack) / 1e6,
-        )
-        ctx = DecisionContext(
-            time=now,
-            task_id=task.task_id,
-            requirement=requirement,
-            nodes=views,
-        )
+        ctx = DecisionContext(cpu_mips=(task.cycles / slack) / 1e6, nodes=views)
         scheduler = self.scheduler
         if scheduler.uses_state:
             task.state_ordinal = self.state_for(decision, task, len(views))
@@ -1065,7 +1051,6 @@ class _Episode:
             proc=task.proc if serviced else 0.0,
             completion=now,
             serviced=serviced,
-            local=task.tier == Tier.LOCAL,
             tier=task.tier,
             node_id=task.exec_node,
             reward=reward,
@@ -1195,8 +1180,13 @@ def run_evaluation(
     arrival_prob: float | None = None,
     episodes: int | None = None,
     collect_events: bool = False,
+    vehicles: list[VehicleSpec] | None = None,
 ) -> EvalResult:
-    """Evaluate a scheduler over one or more greedy episodes."""
+    """Evaluate a scheduler over one or more greedy episodes.
+
+    Episode e runs with seed derive_seed(seed, e). `vehicles`, when given,
+    replaces the sampled traffic in every episode (a recorded trace).
+    """
     cfg.validate()
     n_episodes = cfg.sim.eval_episodes if episodes is None else episodes
     if n_episodes < 1:
@@ -1213,6 +1203,7 @@ def run_evaluation(
             derive_seed(seed, episode),
             arrival_prob,
             collect_events=collect_events,
+            vehicles=vehicles,
             episode_index=episode,
         )
         ledger.records.extend(result.ledger.records)

@@ -20,29 +20,17 @@ class LinkRangeError(ValueError):
     """The endpoints are farther apart than the V2I radio range."""
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
-    """Planar coordinates in meters."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
 @dataclass
 class LinkParams:
     """Radio and backhaul constants.
 
-    awgn_dbm documents the channel's additive noise level; the SNR
-    computation uses noise_power_dbm as the receiver noise floor.
+    noise_power_dbm is the receiver noise floor of the SNR computation;
+    cycles_per_bit sets the compute cost of a task per bit of payload.
     """
 
     v2i_bandwidth_hz: float = 2.0e7
     tx_power_mw: float = 1000.0
     noise_power_dbm: float = -114.0
-    awgn_dbm: float = -90.0
     path_loss_exp: float = 3.0
     v2i_range_m: float = 500.0
     wired_rate_bps: float = 5.0e7
@@ -60,9 +48,9 @@ class LinkParams:
         for name, v in positives:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {v!r}")
-        for name, v in (("noise_power_dbm", self.noise_power_dbm), ("awgn_dbm", self.awgn_dbm)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
+        v = self.noise_power_dbm
+        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            raise ValidationError(f"noise_power_dbm must be finite, got {v!r}")
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -11,10 +11,10 @@ raising.
 from __future__ import annotations
 
 import logging
-import math
 import statistics
 from dataclasses import dataclass, field
 
+from .agent import Tier
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -31,8 +31,7 @@ class TaskRecord:
     proc: float
     completion: float
     serviced: bool
-    local: bool
-    tier: int
+    tier: int                 # a Tier ordinal; -1 for a task dropped before placement
     node_id: int
     reward: float
     components: tuple[float, float, float, float]
@@ -57,7 +56,7 @@ class TaskLedger:
 
     @property
     def k_local(self) -> int:
-        return sum(1 for r in self.records if r.serviced and r.local)
+        return sum(1 for r in self.records if r.serviced and r.tier == Tier.LOCAL)
 
     @property
     def k_dropped(self) -> int:

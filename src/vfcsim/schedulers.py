@@ -1,9 +1,11 @@
-"""Allocation policies: FCFS, Round-Robin, WFQ and the Q-learning agent.
+"""Scheduling policies: FCFS, Round-Robin, WFQ and the Q-learning agent.
 
 Every scheduler consumes the same DecisionContext (a snapshot of node
-availability plus the task's resource requirement) and emits a Placement
-or None when no infrastructure can take the task. Baselines allocate
-exactly the requirement; the learned policy scales it by a bundle factor.
+availability plus the task's CPU demand) and emits a Placement or None
+when no infrastructure can take the task. A Placement grants a CPU share
+on the fog node and a bundle factor that scales the task's memory and
+bandwidth grant: baselines grant exactly the requirement (factor 1); the
+learned policy scales it by its chosen bundle.
 
 Contract: ctx.nodes holds the fog nodes within V2I range of the vehicle,
 and only those, in ascending node id; it is empty when no node is in
@@ -17,19 +19,10 @@ routed to the cloud through the nearest reachable node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .agent import ACTIONS, Action, Bundle, HyperParams, QTable, Tier, select_action
+from .agent import Action, HyperParams, QTable, Tier, select_action
 from .errors import ValidationError
-
-
-@dataclass(slots=True)
-class Allocation:
-    """Granted resources: CPU rate (MIPS), memory (MB), bandwidth (Mbps)."""
-
-    cpu_mips: float
-    mem_mb: float
-    bw_mbps: float
 
 
 @dataclass(slots=True)
@@ -37,7 +30,6 @@ class NodeView:
     """One fog node within V2I range, as seen at decision time."""
 
     node_id: int
-    cpu_freq_hz: float
     free_share: float      # CPU share grantable right now
     max_share: float       # CPU share the node can ever grant
     distance_m: float
@@ -49,9 +41,7 @@ class NodeView:
 class DecisionContext:
     """Inputs common to all schedulers for one task decision."""
 
-    time: float
-    task_id: int
-    requirement: Allocation
+    cpu_mips: float           # compute demand: task cycles / time to its bound, in MIPS
     nodes: list[NodeView]     # reachable nodes only, in ascending node id
     state_ordinal: int = -1   # filled when the scheduler uses telemetry
 
@@ -62,7 +52,6 @@ class Placement:
 
     tier: Tier
     node_id: int              # fog execution node, or cloud relay; -1 for local
-    allocation: Allocation
     cpu_share: float          # share on the fog node; 0 for local/cloud
     bundle_factor: float
     action_ordinal: int = -1  # set by the learned policy
@@ -85,22 +74,14 @@ def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placem
     relay = _nearest_reachable(ctx.nodes)
     if relay is None:
         return None
-    req = ctx.requirement
-    alloc = Allocation(
-        req.cpu_mips * bundle_factor, req.mem_mb * bundle_factor, req.bw_mbps * bundle_factor
-    )
-    return Placement(Tier.CLOUD, relay.node_id, alloc, 0.0, bundle_factor)
+    return Placement(Tier.CLOUD, relay.node_id, 0.0, bundle_factor)
 
 
-def _fog_placement(ctx: DecisionContext, node: NodeView, bundle_factor: float = 1.0) -> Placement:
-    req = ctx.requirement
+def _fog_placement(node: NodeView, bundle_factor: float = 1.0) -> Placement:
     share = node.req_share * bundle_factor
     if share > node.max_share:
         share = node.max_share
-    alloc = Allocation(
-        share * node.cpu_freq_hz / 1e6, req.mem_mb * bundle_factor, req.bw_mbps * bundle_factor
-    )
-    return Placement(Tier.FOG, node.node_id, alloc, share, bundle_factor)
+    return Placement(Tier.FOG, node.node_id, share, bundle_factor)
 
 
 class Scheduler:
@@ -131,10 +112,10 @@ class FcfsScheduler(Scheduler):
             return _cloud_placement(ctx)
         for nv in ctx.nodes:
             if nv.req_share <= nv.free_share:
-                return _fog_placement(ctx, nv)
+                return _fog_placement(nv)
         for nv in ctx.nodes:
             if nv.req_share <= nv.max_share:
-                return _fog_placement(ctx, nv)
+                return _fog_placement(nv)
         return None
 
 
@@ -169,31 +150,14 @@ class RoundRobinScheduler(Scheduler):
         for nv in order:
             if nv.req_share <= nv.free_share:
                 self.cursor = (nv.node_id + 1) % self.num_nodes
-                return _fog_placement(ctx, nv)
+                return _fog_placement(nv)
         # Full cycle without free capacity: queue at the first runnable
         # node from the cursor, still advancing the rotation.
         for nv in order:
             if nv.req_share <= nv.max_share:
                 self.cursor = (nv.node_id + 1) % self.num_nodes
-                return _fog_placement(ctx, nv)
+                return _fog_placement(nv)
         return None
-
-
-@dataclass
-class WfqState:
-    """Per-node weights and monotone virtual finish times."""
-
-    weights: list[float]
-    virtual_finish: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for w in self.weights:
-            if not w > 0.0:
-                raise ValidationError(f"wfq weight must be positive, got {w!r}")
-        if not self.virtual_finish:
-            self.virtual_finish = [0.0] * len(self.weights)
-        if len(self.virtual_finish) != len(self.weights):
-            raise ValidationError("wfq weights and virtual_finish lengths differ")
 
 
 class WfqScheduler(Scheduler):
@@ -208,15 +172,19 @@ class WfqScheduler(Scheduler):
     name = "wfq"
 
     def __init__(self, weights: list[float]):
-        self.state = WfqState(list(weights))
+        self.weights = list(weights)
+        for w in self.weights:
+            if not w > 0.0:  # a NaN fails too
+                raise ValidationError(f"wfq weight must be positive, got {w!r}")
+        self.virtual_finish = [0.0] * len(self.weights)  # monotone per node
 
     def on_episode_start(self) -> None:
-        self.state.virtual_finish = [0.0] * len(self.state.weights)
+        self.virtual_finish = [0.0] * len(self.weights)
 
     def select(self, ctx: DecisionContext) -> Placement | None:
         if not _fits_somewhere(ctx.nodes):
             return _cloud_placement(ctx)
-        vft = self.state.virtual_finish
+        vft = self.virtual_finish
         best: NodeView | None = None
         for nv in ctx.nodes:
             if not nv.req_share <= nv.max_share:
@@ -226,8 +194,8 @@ class WfqScheduler(Scheduler):
         if best is None:
             return None
         # compute demand in MIPS stands in for the packet length
-        vft[best.node_id] += ctx.requirement.cpu_mips / self.state.weights[best.node_id]
-        return _fog_placement(ctx, best)
+        vft[best.node_id] += ctx.cpu_mips / self.weights[best.node_id]
+        return _fog_placement(best)
 
 
 class QLearningScheduler(Scheduler):
@@ -235,7 +203,7 @@ class QLearningScheduler(Scheduler):
 
     The decision node's table picks a (tier, bundle) action; the fog tier
     resolves to the least-loaded reachable node and the bundle factor
-    scales the allocated resources above the bare requirement.
+    scales the granted resources above the bare requirement.
     """
 
     name = "qlearn"
@@ -271,9 +239,7 @@ class QLearningScheduler(Scheduler):
 
     def _resolve(self, ctx: DecisionContext, action: Action, factor: float) -> Placement | None:
         if action.tier == Tier.LOCAL:
-            req = ctx.requirement
-            return Placement(Tier.LOCAL, -1, Allocation(req.cpu_mips, req.mem_mb, req.bw_mbps),
-                             0.0, 1.0, action.ordinal)
+            return Placement(Tier.LOCAL, -1, 0.0, 1.0, action.ordinal)
         if action.tier == Tier.CLOUD:
             return _cloud_placement(ctx, factor)
         # least-loaded viable node; iteration order makes ties go to the
@@ -286,4 +252,4 @@ class QLearningScheduler(Scheduler):
                 best = nv
         if best is None:
             return None
-        return _fog_placement(ctx, best, factor)
+        return _fog_placement(best, factor)

@@ -29,7 +29,7 @@ from vfcsim.rewards import (
     response_time_reward,
     total_reward,
 )
-from vfcsim.schedulers import Allocation, DecisionContext, NodeView, WfqScheduler
+from vfcsim.schedulers import DecisionContext, NodeView, WfqScheduler
 from vfcsim.traffic import SCENARIOS, sample_dwell, sample_speed
 
 BITS_5MB = 5 * 8e6
@@ -243,8 +243,8 @@ def test_criterion_10_invariant_suites():
     sched = WfqScheduler([2.0, 1.0])
     counts = [0, 0]
     for task_id in range(300):
-        views = [NodeView(i, 5e9, 0.8, 0.8, 100.0, 0.1, 1.0) for i in (0, 1)]
-        ctx = DecisionContext(0.0, task_id, Allocation(100.0, 5.0, 4.0), views)
+        views = [NodeView(i, 0.8, 0.8, 100.0, 0.1, 1.0) for i in (0, 1)]
+        ctx = DecisionContext(100.0, views)
         counts[sched.select(ctx).node_id] += 1
     if abs(counts[0] / 300 - 2 / 3) > 0.02:
         failures.append(f"wfq split {counts}")

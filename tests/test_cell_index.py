@@ -11,7 +11,7 @@ from oracles import nearest_and_reachable, round_robin_full_list
 from vfcsim.agent import Tier
 from vfcsim.config import build_config
 from vfcsim.engine import CellIndex, build_nodes
-from vfcsim.schedulers import Allocation, DecisionContext, NodeView, RoundRobinScheduler
+from vfcsim.schedulers import DecisionContext, NodeView, RoundRobinScheduler
 
 NODE_COUNTS = (1, 2, 9, 10, 12, 144)
 AREA = 3000.0
@@ -89,11 +89,11 @@ def test_round_robin_matches_full_list_rule():
                 for _ in range(num_nodes)
             ]
             views = [
-                NodeView(i, 5e9, free, mx, d, req, 1.0)
+                NodeView(i, free, mx, d, req, 1.0)
                 for i, (r, req, free, mx, d) in enumerate(full)
                 if r
             ]
-            ctx = DecisionContext(0.0, task_id, Allocation(100.0, 5.0, 4.0), views)
+            ctx = DecisionContext(100.0, views)
             placement = rr.select(ctx)
             tier, node_id, cursor = round_robin_full_list(cursor, full)
             if tier is None:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import random
 
 import pytest
 
 from vfcsim.cli import main
-from vfcsim.config import parse_config_text
+from vfcsim.config import load_config, parse_config_text
+from vfcsim.engine import run_evaluation, write_event_log
+from vfcsim.traffic import load_trace_csv
 
 TINY = ["--scenario", "NO.4", "--set", "scenario.duration=20"]
 
@@ -100,6 +103,37 @@ def test_eval_accepts_recorded_trace(tmp_path):
     assert code == 0
     rows = read_csv(out / "metrics.csv")
     assert int(rows[1][9]) > 0
+
+
+def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
+    trace = tmp_path / "trace.csv"
+    with trace.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["vehicle_id", "entry_time", "dwell", "speed", "x", "y"])
+        for vid in range(8):
+            w.writerow([vid, 0.0, 50.0, 0.0, 1500.0, 1500.0])
+    out = tmp_path / "out"
+    code = run(
+        ["eval", *TINY, "--scheduler", "rr", "--trace", str(trace), "--seed", "3",
+         "--episodes", "2", "--set", "sim.arrival_prob=0.5"],
+        out,
+    )
+    assert code == 0
+    log = out / "events_rr_seed3.ndjson"
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert {e["detail"]["episode"] for e in events} == {0, 1}
+
+    # the same bytes as evaluating the trace directly: episode e runs on
+    # derive_seed(3, e), and the trace's CPU draws come from the first seed
+    cfg = load_config(None, {"scenario.duration": "20", "sim.arrival_prob": "0.5"}, "NO.4")
+    vehicles = load_trace_csv(
+        trace, random.Random(3), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
+    )
+    expected = run_evaluation(cfg, "rr", 3, episodes=2, collect_events=True, vehicles=vehicles)
+    write_event_log(expected.events, tmp_path / "expected.ndjson")
+    assert log.read_bytes() == (tmp_path / "expected.ndjson").read_bytes()
+    rows = read_csv(out / "metrics.csv")
+    assert int(rows[1][9]) == expected.report.k_total > 0
 
 
 # -- compare ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values
 from vfcsim.engine import (
     EventKind,
     NodeState,
+    Task,
     VehicleState,
     _Episode,
     _reflect,
@@ -29,7 +30,7 @@ from vfcsim.engine import (
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import Scheduler, _cloud_placement
-from vfcsim.state_space import NUM_STATES, discretize, state_index
+from vfcsim.state_space import NUM_STATES, SlaLevel, discretize, state_from_index, state_index
 from vfcsim.traffic import VehicleSpec
 
 
@@ -182,7 +183,7 @@ def test_local_execution_worked_example():
     led = result.ledger
     assert led.k_total == 1
     rec = led.records[0]
-    assert rec.serviced and rec.local
+    assert rec.serviced and rec.tier == Tier.LOCAL
     assert rec.upload == 0.0
     assert rec.wait == 0.0
     assert rec.proc == pytest.approx(20.0, rel=1e-12)
@@ -218,7 +219,7 @@ def test_cloud_two_leg_upload_worked_example():
     led = result.ledger
     assert led.k_total == 1
     rec = led.records[0]
-    assert rec.serviced and not rec.local
+    assert rec.serviced
     assert rec.tier == Tier.CLOUD
     assert rec.upload == pytest.approx(1.8, rel=1e-9)
     assert rec.wait == 0.0
@@ -235,11 +236,9 @@ def test_fog_fifo_queue_waits_for_release():
         name = "stub-fog"
 
         def select(self, ctx):
-            from vfcsim.schedulers import Allocation, Placement
-            nv = next(v for v in ctx.nodes if v.node_id == 4)
-            return Placement(Tier.FOG, 4, Allocation(
-                0.5 * nv.cpu_freq_hz / 1e6, ctx.requirement.mem_mb, ctx.requirement.bw_mbps,
-            ), 0.5, 1.0)
+            from vfcsim.schedulers import Placement
+            assert any(v.node_id == 4 for v in ctx.nodes)
+            return Placement(Tier.FOG, 4, 0.5, 1.0)
 
     cfg = pinned_cfg(**{"sim.task_deadline_s_min": "40", "sim.task_deadline_s_max": "40"})
     result = run_episode(
@@ -371,6 +370,24 @@ def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
     outstanding = sorted(r.task_id for r in records if r.serviced or r.completion > r.arrival)
     assert len(outstanding) < len(records)
     assert sorted(pushed) == outstanding
+
+
+@pytest.mark.parametrize("samples, sla", [
+    ([(7.0, 7.0)], SlaLevel.FULFILLED),
+    ([(3.5, 3.0), (3.5, 4.0)], SlaLevel.FULFILLED),
+    ([(math.nextafter(7.0, math.inf), 7.0)], SlaLevel.NOT_FULFILLED),
+])
+def test_state_sla_flag_at_the_deadline(tiny_cfg, samples, sla):
+    # a response window whose sum equals its deadline sum fulfils the SLA
+    episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
+                       False, False, None, 0)
+    node = episode.nodes[0]
+    for response, deadline in samples:
+        node.record_response(response, deadline)
+    task = Task(task_id=0, vehicle=VehicleState(vehicle()), size_bits=4.0e7,
+                demand_mips=100.0, deadline=7.0, arrival=0.0, bound=7.0, cycles=2.0e10,
+                mem_frac=0.005, disk_frac=0.001, bw_frac=0.1)
+    assert state_from_index(episode.state_for(node, task, 1)).sla is sla
 
 
 # Q-tables and learning curve of two training episodes on NO.1, master
@@ -535,6 +552,15 @@ def test_evaluation_merges_episodes(tiny_cfg):
     # one episode cannot rank itself: all four criteria flagged constant
     assert single.report.cr == 4.0
     assert sum(1 for f in single.report.flags if f.endswith("-constant")) == 4
+
+
+def test_evaluation_of_given_vehicles_uses_derived_seed(tiny_cfg):
+    vehicles = [vehicle(i, dwell=30.0, x=300.0 + 600.0 * i) for i in range(5)]
+    result = run_evaluation(tiny_cfg, "fcfs", 4, vehicles=vehicles)
+    direct = run_episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), derive_seed(4, 0),
+                         vehicles=vehicles)
+    assert result.ledger.k_total > 0
+    assert result.ledger.records == direct.ledger.records
 
 
 def test_evaluation_deterministic(tiny_cfg):

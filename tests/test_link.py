@@ -11,7 +11,6 @@ from vfcsim.link import (
     BITS_PER_MB,
     LinkParams,
     LinkRangeError,
-    Position,
     dbm_to_mw,
     processing_time,
     shannon_rate,
@@ -24,10 +23,6 @@ P = LinkParams()
 
 def test_bits_per_mb_is_decimal():
     assert BITS_PER_MB == 8_000_000.0
-
-
-def test_position_distance():
-    assert Position(0.0, 0.0).distance_to(Position(3.0, 4.0)) == 5.0
 
 
 def test_dbm_round_numbers():

@@ -33,7 +33,6 @@ def record(task_id=0, proc=1.0, upload=0.0, wait=0.0, serviced=True, local=False
         proc=proc if serviced else 0.0,
         completion=completion,
         serviced=serviced,
-        local=local,
         tier=0 if local else 1,
         node_id=-1 if local else 0,
         reward=reward,

@@ -1,0 +1,67 @@
+"""The public names and the module attributes that outside tooling wraps.
+
+The benchmark's tracer (bench/tracing.py) replaces these attributes by
+name and only notes a name it cannot find, so a rename or deletion here
+would silently stop a per-layer metric. The names are listed by hand on
+purpose: the tests do not import bench/.
+"""
+
+import pytest
+
+import vfcsim
+from vfcsim import config, engine, metrics, rewards, schedulers
+
+# attributes the tracer patches on each module, and the engine entry
+# points the benchmark calls
+ENGINE_NAMES = (
+    "run_episode",
+    "run_training",
+    "run_evaluation",
+    "load_tables",
+    "write_event_log",
+    "build_report",
+    "sample_vehicles",
+    "snapshot_ordinal",
+    "update_q_value",
+    # link functions the engine calls per reachable node
+    "shannon_rate",
+    "snr_at_distance",
+    # reward functions the engine calls per resolved task
+    "resource_wastage",
+    "resource_utilization",
+    "response_time_reward",
+    "qos_reward",
+    "total_reward",
+)
+CONFIG_NAMES = ("build_config", "dump_config", "ValidationError")
+TOP_LEVEL_NAMES = ("run_training", "build_config", "dump_config", "ValidationError")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in vfcsim.__all__ if not hasattr(vfcsim, name)]
+    assert missing == []
+    assert len(set(vfcsim.__all__)) == len(vfcsim.__all__)
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_engine_keeps_patched_name(name):
+    assert callable(getattr(engine, name))
+
+
+def test_other_patched_names_exist():
+    assert callable(schedulers.select_action)
+    assert callable(rewards.quality)
+    assert callable(metrics.TaskLedger.append)
+    for name in CONFIG_NAMES:
+        assert hasattr(config, name), name
+    for name in TOP_LEVEL_NAMES:
+        assert hasattr(vfcsim, name), name
+
+
+@pytest.mark.parametrize("name", [
+    "FcfsScheduler", "RoundRobinScheduler", "WfqScheduler", "QLearningScheduler",
+])
+def test_every_scheduler_defines_select(name):
+    cls = getattr(schedulers, name)
+    assert issubclass(cls, schedulers.Scheduler)
+    assert "select" in vars(cls)

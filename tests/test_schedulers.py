@@ -7,7 +7,6 @@ import pytest
 from vfcsim.agent import HyperParams, Tier, init_q_values
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import (
-    Allocation,
     DecisionContext,
     FcfsScheduler,
     NodeView,
@@ -15,14 +14,12 @@ from vfcsim.schedulers import (
     QLearningScheduler,
     RoundRobinScheduler,
     WfqScheduler,
-    WfqState,
 )
 
 
-def view(node_id, free=0.8, max_share=0.8, dist=100.0, req=0.1, freq=5.0e9):
+def view(node_id, free=0.8, max_share=0.8, dist=100.0, req=0.1):
     return NodeView(
         node_id=node_id,
-        cpu_freq_hz=freq,
         free_share=free,
         max_share=max_share,
         distance_m=dist,
@@ -31,11 +28,9 @@ def view(node_id, free=0.8, max_share=0.8, dist=100.0, req=0.1, freq=5.0e9):
     )
 
 
-def make_ctx(nodes, cpu_mips=100.0, mem_mb=5.0, bw_mbps=4.0, task_id=0, state=0):
+def make_ctx(nodes, cpu_mips=100.0, state=0):
     return DecisionContext(
-        time=0.0,
-        task_id=task_id,
-        requirement=Allocation(cpu_mips, mem_mb, bw_mbps),
+        cpu_mips=cpu_mips,
         nodes=nodes,
         state_ordinal=state,
     )
@@ -81,8 +76,8 @@ def test_fcfs_returns_none_when_nothing_reachable():
 def test_rr_rotates_across_nodes():
     rr = RoundRobinScheduler(3)
     rr.on_episode_start()
-    picks = [rr.select(make_ctx([view(0), view(1), view(2)], task_id=i)).node_id
-             for i in range(4)]
+    picks = [rr.select(make_ctx([view(0), view(1), view(2)])).node_id
+             for _ in range(4)]
     assert picks == [0, 1, 2, 0]
 
 
@@ -103,8 +98,8 @@ def test_rr_exact_fairness_over_full_cycles():
     rr = RoundRobinScheduler(4)
     rr.on_episode_start()
     counts = {i: 0 for i in range(4)}
-    for i in range(4 * 6):
-        p = rr.select(make_ctx([view(j) for j in range(4)], task_id=i))
+    for _ in range(4 * 6):
+        p = rr.select(make_ctx([view(j) for j in range(4)]))
         counts[p.node_id] += 1
     assert all(c == 6 for c in counts.values())
 
@@ -145,8 +140,8 @@ def test_wfq_first_task_lands_on_lowest_id():
 def test_wfq_equal_weights_alternate():
     wfq = WfqScheduler([1.0, 1.0])
     wfq.on_episode_start()
-    picks = [wfq.select(make_ctx([view(0), view(1)], task_id=i)).node_id
-             for i in range(6)]
+    picks = [wfq.select(make_ctx([view(0), view(1)])).node_id
+             for _ in range(6)]
     assert picks == [0, 1, 0, 1, 0, 1]
 
 
@@ -155,8 +150,8 @@ def test_wfq_two_to_one_share_split():
     wfq.on_episode_start()
     counts = [0, 0]
     n = 300
-    for i in range(n):
-        p = wfq.select(make_ctx([view(0), view(1)], task_id=i))
+    for _ in range(n):
+        p = wfq.select(make_ctx([view(0), view(1)]))
         counts[p.node_id] += 1
     assert abs(counts[0] / n - 2.0 / 3.0) <= 0.02
     assert abs(counts[1] / n - 1.0 / 3.0) <= 0.02
@@ -165,11 +160,11 @@ def test_wfq_two_to_one_share_split():
 def test_wfq_virtual_clocks_never_decrease():
     wfq = WfqScheduler([2.0, 1.0])
     wfq.on_episode_start()
-    prev = list(wfq.state.virtual_finish)
+    prev = list(wfq.virtual_finish)
     rng = random.Random(8)
-    for i in range(50):
-        wfq.select(make_ctx([view(0), view(1)], cpu_mips=rng.uniform(10, 500), task_id=i))
-        now = list(wfq.state.virtual_finish)
+    for _ in range(50):
+        wfq.select(make_ctx([view(0), view(1)], cpu_mips=rng.uniform(10, 500)))
+        now = list(wfq.virtual_finish)
         assert all(b >= a for a, b in zip(prev, now))
         prev = now
 
@@ -185,9 +180,11 @@ def test_wfq_ignores_ineligible_nodes():
 
 def test_wfq_weight_validation():
     with pytest.raises(ValidationError):
-        WfqState([1.0, 0.0])
+        WfqScheduler([1.0, 0.0])
     with pytest.raises(ValidationError):
         WfqScheduler([-1.0])
+    with pytest.raises(ValidationError):
+        WfqScheduler([1.0, float("nan")])
 
 
 # -- learned policy ------------------------------------------------------------------
@@ -210,7 +207,6 @@ def test_qlearn_local_action():
     assert p.cpu_share == 0.0
     assert p.bundle_factor == 1.0
     assert p.action_ordinal == 0
-    assert (p.allocation.cpu_mips, p.allocation.mem_mb, p.allocation.bw_mbps) == (100.0, 5.0, 4.0)
 
 
 def test_qlearn_fog_action_picks_least_loaded():
@@ -221,7 +217,7 @@ def test_qlearn_fog_action_picks_least_loaded():
     assert p.node_id == 1
     assert p.bundle_factor == 1.5
     assert p.cpu_share == pytest.approx(0.1 * 1.5)
-    assert p.allocation.mem_mb == pytest.approx(5.0 * 1.5)
+    assert p.cpu_share <= ctx.nodes[1].max_share
     assert p.action_ordinal == 4
 
 
@@ -245,7 +241,7 @@ def test_qlearn_cloud_action_uses_nearest_relay():
     assert p.tier is Tier.CLOUD
     assert p.node_id == 1
     assert p.bundle_factor == 2.0
-    assert p.allocation.bw_mbps == pytest.approx(8.0)
+    assert p.cpu_share == 0.0
     assert p.action_ordinal == 8
 
 
@@ -276,23 +272,21 @@ def test_parity_allocation_covers_requirement():
     rng = random.Random(21)
     for sched in all_schedulers():
         sched.on_episode_start()
-        for i in range(50):
+        for _ in range(50):
             req_share = rng.uniform(0.01, 0.4)
             nodes = [
                 view(j, free=rng.uniform(0.0, 0.8), req=req_share, dist=rng.uniform(10, 480))
                 for j in range(3)
             ]
-            freq = nodes[0].cpu_freq_hz
-            ctx = make_ctx(nodes, cpu_mips=req_share * freq / 1e6, task_id=i)
+            ctx = make_ctx(nodes, cpu_mips=req_share * 5.0e9 / 1e6)
             p = sched.select(ctx)
             assert isinstance(p, Placement)
-            r, a = ctx.requirement, p.allocation
-            assert a.cpu_mips >= r.cpu_mips * (1.0 - 1e-12)
-            assert a.mem_mb >= r.mem_mb * (1.0 - 1e-12)
-            assert a.bw_mbps >= r.bw_mbps * (1.0 - 1e-12)
+            # the engine grants memory and bandwidth as requirement x
+            # bundle_factor and fog CPU as cpu_share
+            assert p.bundle_factor >= 1.0
             if p.tier is Tier.FOG:
                 node = next(nv for nv in ctx.nodes if nv.node_id == p.node_id)
-                assert p.cpu_share <= node.max_share + 1e-12
+                assert min(node.req_share, node.max_share) <= p.cpu_share <= node.max_share
 
 
 def test_parity_none_when_isolated():
