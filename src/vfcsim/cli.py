@@ -41,6 +41,9 @@ PAPER_REPORTED = (
     ("wfq", {"asr": 0.72, "cr": 225.0, "aap": 46.0}),
 )
 
+# (column index in a run row, name) of the metrics compare and sweep average
+METRIC_COLUMNS = tuple((RUN_CSV_COLUMNS.index(name), name) for name in ("apt", "ast", "asr", "cr", "aap"))
+
 AGGREGATE_COLUMNS = (
     "scheduler",
     "scenario",
@@ -221,22 +224,11 @@ def _aggregate_rows(all_rows: list[list[str]]):
         groups.setdefault((row[0], row[1]), []).append(row)
     out_rows = []
     for (scheduler, scenario), rows in groups.items():
-        cols = {}
-        for idx, name in ((4, "apt"), (5, "ast"), (6, "asr"), (7, "cr"), (8, "aap")):
-            values = [float(r[idx]) for r in rows]
-            cols[name] = mean_std(values)
+        stats = [mean_std([float(r[idx]) for r in rows]) for idx, _ in METRIC_COLUMNS]
         out_rows.append(
-            [
-                scheduler,
-                scenario,
-                str(len(rows)),
-                repr(cols["apt"][0]), repr(cols["apt"][1]),
-                repr(cols["ast"][0]), repr(cols["ast"][1]),
-                repr(cols["asr"][0]), repr(cols["asr"][1]),
-                repr(cols["cr"][0]), repr(cols["cr"][1]),
-                repr(cols["aap"][0]), repr(cols["aap"][1]),
-                "simulated",
-            ]
+            [scheduler, scenario, str(len(rows))]
+            + [repr(v) for mean_and_std in stats for v in mean_and_std]
+            + ["simulated"]
         )
     return out_rows
 
@@ -333,17 +325,11 @@ def cmd_sweep(args) -> int:
                 continue
             means = {
                 name: mean_std([float(r[idx]) for r in rows])[0]
-                for idx, name in ((4, "apt"), (5, "ast"), (6, "asr"), (7, "cr"), (8, "aap"))
+                for idx, name in METRIC_COLUMNS
             }
             series_rows.append(
-                [
-                    scheduler,
-                    cfg.scenario.name,
-                    repr(prob),
-                    str(len(rows)),
-                    repr(means["apt"]), repr(means["ast"]), repr(means["asr"]),
-                    repr(means["cr"]), repr(means["aap"]),
-                ]
+                [scheduler, cfg.scenario.name, repr(prob), str(len(rows))]
+                + [repr(means[name]) for _, name in METRIC_COLUMNS]
             )
             asr_series.setdefault(scheduler, []).append((prob, means["asr"]))
     _write_csv(

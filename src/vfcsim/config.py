@@ -6,6 +6,10 @@ configuration. dump_config renders the fully resolved configuration in a
 canonical form that parses back to an identical RunConfig, which is what
 run directories receive as config_echo.cfg for provenance.
 
+The keys are the fields of the section dataclasses (`<prefix>.<field>`,
+prefixes in _SECTIONS), typed by their annotations; the few keys that
+are not plain section fields are listed once below.
+
 scenario.name selects a built-in traffic scenario; individual scenario.*
 statistics may then be overridden (or a fully custom scenario described).
 state.rate_scale = 0 means "auto": it resolves to the scenario's entry
@@ -17,124 +21,71 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .engine import RunConfig
+from .agent import HyperParams
+from .engine import RunConfig, SimParams
 from .errors import ConfigError, ValidationError
-from .state_space import FRACTION_FIELDS
+from .link import LinkParams
+from .rewards import RewardWeights
+from .state_space import FRACTION_FIELDS, StateSpaceConfig
 from .traffic import SCENARIOS, Scenario
 
-# key -> (section attribute on RunConfig, field name, type tag)
+# key prefix -> (RunConfig attribute, dataclass whose fields are the keys)
 _SECTIONS = {
-    "state": "state",
-    "reward": "weights",
-    "agent": "agent",
-    "link": "link",
-    "sim": "sim",
+    "state": ("state", StateSpaceConfig),
+    "reward": ("weights", RewardWeights),
+    "agent": ("agent", HyperParams),
+    "link": ("link", LinkParams),
+    "sim": ("sim", SimParams),
+    "scenario": ("scenario", Scenario),
 }
 
-_STATE_KEYS = {
-    "low_threshold": "float",
-    "high_threshold": "float",
-    "rate_scale": "float",
-    "response_fast": "float",
-    "response_slow": "float",
-    "node_count_low": "int",
-    "node_count_high": "int",
-}
+# StateSpaceConfig.caps is a dict: each entry is a key of its own.
+_CAP_PREFIX = "state.cap."
+_CAP_KEYS = {_CAP_PREFIX + name: "float" for name in FRACTION_FIELDS}
 
-_REWARD_WEIGHT_KEYS = {
-    "w1": "float", "w2": "float", "w3": "float", "w4": "float",
-    "w21": "float", "w22": "float", "w23": "float",
-    "w31": "float", "w32": "float", "w33": "float",
-}
+# RunConfig's own fields that are keyed under the reward prefix.
+_RUN_CONFIG_KEYS = ("reward.latency_floor", "reward.quality_desired")
 
-_TOP_LEVEL_REWARD_KEYS = {
-    "latency_floor": "float",
-    "quality_desired": "float",
-}
-
-_AGENT_KEYS = {
-    "alpha": "float",
-    "gamma": "float",
-    "epsilon_start": "float",
-    "epsilon_end": "float",
-    "episodes": "int",
-    "max_time_steps": "int",
-    "alpha_schedule": "str",
-}
-
-_LINK_KEYS = {
-    "v2i_bandwidth_hz": "float",
-    "tx_power_mw": "float",
-    "noise_power_dbm": "float",
-    "path_loss_exp": "float",
-    "v2i_range_m": "float",
-    "wired_rate_bps": "float",
-    "cycles_per_bit": "float",
-}
-
-_SIM_KEYS = {
-    "fog_nodes": "int",
-    "area_m": "float",
-    "cloud_cpu_hz": "float",
-    "vehicle_cpu_min_hz": "float",
-    "vehicle_cpu_max_hz": "float",
-    "node_cpu_min_hz": "float",
-    "node_cpu_max_hz": "float",
-    "node_cpu_init": "float",
-    "node_mem_init": "float",
-    "node_disk_init": "float",
-    "node_mem_mb": "float",
-    "node_storage_mb": "float",
-    "rolling_window": "int",
-    "rate_window_s": "float",
-    "demand_ema_alpha": "float",
-    "decision_interval_s": "float",
-    "arrival_prob": "float",
-    "eval_episodes": "int",
-    "bundle_small": "float",
-    "bundle_medium": "float",
-    "bundle_large": "float",
-    "app_type_mips_scale": "float",
-    "task_size_mb_min": "float",
-    "task_size_mb_max": "float",
-    "task_demand_mips_min": "float",
-    "task_demand_mips_max": "float",
-    "task_deadline_s_min": "float",
-    "task_deadline_s_max": "float",
-    "min_dwell_s": "float",
-    "topology_seed": "int",
-    "wfq_weights": "str",
-}
-
-_SCENARIO_KEYS = {
-    "name": "str",
-    "trace_count": "int",
-    "adt": "float",
-    "vdt": "float",
-    "anv": "float",
-    "vnv": "float",
-    "asv": "float",
-    "vsv": "float",
-    "duration": "float",
-}
+# What a custom scenario gets for the fields it leaves out; duration keeps
+# its Scenario default, and the other fields without one must be set.
+_CUSTOM_SCENARIO_DEFAULTS = {"trace_count": 0, "vdt": 0.0, "vnv": 0.0, "vsv": 0.0}
+_SCENARIO_REQUIRED = {f.name for f in dataclasses.fields(Scenario) if f.default is dataclasses.MISSING}
 
 DEFAULT_SCENARIO = "NO.1"
 
 
+def _derive_tags() -> dict[str, str]:
+    """Key -> type tag ("float", "int" or "str") from the field annotations."""
+    tags = dict(_CAP_KEYS)
+    for prefix, (_, cls) in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if (prefix, f.name) != ("state", "caps"):
+                tags[f"{prefix}.{f.name}"] = f.type
+    run_config_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for key in _RUN_CONFIG_KEYS:
+        tags[key] = run_config_types[key.partition(".")[2]]
+    untyped = sorted(key for key, tag in tags.items() if tag not in ("float", "int", "str"))
+    if untyped:
+        raise TypeError(f"config keys need a float, int or str annotation: {untyped}")
+    return dict(sorted(tags.items()))
+
+
+_TAGS = _derive_tags()
+
+
 def known_keys() -> list[str]:
-    keys = []
-    keys += [f"state.{k}" for k in _STATE_KEYS]
-    keys += [f"state.cap.{f}" for f in FRACTION_FIELDS]
-    keys += [f"reward.{k}" for k in _REWARD_WEIGHT_KEYS]
-    keys += [f"reward.{k}" for k in _TOP_LEVEL_REWARD_KEYS]
-    keys += [f"agent.{k}" for k in _AGENT_KEYS]
-    keys += [f"link.{k}" for k in _LINK_KEYS]
-    keys += [f"sim.{k}" for k in _SIM_KEYS]
-    keys += [f"scenario.{k}" for k in _SCENARIO_KEYS]
-    return sorted(keys)
+    return list(_TAGS)
 
 
-_KNOWN = set(known_keys())
+def _slot(cfg: RunConfig, key: str) -> tuple[object, str]:
+    """Where key's value is stored: (object, attribute), or (dict, entry)
+    for state.cap.*. The object is None when cfg has no scenario."""
+    if key.startswith(_CAP_PREFIX):
+        return cfg.state.caps, key[len(_CAP_PREFIX):]
+    prefix, _, name = key.partition(".")
+    if key in _RUN_CONFIG_KEYS:
+        return cfg, name
+    return getattr(cfg, _SECTIONS[prefix][0]), name
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -151,7 +102,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         value = value.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
-        if key not in _KNOWN:
+        if key not in _TAGS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         overrides[key] = value
     return overrides
@@ -168,61 +119,33 @@ def _coerce(key: str, value: str, kind: str):
         raise ConfigError(f"invalid {kind} for {key}: {value!r}") from exc
 
 
-def _kind_of(key: str) -> str:
-    section, _, rest = key.partition(".")
-    if section == "state":
-        if rest.startswith("cap."):
-            return "float"
-        return _STATE_KEYS[rest]
-    if section == "reward":
-        return _REWARD_WEIGHT_KEYS.get(rest) or _TOP_LEVEL_REWARD_KEYS[rest]
-    if section == "agent":
-        return _AGENT_KEYS[rest]
-    if section == "link":
-        return _LINK_KEYS[rest]
-    if section == "sim":
-        return _SIM_KEYS[rest]
-    return _SCENARIO_KEYS[rest]
-
-
 def build_config(overrides: dict[str, str]) -> RunConfig:
     """Defaults plus overrides, validated. Raises ConfigError on bad values."""
     cfg = RunConfig()
     scenario_fields: dict[str, object] = {}
     for key, raw in overrides.items():
-        if key not in _KNOWN:
+        if key not in _TAGS:
             raise ConfigError(f"unknown key {key!r}")
-        value = _coerce(key, raw, _kind_of(key))
-        section, _, rest = key.partition(".")
-        if section == "scenario":
-            scenario_fields[rest] = value
-        elif section == "state" and rest.startswith("cap."):
-            cfg.state.caps[rest[len("cap."):]] = value
-        elif section == "reward" and rest in _TOP_LEVEL_REWARD_KEYS:
-            setattr(cfg, rest, value)
+        value = _coerce(key, raw, _TAGS[key])
+        holder, attr = _slot(cfg, key)
+        if holder is None:  # a scenario.* key: the Scenario is built below
+            scenario_fields[attr] = value
+        elif isinstance(holder, dict):
+            holder[attr] = value
         else:
-            setattr(getattr(cfg, _SECTIONS[section]), rest, value)
+            setattr(holder, attr, value)
 
-    name = scenario_fields.pop("name", DEFAULT_SCENARIO)
+    name = scenario_fields.get("name", DEFAULT_SCENARIO)
     base = SCENARIOS.get(name)
     if base is None:
-        if not {"adt", "anv", "asv"}.issubset(scenario_fields):
+        scenario_fields = {**_CUSTOM_SCENARIO_DEFAULTS, **scenario_fields}
+        if not _SCENARIO_REQUIRED.issubset(scenario_fields):
             raise ConfigError(
                 f"scenario {name!r} is not built in; custom scenarios need at "
                 "least scenario.adt, scenario.anv and scenario.asv"
             )
-        base = Scenario(
-            name=name,
-            trace_count=int(scenario_fields.pop("trace_count", 0)),
-            adt=float(scenario_fields.pop("adt")),
-            vdt=float(scenario_fields.pop("vdt", 0.0)),
-            anv=float(scenario_fields.pop("anv")),
-            vnv=float(scenario_fields.pop("vnv", 0.0)),
-            asv=float(scenario_fields.pop("asv")),
-            vsv=float(scenario_fields.pop("vsv", 0.0)),
-            duration=float(scenario_fields.pop("duration", 300.0)),
-        )
-    if scenario_fields:
+        base = Scenario(**scenario_fields)
+    elif scenario_fields:
         base = dataclasses.replace(base, **scenario_fields)
     cfg.scenario = base
 
@@ -259,7 +182,7 @@ def load_config(
         overrides["scenario.name"] = scenario
     if extra_overrides:
         for key, value in extra_overrides.items():
-            if key not in _KNOWN:
+            if key not in _TAGS:
                 raise ConfigError(f"unknown key {key!r}")
             overrides[key] = value
     return build_config(overrides)
@@ -273,24 +196,11 @@ def _format(value) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical resolved-config text; parses back to an equal RunConfig."""
-    pairs: dict[str, object] = {}
-    for rest in _STATE_KEYS:
-        pairs[f"state.{rest}"] = getattr(cfg.state, rest)
-    for name in FRACTION_FIELDS:
-        pairs[f"state.cap.{name}"] = cfg.state.caps[name]
-    for rest in _REWARD_WEIGHT_KEYS:
-        pairs[f"reward.{rest}"] = getattr(cfg.weights, rest)
-    for rest in _TOP_LEVEL_REWARD_KEYS:
-        pairs[f"reward.{rest}"] = getattr(cfg, rest)
-    for rest in _AGENT_KEYS:
-        pairs[f"agent.{rest}"] = getattr(cfg.agent, rest)
-    for rest in _LINK_KEYS:
-        pairs[f"link.{rest}"] = getattr(cfg.link, rest)
-    for rest in _SIM_KEYS:
-        pairs[f"sim.{rest}"] = getattr(cfg.sim, rest)
-    scenario = cfg.scenario
-    if scenario is not None:
-        for rest in _SCENARIO_KEYS:
-            pairs[f"scenario.{rest}"] = getattr(scenario, rest)
-    lines = [f"{key} = {_format(pairs[key])}" for key in sorted(pairs)]
+    lines = []
+    for key in _TAGS:
+        holder, name = _slot(cfg, key)
+        if holder is None:
+            continue
+        value = holder[name] if isinstance(holder, dict) else getattr(holder, name)
+        lines.append(f"{key} = {_format(value)}")
     return "\n".join(lines) + "\n"

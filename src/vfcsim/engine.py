@@ -158,6 +158,9 @@ class SimParams:
         for lo_name, lo, hi_name, hi in ordered:
             if hi < lo:
                 raise ValidationError(f"{hi_name}={hi!r} below {lo_name}={lo!r}")
+            # NaN passes `hi < lo`; the minimums were checked finite above
+            if not math.isfinite(hi):
+                raise ValidationError(f"{hi_name} must be finite, got {hi!r}")
         fractions = (
             ("node_cpu_init", self.node_cpu_init),
             ("node_mem_init", self.node_mem_init),

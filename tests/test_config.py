@@ -1,7 +1,13 @@
 """Configuration parsing, defaults, precedence, and round-trip tests."""
 
+import dataclasses
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
+from vfcsim import config
 from vfcsim.config import (
     build_config,
     dump_config,
@@ -10,6 +16,7 @@ from vfcsim.config import (
     parse_config_text,
 )
 from vfcsim.errors import ConfigError
+from vfcsim.traffic import Scenario
 
 
 def test_defaults_cover_reference_setup():
@@ -139,3 +146,108 @@ def test_known_keys_sorted_and_stable():
     assert "agent.alpha" in keys
     assert "link.wired_rate_bps" in keys
     assert "sim.arrival_prob" in keys
+
+
+CUSTOM_SCENARIO = {"scenario.name": "rush-hour", "scenario.adt": "100", "scenario.anv": "50", "scenario.asv": "5"}
+
+# SHA-256 of dump_config(build_config(overrides)), recorded before the key
+# list was derived from the dataclasses; config_echo.cfg must keep its bytes.
+ECHO_SHA256 = (
+    ({}, "d32e9aa31eef9c6ddc55405cace982b82a1eb0cc1a0f93fd1ea817b8bcafe5ce"),
+    (
+        {"scenario.name": "NO.4", "state.cap.cpu_usage": "1.5", "reward.latency_floor": "0.002"},
+        "f0c8df28a8505c547e776b735d7b2be0ef6d5731e8b87207b1463bfa99d893b6",
+    ),
+    (CUSTOM_SCENARIO, "38b7da6020a37b853383d9ef2ba1244f7512b0e6cfe3570221789db80b8a6dd0"),
+)
+
+
+@pytest.mark.parametrize("overrides,digest", ECHO_SHA256)
+def test_dump_bytes_pinned(overrides, digest):
+    text = dump_config(build_config(overrides))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_known_keys_pinned():
+    keys = known_keys()
+    assert len(keys) == 80
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "1b3598be2ede4d89a207f5c5103ce98256c7d8d19f4ebd6be9238ec7862bb992"
+
+
+def _value(cfg, key):
+    """Read a key's value straight from the RunConfig fields."""
+    prefix, _, name = key.partition(".")
+    if name.startswith("cap."):
+        return cfg.state.caps[name[len("cap."):]]
+    if key in ("reward.latency_floor", "reward.quality_desired"):
+        return getattr(cfg, name)
+    sections = {
+        "state": cfg.state,
+        "reward": cfg.weights,
+        "agent": cfg.agent,
+        "link": cfg.link,
+        "sim": cfg.sim,
+        "scenario": cfg.scenario,
+    }
+    return getattr(sections[prefix], name)
+
+
+def _text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("key", known_keys())
+def test_default_round_trips_with_its_type(key):
+    default = _value(build_config({}), key)
+    value = _value(build_config({key: _text(default)}), key)
+    assert type(value) is type(default)
+    assert value == default
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(Scenario), ids=lambda f: f.name)
+def test_custom_scenario_field_keeps_its_type(field):
+    # a custom scenario has no built-in values, so each field is given one
+    # of its annotated type
+    kind = {"int": int, "float": float, "str": str}[field.type]
+    text = {"int": "3", "float": "2.5", "str": "my-road"}[field.type]
+    cfg = build_config({**CUSTOM_SCENARIO, f"scenario.{field.name}": text})
+    value = getattr(cfg.scenario, field.name)
+    assert type(value) is kind
+    assert value == kind(text)
+
+
+def test_unsupported_annotation_fails_key_derivation(monkeypatch):
+    @dataclasses.dataclass
+    class Flags:
+        verbose: bool = False
+
+    monkeypatch.setitem(config._SECTIONS, "flags", ("flags", Flags))
+    with pytest.raises(TypeError, match="flags.verbose"):
+        config._derive_tags()
+
+
+MAX_KEYS = (
+    "sim.vehicle_cpu_max_hz",
+    "sim.node_cpu_max_hz",
+    "sim.task_size_mb_max",
+    "sim.task_demand_mips_max",
+    "sim.task_deadline_s_max",
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", MAX_KEYS)
+def test_non_finite_maximum_rejected(key, value):
+    name = key.partition(".")[2]
+    with pytest.raises(ConfigError, match=name):
+        build_config({key: value})
+
+
+def test_readme_ini_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    overrides = parse_config_text(blocks[0], "README.md")
+    assert overrides
+    build_config(overrides)
