@@ -45,12 +45,6 @@ ACTIONS: tuple[Action, ...] = tuple(
 NUM_ACTIONS = len(ACTIONS)
 
 
-def action_from_ordinal(ordinal: int) -> Action:
-    if not (0 <= ordinal < NUM_ACTIONS):
-        raise ValidationError(f"action ordinal {ordinal!r} outside [0, {NUM_ACTIONS})")
-    return ACTIONS[ordinal]
-
-
 @dataclass
 class HyperParams:
     """Learning-rate, discount and exploration schedule settings.
@@ -114,10 +108,6 @@ class QTable:
         if not math.isfinite(value):
             raise ValidationError(f"q value must be finite, got {value!r}")
         self.values[(state, action)] = value
-
-    def row(self, state: int) -> list[float]:
-        get = self.values.get
-        return [get((state, a), 0.0) for a in range(self.num_actions)]
 
     def argmax_action(self, state: int) -> int:
         """Lowest-ordinal action attaining the row maximum."""
@@ -228,13 +218,3 @@ def epsilon_at(episode: int, params: HyperParams) -> float:
         return params.epsilon_start
     frac = episode / (params.episodes - 1)
     return params.epsilon_start + (params.epsilon_end - params.epsilon_start) * frac
-
-
-def greedy_policy(q: QTable) -> dict[int, Action]:
-    """Greedy action for every state with at least one written entry.
-
-    States absent from the map fall back to action ordinal 0, matching
-    argmax over an all-zero row.
-    """
-    states = {s for (s, _a) in q.values}
-    return {s: ACTIONS[q.argmax_action(s)] for s in sorted(states)}

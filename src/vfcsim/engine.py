@@ -17,7 +17,6 @@ runs bit-reproducible for a given configuration, scheduler and seed.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from collections import deque
@@ -178,6 +177,9 @@ class SimParams:
             raise ValidationError(f"demand_ema_alpha={self.demand_ema_alpha!r} outside (0, 1]")
         if self.eval_episodes < 1:
             raise ValidationError(f"eval_episodes={self.eval_episodes!r} must be >= 1")
+        # bundle_small was checked finite above and bundle_medium sits between
+        if not math.isfinite(self.bundle_large):
+            raise ValidationError(f"bundle_large must be finite, got {self.bundle_large!r}")
         if not (1.0 <= self.bundle_small <= self.bundle_medium <= self.bundle_large):
             raise ValidationError(
                 "bundle factors must satisfy 1 <= small <= medium <= large, got "
@@ -384,12 +386,24 @@ class NodeState:
         return new
 
 
+# An event record is one flat tuple, (kind, time, task_id, node_id, episode,
+# *detail), with the detail values of its kind in the sorted order of their
+# keys in the event log (see write_event_log):
+#   VehicleEnter, VehicleExit     vehicle
+#   TaskArrival                   deadline, demand_mips, size_bits, vehicle
+#   UploadDone                    tier ("fog" or "cloud")
+#   ExecutionDone, TaskDropped    arrival, components (a 4-tuple),
+#                                 decision_node, local, proc, reward,
+#                                 serviced, tier, upload, wait
+EventRecord = tuple
+
+
 @dataclass
 class EpisodeResult:
     ledger: TaskLedger
     aggregate: EpisodeAggregate
     edge_log: EdgeRewardLog
-    events: list[dict] | None
+    events: list[EventRecord] | None
 
 
 @dataclass
@@ -404,7 +418,7 @@ class EvalResult:
     ledger: TaskLedger
     aggregates: list[EpisodeAggregate]
     edge_log: EdgeRewardLog
-    events: list[dict] | None
+    events: list[EventRecord] | None
 
 
 class CheckpointError(RuntimeError):
@@ -600,7 +614,7 @@ class _Episode:
         self.active: dict[int, VehicleState] = {}
         self.ledger = TaskLedger()
         self.edge_log = EdgeRewardLog()
-        self.events: list[dict] | None = [] if collect_events else None
+        self.events: list[EventRecord] | None = [] if collect_events else None
         self.task_counter = 0
         self.resolved = 0
         self.comp_sums = [0.0, 0.0, 0.0, 0.0]
@@ -618,13 +632,12 @@ class _Episode:
         heapq.heappush(self.heap, (time, self.seq, kind, payload))
         self.seq += 1
 
-    def log(self, time: float, kind: str, task_id: int, node_id: int, detail: dict) -> None:
-        """Append one event; callers check self.events first so that no
-        detail dict is built when logging is off."""
-        detail["episode"] = self.episode_index
-        self.events.append(
-            {"time": time, "kind": kind, "task_id": task_id, "node_id": node_id, "detail": detail}
-        )
+    def log(self, kind: str, time: float, task_id: int, node_id: int, *detail) -> None:
+        """Append the record (kind, time, task_id, node_id, episode, *detail),
+        the detail values in the order EventRecord lists for the kind;
+        callers check self.events first so that nothing is built when
+        logging is off."""
+        self.events.append((kind, time, task_id, node_id, self.episode_index, *detail))
 
     # -- setup ------------------------------------------------------------
 
@@ -736,12 +749,12 @@ class _Episode:
         self.active[spec.vehicle_id] = veh
         self.push(veh.exit_time, EventKind.VEHICLE_EXIT, spec.vehicle_id)
         if self.events is not None:
-            self.log(now, "VehicleEnter", -1, -1, {"vehicle": spec.vehicle_id})
+            self.log("VehicleEnter", now, -1, -1, spec.vehicle_id)
 
     def on_vehicle_exit(self, now: float, vehicle_id: int) -> None:
         self.active.pop(vehicle_id, None)
         if self.events is not None:
-            self.log(now, "VehicleExit", -1, -1, {"vehicle": vehicle_id})
+            self.log("VehicleExit", now, -1, -1, vehicle_id)
 
     def on_snapshot(self, now: float) -> None:
         p = self.arrival_prob
@@ -809,13 +822,8 @@ class _Episode:
         decision.record_arrival(now, self.sim.rate_window_s, self.sim.demand_ema_alpha)
         if self.events is not None:
             self.log(
-                now, "TaskArrival", task.task_id, decision.node_id,
-                {
-                    "vehicle": veh.spec.vehicle_id,
-                    "size_bits": task.size_bits,
-                    "demand_mips": task.demand_mips,
-                    "deadline": task.deadline,
-                },
+                "TaskArrival", now, task.task_id, decision.node_id,
+                task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
             )
 
         ctx = DecisionContext(cpu_mips=(task.cycles / slack) / 1e6, nodes=views)
@@ -888,8 +896,8 @@ class _Episode:
         task.upload = task.upload_planned
         task.upload_done_time = now
         if self.events is not None:
-            self.log(now, "UploadDone", task.task_id, task.exec_node,
-                     {"tier": "cloud" if task.tier == Tier.CLOUD else "fog"})
+            self.log("UploadDone", now, task.task_id, task.exec_node,
+                     "cloud" if task.tier == Tier.CLOUD else "fog")
 
         if task.tier == Tier.CLOUD:
             completion = now + task.proc_planned
@@ -1062,22 +1070,20 @@ class _Episode:
         self.ledger.append(record)
         if self.events is not None:
             self.log(
-                now,
                 "ExecutionDone" if serviced else "TaskDropped",
+                now,
                 task.task_id,
                 task.exec_node,
-                {
-                    "serviced": serviced,
-                    "tier": task.tier,
-                    "local": task.tier == Tier.LOCAL,
-                    "arrival": task.arrival,
-                    "upload": record.upload,
-                    "wait": record.wait,
-                    "proc": record.proc,
-                    "reward": reward,
-                    "components": list(components),
-                    "decision_node": task.decision_node,
-                },
+                task.arrival,
+                components,
+                task.decision_node,
+                task.tier == Tier.LOCAL,
+                record.proc,
+                reward,
+                serviced,
+                task.tier,
+                record.upload,
+                record.wait,
             )
         if self.train and task.action_ordinal >= 0:
             veh = task.vehicle
@@ -1198,7 +1204,7 @@ def run_evaluation(
     ledger = TaskLedger()
     edge_log = EdgeRewardLog()
     aggregates: list[EpisodeAggregate] = []
-    events: list[dict] | None = [] if collect_events else None
+    events: list[EventRecord] | None = [] if collect_events else None
     for episode in range(n_episodes):
         result = run_episode(
             cfg,
@@ -1236,10 +1242,44 @@ def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
     return tables
 
 
-def write_event_log(events: list[dict], path: str | Path) -> None:
+_JSON_BOOL = ("false", "true")
+
+
+def _format_event(e: EventRecord) -> str:
+    """One event-log line, byte-identical to json.dumps of the nested event
+    dict with sort_keys=True and separators (",", ":"): the outer keys are
+    detail, kind, node_id, task_id, time, and episode sorts among the
+    detail keys. Finite floats and ints print as their repr, as in json."""
+    kind = e[0]
+    if kind == "TaskArrival":
+        _, t, task_id, node_id, ep, deadline, demand, size, vehicle = e
+        detail = (f'"deadline":{deadline!r},"demand_mips":{demand!r},"episode":{ep!r},'
+                  f'"size_bits":{size!r},"vehicle":{vehicle!r}')
+    elif kind == "UploadDone":
+        _, t, task_id, node_id, ep, tier = e
+        detail = f'"episode":{ep!r},"tier":"{tier}"'
+    elif kind == "ExecutionDone" or kind == "TaskDropped":
+        (_, t, task_id, node_id, ep, arrival, (c0, c1, c2, c3), decision_node, local,
+         proc, reward, serviced, tier, upload, wait) = e
+        detail = (f'"arrival":{arrival!r},"components":[{c0!r},{c1!r},{c2!r},{c3!r}],'
+                  f'"decision_node":{decision_node!r},"episode":{ep!r},'
+                  f'"local":{_JSON_BOOL[local]},"proc":{proc!r},"reward":{reward!r},'
+                  f'"serviced":{_JSON_BOOL[serviced]},"tier":{tier!r},'
+                  f'"upload":{upload!r},"wait":{wait!r}')
+    else:  # VehicleEnter, VehicleExit
+        _, t, task_id, node_id, ep, vehicle = e
+        detail = f'"episode":{ep!r},"vehicle":{vehicle!r}'
+    line = (f'{{"detail":{{{detail}}},"kind":"{kind}","node_id":{node_id!r},'
+            f'"task_id":{task_id!r},"time":{t!r}}}\n')
+    if "inf" in line or "nan" in line:
+        # repr spells non-finite floats inf, -inf and nan where json writes
+        # Infinity, -Infinity and NaN; no key, kind or tier contains either
+        line = line.replace("inf", "Infinity").replace("nan", "NaN")
+    return line
+
+
+def write_event_log(events: list[EventRecord], path: str | Path) -> None:
     """Newline-delimited JSON, one event per line, stable key order."""
     path = Path(path)
     with path.open("w") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(map(_format_event, events))

@@ -98,6 +98,8 @@ class StateSpaceConfig:
             )
         if not (self.rate_scale > 0.0 and math.isfinite(self.rate_scale)):
             raise ValidationError(f"rate_scale must be positive, got {self.rate_scale!r}")
+        if not math.isfinite(self.response_slow):
+            raise ValidationError(f"response_slow must be finite, got {self.response_slow!r}")
         if not (0.0 < self.response_fast < self.response_slow):
             raise ValidationError(
                 "response thresholds must satisfy 0 < response_fast < response_slow, "

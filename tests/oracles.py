@@ -6,7 +6,17 @@ have independent arithmetic to compare against.
 
 import random
 
-from vfcsim.agent import HyperParams, QTable, init_q_values, select_action, update_q_value
+from vfcsim.agent import (
+    ACTIONS,
+    NUM_ACTIONS,
+    Action,
+    HyperParams,
+    QTable,
+    init_q_values,
+    select_action,
+    update_q_value,
+)
+from vfcsim.errors import ValidationError
 from vfcsim.state_space import (
     AppType,
     DiscreteState,
@@ -16,6 +26,53 @@ from vfcsim.state_space import (
     StateSpaceConfig,
     TelemetrySnapshot,
 )
+
+
+def action_from_ordinal(ordinal: int) -> Action:
+    if not (0 <= ordinal < NUM_ACTIONS):
+        raise ValidationError(f"action ordinal {ordinal!r} outside [0, {NUM_ACTIONS})")
+    return ACTIONS[ordinal]
+
+
+def qtable_row(q: QTable, state: int) -> list[float]:
+    """Every action value of one state, unwritten entries as 0.0."""
+    return [q.get(state, a) for a in range(q.num_actions)]
+
+
+def greedy_policy(q: QTable) -> dict[int, Action]:
+    """Greedy action for every state with at least one written entry.
+
+    States absent from the map fall back to action ordinal 0, matching
+    argmax over an all-zero row.
+    """
+    states = {s for (s, _a) in q.values}
+    return {s: ACTIONS[q.argmax_action(s)] for s in sorted(states)}
+
+
+# detail keys of each event kind, in the order the engine's flat event
+# record carries their values after (kind, time, task_id, node_id, episode)
+_FINISH_KEYS = ("arrival", "components", "decision_node", "local", "proc", "reward",
+                "serviced", "tier", "upload", "wait")
+EVENT_DETAIL_KEYS = {
+    "VehicleEnter": ("vehicle",),
+    "VehicleExit": ("vehicle",),
+    "TaskArrival": ("deadline", "demand_mips", "size_bits", "vehicle"),
+    "UploadDone": ("tier",),
+    "ExecutionDone": _FINISH_KEYS,
+    "TaskDropped": _FINISH_KEYS,
+}
+
+
+def event_dict(record: tuple) -> dict:
+    """The nested event dict of one engine event record: the outer keys
+    time, kind, task_id, node_id and detail, with episode among the detail
+    keys and components as a list, as the event log spells them."""
+    kind, time, task_id, node_id, episode, *values = record
+    detail = dict(zip(EVENT_DETAIL_KEYS[kind], values, strict=True))
+    detail["episode"] = episode
+    if "components" in detail:
+        detail["components"] = list(detail["components"])
+    return {"time": time, "kind": kind, "task_id": task_id, "node_id": node_id, "detail": detail}
 
 
 class ToyMdp:

@@ -244,6 +244,14 @@ def test_non_finite_maximum_rejected(key, value):
         build_config({key: value})
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["sim.bundle_large", "state.response_slow"])
+def test_non_finite_upper_bound_rejected(key, value):
+    name = key.partition(".")[2]
+    with pytest.raises(ConfigError, match=name):
+        build_config({key: value})
+
+
 def test_readme_ini_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)

@@ -65,3 +65,22 @@ def test_every_scheduler_defines_select(name):
     cls = getattr(schedulers, name)
     assert issubclass(cls, schedulers.Scheduler)
     assert "select" in vars(cls)
+
+
+def test_test_only_helpers_not_exported():
+    # greedy_policy, action_from_ordinal and QTable.row live in tests/oracles.py
+    for name in ("greedy_policy", "action_from_ordinal"):
+        assert name not in vfcsim.__all__
+        assert not hasattr(vfcsim.agent, name)
+    assert not hasattr(vfcsim.QTable, "row")
+
+
+def test_collected_events_count_the_written_lines(tiny_cfg, tmp_path):
+    # the benchmark reports len(result.events) as engine.events_logged next
+    # to the size of the file write_event_log(result.events, path) writes
+    result = engine.run_evaluation(tiny_cfg, "fcfs", 3, episodes=2, collect_events=True)
+    count = len(result.events)
+    assert count > 0
+    path = tmp_path / "events.ndjson"
+    engine.write_event_log(result.events, path)
+    assert len(path.read_bytes().splitlines()) == count
