@@ -1,16 +1,17 @@
-"""Tabular Q-learning agent: action space, sparse Q-table, update rule.
+"""Tabular Q-learning agent: action space, per-state Q-table rows, update rule.
 
 Actions pair an execution tier (vehicle-local, fog, cloud) with a resource
-bundle size scaling the allocation. The Q-table is a sparse dict; unwritten
-entries read as the 0.0 initialization, and argmax ties resolve to the
-lowest action ordinal so greedy behavior is deterministic.
+bundle size scaling the allocation. The Q-table stores one row of action
+values per visited state; unwritten entries read as the 0.0 initialization,
+and argmax ties resolve to the lowest action ordinal so greedy behavior is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -33,10 +34,10 @@ class Bundle(IntEnum):
 class Action:
     tier: Tier
     bundle: Bundle
+    ordinal: int = field(init=False)
 
-    @property
-    def ordinal(self) -> int:
-        return int(self.tier) * 3 + int(self.bundle)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ordinal", int(self.tier) * 3 + int(self.bundle))
 
 
 ACTIONS: tuple[Action, ...] = tuple(
@@ -84,9 +85,15 @@ class HyperParams:
 
 
 class QTable:
-    """Sparse action-value table over (state ordinal, action ordinal)."""
+    """Action-value table over (state ordinal, action ordinal).
 
-    __slots__ = ("num_states", "num_actions", "values")
+    Each visited state owns one row of num_actions floats in `rows`; a
+    state without a row reads as all zeros. `masks` holds one bitmask per
+    row whose bit a is set once entry (state, a) has been written, so the
+    table's length and its saved entries are the written ones only.
+    """
+
+    __slots__ = ("num_states", "num_actions", "rows", "masks")
 
     def __init__(self, num_states: int, num_actions: int):
         if num_states < 1 or num_actions < 1:
@@ -95,10 +102,14 @@ class QTable:
             )
         self.num_states = num_states
         self.num_actions = num_actions
-        self.values: dict[tuple[int, int], float] = {}
+        self.rows: dict[int, list[float]] = {}
+        self.masks: dict[int, int] = {}
 
     def get(self, state: int, action: int) -> float:
-        return self.values.get((state, action), 0.0)
+        if not (0 <= action < self.num_actions):
+            raise ValidationError(f"action ordinal {action!r} outside [0, {self.num_actions})")
+        row = self.rows.get(state)
+        return 0.0 if row is None else row[action]
 
     def set(self, state: int, action: int, value: float) -> None:
         if not (0 <= state < self.num_states):
@@ -107,38 +118,44 @@ class QTable:
             raise ValidationError(f"action ordinal {action!r} outside [0, {self.num_actions})")
         if not math.isfinite(value):
             raise ValidationError(f"q value must be finite, got {value!r}")
-        self.values[(state, action)] = value
+        row = self.rows.get(state)
+        if row is None:
+            self.rows[state] = row = [0.0] * self.num_actions
+            self.masks[state] = 1 << action
+        else:
+            self.masks[state] |= 1 << action
+        row[action] = value
 
     def argmax_action(self, state: int) -> int:
-        """Lowest-ordinal action attaining the row maximum."""
-        get = self.values.get
-        best_a = 0
-        best_v = get((state, 0), 0.0)
-        for a in range(1, self.num_actions):
-            v = get((state, a), 0.0)
-            if v > best_v:
-                best_v = v
-                best_a = a
-        return best_a
+        """Lowest-ordinal action attaining the row maximum: max() keeps
+        the first of equal values, and a row holds no NaN."""
+        row = self.rows.get(state)
+        return 0 if row is None else row.index(max(row))
 
     def max_value(self, state: int) -> float:
-        get = self.values.get
-        best = get((state, 0), 0.0)
-        for a in range(1, self.num_actions):
-            v = get((state, a), 0.0)
-            if v > best:
-                best = v
-        return best
+        row = self.rows.get(state)
+        return 0.0 if row is None else max(row)
+
+    def items(self) -> list[tuple[tuple[int, int], float]]:
+        """Written entries as ((state, action), value), in ascending order."""
+        out = []
+        for s in sorted(self.rows):
+            row = self.rows[s]
+            mask = self.masks[s]
+            for a in range(self.num_actions):
+                if mask >> a & 1:
+                    out.append(((s, a), row[a]))
+        return out
 
     def __len__(self) -> int:
-        return len(self.values)
+        return sum(mask.bit_count() for mask in self.masks.values())
 
     def save(self, path: str | Path) -> None:
         """Write entries as tab-separated (state, action, value) records."""
         path = Path(path)
         lines = [f"# vfcsim qtable v1 num_states={self.num_states} num_actions={self.num_actions}\n"]
-        for (s, a) in sorted(self.values):
-            lines.append(f"{s}\t{a}\t{self.values[(s, a)]!r}\n")
+        for (s, a), v in self.items():
+            lines.append(f"{s}\t{a}\t{v!r}\n")
         path.write_text("".join(lines))
 
     @classmethod
@@ -150,7 +167,7 @@ class QTable:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 parts = dict(
                     token.split("=", 1) for token in line.lstrip("# ").split() if "=" in token
                 )
@@ -161,17 +178,31 @@ class QTable:
                 continue
             if table is None:
                 raise ValidationError(f"{path}:{lineno}: q-table data precedes header")
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            table.set(int(fields[0]), int(fields[1]), float(fields[2]))
+            try:
+                s, a, v = line.split("\t")
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated fields") from None
+            try:
+                state, action = int(s), int(a)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: ordinals must be integers, got {s!r}, {a!r}"
+                ) from None
+            try:
+                value = float(v)
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: q value must be a number, got {v!r}") from None
+            try:
+                table.set(state, action, value)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
         if table is None:
             raise ValidationError(f"{path}: missing q-table header")
         return table
 
 
 def init_q_values(num_states: int, num_actions: int) -> QTable:
-    """Fresh all-zero table (zeros are implicit in the sparse store)."""
+    """Fresh all-zero table (a state reads as zeros until its row is written)."""
     return QTable(num_states, num_actions)
 
 
@@ -202,9 +233,14 @@ def update_q_value(
     """
     if not math.isfinite(reward):
         raise ValidationError(f"reward must be finite, got {reward!r}")
+    if not (0 <= action < q.num_actions):
+        raise ValidationError(f"action ordinal {action!r} outside [0, {q.num_actions})")
     a = params.alpha if alpha is None else alpha
-    old = q.get(state, action)
-    target = reward + params.gamma * q.max_value(next_state)
+    rows = q.rows
+    row = rows.get(state)
+    old = 0.0 if row is None else row[action]
+    next_row = rows.get(next_state)
+    target = reward + params.gamma * (0.0 if next_row is None else max(next_row))
     new = old + a * (target - old)
     q.set(state, action, new)
     return new

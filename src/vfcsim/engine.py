@@ -657,7 +657,7 @@ class _Episode:
     def state_for(self, node: NodeState, task: Task, available: int) -> int:
         """State ordinal of the decision node `node` for `task`, encoded
         straight from the node and task fields (readings in
-        TelemetrySnapshot order; fractions clamped into [0, 1])."""
+        snapshot_ordinal's argument order; fractions clamped into [0, 1])."""
         sim = self.sim
         cpu = node.cpu_commit
         mem = node.mem_commit
@@ -1238,7 +1238,13 @@ def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
         path = directory / f"qtable_node{node_id}.tsv"
         if not path.exists():
             raise ValidationError(f"checkpoint incomplete: missing {path}")
-        tables[node_id] = QTable.load(path)
+        table = QTable.load(path)
+        if (table.num_states, table.num_actions) != (NUM_STATES, NUM_ACTIONS):
+            raise ValidationError(
+                f"{path}: q-table is {table.num_states} x {table.num_actions}, "
+                f"expected num_states={NUM_STATES} num_actions={NUM_ACTIONS}"
+            )
+        tables[node_id] = table
     return tables
 
 

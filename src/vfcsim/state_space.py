@@ -51,28 +51,6 @@ FRACTION_FIELDS = (
 )
 
 
-@dataclass(slots=True)
-class TelemetrySnapshot:
-    """Raw observation of one fog node plus the task under decision.
-
-    Fraction fields live in [0, 1]. Rates are in tasks/second, the
-    response time in seconds, available_nodes is a count.
-    """
-
-    cpu_usage: float
-    mem_usage: float
-    disk_usage: float
-    net_bw_usage: float
-    request_rate: float
-    app_type_weight: float
-    expected_demand: float
-    recent_response_time: float
-    sla_met: bool
-    op_requirement: float
-    available_nodes: int
-    storage_availability: float
-
-
 def _default_caps() -> dict[str, float]:
     return {name: 1.0 for name in FRACTION_FIELDS}
 
@@ -158,48 +136,9 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name}={value!r} must be >= 0")
 
 
-def discretize(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
-    """Map a raw telemetry snapshot to its discrete state: the decoded
-    snapshot_ordinal, which raises ValidationError naming the offending
-    field."""
-    return state_from_index(
-        snapshot_ordinal(
-            snapshot.cpu_usage,
-            snapshot.mem_usage,
-            snapshot.disk_usage,
-            snapshot.net_bw_usage,
-            snapshot.request_rate,
-            snapshot.app_type_weight,
-            snapshot.expected_demand,
-            snapshot.recent_response_time,
-            snapshot.sla_met,
-            snapshot.op_requirement,
-            snapshot.available_nodes,
-            snapshot.storage_availability,
-            config,
-        )
-    )
-
-
-def state_index(state: DiscreteState) -> int:
-    """Bijective mixed-radix encoding of a DiscreteState into [0, NUM_STATES)."""
-    idx = state.cu
-    idx = idx * 3 + state.mu
-    idx = idx * 3 + state.dsu
-    idx = idx * 3 + state.nbu
-    idx = idx * 3 + state.nr
-    idx = idx * 3 + state.at
-    idx = idx * 3 + state.ed
-    idx = idx * 3 + state.rt
-    idx = idx * 2 + state.sla
-    idx = idx * 3 + state.or_
-    idx = idx * 3 + state.ncn
-    idx = idx * 3 + state.asd
-    return int(idx)
-
-
 def state_from_index(ordinal: int) -> DiscreteState:
-    """Inverse of state_index."""
+    """Decode a state ordinal into its levels, one mixed-radix digit per
+    DiscreteState field (the inverse of snapshot_ordinal's encoding)."""
     if not (0 <= ordinal < NUM_STATES):
         raise ValidationError(f"state ordinal {ordinal!r} outside [0, {NUM_STATES})")
     digits = []
@@ -242,8 +181,10 @@ def snapshot_ordinal(
 ) -> int:
     """State ordinal in [0, NUM_STATES) of one telemetry reading.
 
-    The readings come positionally in TelemetrySnapshot field order; this
-    is the only encoder, and state_from_index its inverse. Raises
+    The readings come positionally, one per DiscreteState field and in
+    its order. Fractions lie in [0, 1], rates are in tasks/second, the
+    response time in seconds and available_nodes is a count. This is the
+    only encoder, and state_from_index its inverse. Raises
     ValidationError naming the offending field when a fraction leaves
     [0, 1], a rate, response time or node count is negative, or a reading
     is non-finite or not a number.

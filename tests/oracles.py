@@ -4,7 +4,10 @@ Nothing here imports from the scheduler or engine internals; the point is to
 have independent arithmetic to compare against.
 """
 
+import math
 import random
+from dataclasses import dataclass
+from pathlib import Path
 
 from vfcsim.agent import (
     ACTIONS,
@@ -24,7 +27,8 @@ from vfcsim.state_space import (
     ResponseLevel,
     SlaLevel,
     StateSpaceConfig,
-    TelemetrySnapshot,
+    snapshot_ordinal,
+    state_from_index,
 )
 
 
@@ -45,8 +49,52 @@ def greedy_policy(q: QTable) -> dict[int, Action]:
     States absent from the map fall back to action ordinal 0, matching
     argmax over an all-zero row.
     """
-    states = {s for (s, _a) in q.values}
+    states = {s for (s, _a), _v in q.items()}
     return {s: ACTIONS[q.argmax_action(s)] for s in sorted(states)}
+
+
+class DictQTable:
+    """Reference Q-table: one dict entry per written (state, action) pair,
+    unwritten entries reading as 0.0, the argmax scanning the row in
+    ordinal order with a strict comparison so ties go to the lowest
+    ordinal. Same validation and file format as vfcsim.agent.QTable."""
+
+    def __init__(self, num_states: int, num_actions: int):
+        self.num_states = num_states
+        self.num_actions = num_actions
+        self.values: dict[tuple[int, int], float] = {}
+
+    def get(self, state: int, action: int) -> float:
+        return self.values.get((state, action), 0.0)
+
+    def set(self, state: int, action: int, value: float) -> None:
+        if not (0 <= state < self.num_states and 0 <= action < self.num_actions):
+            raise ValidationError(f"({state!r}, {action!r}) outside the table")
+        if not math.isfinite(value):
+            raise ValidationError(f"q value must be finite, got {value!r}")
+        self.values[(state, action)] = value
+
+    def argmax_action(self, state: int) -> int:
+        best_a = 0
+        best_v = self.get(state, 0)
+        for a in range(1, self.num_actions):
+            v = self.get(state, a)
+            if v > best_v:
+                best_v = v
+                best_a = a
+        return best_a
+
+    def max_value(self, state: int) -> float:
+        return self.get(state, self.argmax_action(state))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def save(self, path: str | Path) -> None:
+        lines = [f"# vfcsim qtable v1 num_states={self.num_states} num_actions={self.num_actions}\n"]
+        for (s, a) in sorted(self.values):
+            lines.append(f"{s}\t{a}\t{self.values[(s, a)]!r}\n")
+        Path(path).write_text("".join(lines))
 
 
 # detail keys of each event kind, in the order the engine's flat event
@@ -259,6 +307,70 @@ def round_robin_full_list(
             if nodes[i][0] and nodes[i][1] <= nodes[i][share]:
                 return "fog", i, (i + 1) % n
     return None, -1, cursor
+
+
+@dataclass(slots=True)
+class TelemetrySnapshot:
+    """Raw observation of one fog node plus the task under decision, one
+    field per DiscreteState field and in its order (the order in which
+    snapshot_ordinal takes its readings).
+
+    Fraction fields live in [0, 1]. Rates are in tasks/second, the
+    response time in seconds, available_nodes is a count.
+    """
+
+    cpu_usage: float
+    mem_usage: float
+    disk_usage: float
+    net_bw_usage: float
+    request_rate: float
+    app_type_weight: float
+    expected_demand: float
+    recent_response_time: float
+    sla_met: bool
+    op_requirement: float
+    available_nodes: int
+    storage_availability: float
+
+
+def discretize(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
+    """The discrete state of a snapshot: the decoded snapshot_ordinal, which
+    raises ValidationError naming the offending field."""
+    return state_from_index(
+        snapshot_ordinal(
+            snapshot.cpu_usage,
+            snapshot.mem_usage,
+            snapshot.disk_usage,
+            snapshot.net_bw_usage,
+            snapshot.request_rate,
+            snapshot.app_type_weight,
+            snapshot.expected_demand,
+            snapshot.recent_response_time,
+            snapshot.sla_met,
+            snapshot.op_requirement,
+            snapshot.available_nodes,
+            snapshot.storage_availability,
+            config,
+        )
+    )
+
+
+def state_index(state: DiscreteState) -> int:
+    """Mixed-radix encoding of a DiscreteState in field order, the SLA flag
+    the single binary digit: the ordinal snapshot_ordinal computes."""
+    idx = state.cu
+    idx = idx * 3 + state.mu
+    idx = idx * 3 + state.dsu
+    idx = idx * 3 + state.nbu
+    idx = idx * 3 + state.nr
+    idx = idx * 3 + state.at
+    idx = idx * 3 + state.ed
+    idx = idx * 3 + state.rt
+    idx = idx * 2 + state.sla
+    idx = idx * 3 + state.or_
+    idx = idx * 3 + state.ncn
+    idx = idx * 3 + state.asd
+    return int(idx)
 
 
 def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
+    DictQTable,
     ToyMdp,
     action_from_ordinal,
     greedy_policy,
@@ -238,7 +241,46 @@ def test_save_load_round_trip(tmp_path):
     back = QTable.load(path)
     assert back.num_states == 50
     assert back.num_actions == 9
-    assert back.values == q.values
+    assert back.items() == q.items()
+
+
+# values that make ties, signed zeros and all-negative rows likely
+Q_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -0.5, 2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+WRITES = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8), Q_VALUES), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@example(writes=[
+    (0, 3, 0.0), (0, 5, -0.0),                      # explicit zeros of both signs
+    (1, 0, -0.0), (1, 4, 0.0),                      # -0.0 first, tying with 0.0
+    (2, 2, 1.5), (2, 7, 1.5), (2, 2, 1.5),          # tie, one entry rewritten
+    *[(3, a, -1.0 - (a % 3)) for a in range(9)],    # all-negative row, tie at -1.0
+    (4, 8, -2.0),                                   # one negative write: argmax an unwritten 0.0
+])                                                  # state 5 never written
+@given(writes=WRITES)
+def test_row_table_matches_dict_reference(tmp_path_factory, writes):
+    q = init_q_values(6, 9)
+    ref = DictQTable(6, 9)
+    for s, a, v in writes:
+        q.set(s, a, v)
+        ref.set(s, a, v)
+        assert len(q) == len(ref)
+    for s in range(6):
+        # repr tells -0.0 from 0.0, as the saved file does
+        assert [repr(q.get(s, a)) for a in range(9)] == [repr(ref.get(s, a)) for a in range(9)]
+        assert q.argmax_action(s) == ref.argmax_action(s)
+        assert repr(q.max_value(s)) == repr(ref.max_value(s))
+    assert q.items() == sorted(ref.values.items())
+    directory = tmp_path_factory.mktemp("rows")
+    q.save(directory / "row.tsv")
+    ref.save(directory / "ref.tsv")
+    saved = (directory / "row.tsv").read_bytes()
+    assert saved == (directory / "ref.tsv").read_bytes()
+    QTable.load(directory / "row.tsv").save(directory / "again.tsv")
+    assert (directory / "again.tsv").read_bytes() == saved
 
 
 def test_load_rejects_data_before_header(tmp_path):
@@ -255,12 +297,31 @@ def test_load_rejects_malformed_row(tmp_path):
         QTable.load(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0\t1\t0.5\t2", "expected 3 tab-separated fields"),
+    ("0\t1\tabc", "q value must be a number"),
+    ("0\t1\t1.0.0", "q value must be a number"),
+    ("x\t1\t0.5", "ordinals must be integers"),
+    ("0\t1.5\t0.5", "ordinals must be integers"),
+    ("0\t9\t0.5", "action ordinal 9 outside"),
+    ("5\t0\t0.5", "state ordinal 5 outside"),
+    ("0\t0\tnan", "must be finite"),
+    ("0\t0\t-inf", "must be finite"),
+])
+def test_load_names_file_and_line_of_bad_field(tmp_path, line, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# vfcsim qtable v1 num_states=5 num_actions=9\n0\t0\t1.0\n{line}\n")
+    with pytest.raises(ValidationError, match=message) as info:
+        QTable.load(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
 def test_deterministic_training_runs_identically():
     results = []
     for _ in range(2):
         mdp = ToyMdp()
         q = q_learning_on_mdp(mdp, episodes=60)
-        results.append(sorted(q.values.items()))
+        results.append(q.items())
     assert results[0] == results[1]
 
 

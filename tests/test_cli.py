@@ -87,6 +87,28 @@ def test_trained_checkpoint_feeds_eval(tmp_path):
     assert rows[1][0] == "qlearn"
 
 
+@pytest.mark.parametrize("node0, named", [
+    ("# vfcsim qtable v1 num_states=354294 num_actions=9\n0\t1\tabc\n",
+     "qtable_node0.tsv:2: q value must be a number"),
+    ("# vfcsim qtable v1 num_states=354294 num_actions=2\n0\t1\t0.5\n",
+     "qtable_node0.tsv: q-table is 354294 x 2"),
+    ("# vfcsim qtable v1 num_states=10 num_actions=9\n",
+     "qtable_node0.tsv: q-table is 10 x 9"),
+])
+def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
+    checkpoint = tmp_path / "checkpoint"
+    checkpoint.mkdir()
+    for node_id in range(9):
+        (checkpoint / f"qtable_node{node_id}.tsv").write_text(
+            "# vfcsim qtable v1 num_states=354294 num_actions=9\n"
+        )
+    (checkpoint / "qtable_node0.tsv").write_text(node0)
+    code = run(["eval", *TINY, "--scheduler", "qlearn", "--checkpoint", str(checkpoint)],
+               tmp_path / "out")
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_eval_accepts_recorded_trace(tmp_path):
     trace = tmp_path / "trace.csv"
     with trace.open("w", newline="") as fh:

@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from oracles import event_dict, snapshot_from_node
+from oracles import discretize, event_dict, snapshot_from_node, state_index
 from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values
 from vfcsim.engine import (
     EventKind,
@@ -30,7 +30,7 @@ from vfcsim.engine import (
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import Scheduler, _cloud_placement
-from vfcsim.state_space import NUM_STATES, SlaLevel, discretize, state_from_index, state_index
+from vfcsim.state_space import NUM_STATES, SlaLevel, state_from_index
 from vfcsim.traffic import VehicleSpec
 
 
@@ -422,9 +422,8 @@ def test_training_state_encoding_matches_snapshot_oracle(monkeypatch):
 
     tables = hashlib.sha256()
     for node_id in sorted(result.tables):
-        values = result.tables[node_id].values
-        for state, action in sorted(values):
-            tables.update(struct.pack("<3qd", node_id, state, action, values[(state, action)]))
+        for (state, action), value in result.tables[node_id].items():
+            tables.update(struct.pack("<3qd", node_id, state, action, value))
     curve = hashlib.sha256()
     for row in result.curve:
         curve.update(struct.pack("<qd2qd", row["episode"], row["epsilon"], row["tasks"],
@@ -540,6 +539,20 @@ def test_table_round_trip_through_save_load(tmp_path):
     back = load_tables(tmp_path, 2)
     assert back[0].get(5, 3) == 0.25
     assert len(back[1]) == 0
+
+
+@pytest.mark.parametrize("dims, expected", [
+    ((NUM_STATES, 2), f"num_actions={NUM_ACTIONS}"),  # would act with ordinals 0-1 only
+    ((10, NUM_ACTIONS), f"num_states={NUM_STATES}"),   # would fail at the first decision
+])
+def test_load_tables_rejects_other_dimensions(tmp_path, dims, expected):
+    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(2)}
+    tables[1] = init_q_values(*dims)
+    tables[1].set(5, 1, 0.25)
+    save_tables(tables, tmp_path)
+    with pytest.raises(ValidationError, match=expected) as info:
+        load_tables(tmp_path, 2)
+    assert str(info.value).startswith(f"{tmp_path / 'qtable_node1.tsv'}: ")
 
 
 def test_load_tables_missing_file(tmp_path):

@@ -9,7 +9,7 @@ purpose: the tests do not import bench/.
 import pytest
 
 import vfcsim
-from vfcsim import config, engine, metrics, rewards, schedulers
+from vfcsim import config, engine, metrics, rewards, schedulers, state_space
 
 # attributes the tracer patches on each module, and the engine entry
 # points the benchmark calls
@@ -68,11 +68,42 @@ def test_every_scheduler_defines_select(name):
 
 
 def test_test_only_helpers_not_exported():
-    # greedy_policy, action_from_ordinal and QTable.row live in tests/oracles.py
+    # greedy_policy, action_from_ordinal, QTable.row, TelemetrySnapshot,
+    # discretize and state_index live in tests/oracles.py
     for name in ("greedy_policy", "action_from_ordinal"):
         assert name not in vfcsim.__all__
         assert not hasattr(vfcsim.agent, name)
     assert not hasattr(vfcsim.QTable, "row")
+    for name in ("TelemetrySnapshot", "discretize", "state_index"):
+        assert name not in vfcsim.__all__
+        assert not hasattr(state_space, name)
+    # the one encoder and its inverse stay public
+    assert callable(vfcsim.snapshot_ordinal) and callable(vfcsim.state_from_index)
+
+
+def test_training_calls_the_patched_q_functions(monkeypatch):
+    # the benchmark's agent.update_q_value and agent.select_action metrics
+    # count calls to these two module attributes; training that bypassed
+    # them would report zero calls without failing
+    counts = {"update": 0, "select": 0, "decisions": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "update_q_value", counted("update", engine.update_q_value))
+    monkeypatch.setattr(schedulers, "select_action", counted("select", schedulers.select_action))
+    monkeypatch.setattr(schedulers.QLearningScheduler, "select",
+                        counted("decisions", schedulers.QLearningScheduler.select))
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "agent.episodes": "1"})
+    result = engine.run_training(cfg, 1)
+    tasks = result.curve[0]["tasks"]
+    assert tasks > 0
+    assert counts["update"] == tasks
+    assert counts["select"] == counts["decisions"] == tasks
 
 
 def test_collected_events_count_the_written_lines(tiny_cfg, tmp_path):

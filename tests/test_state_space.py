@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discretize_by_field
+from oracles import TelemetrySnapshot, discretize, discretize_by_field, state_index
 from vfcsim.errors import ValidationError
 from vfcsim.state_space import (
     FRACTION_FIELDS,
@@ -19,11 +19,8 @@ from vfcsim.state_space import (
     ResponseLevel,
     SlaLevel,
     StateSpaceConfig,
-    TelemetrySnapshot,
-    discretize,
     snapshot_ordinal,
     state_from_index,
-    state_index,
 )
 
 
