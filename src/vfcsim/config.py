@@ -19,6 +19,7 @@ rate ANV/ADT.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .agent import HyperParams
@@ -109,14 +110,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def _coerce(key: str, value: str, kind: str):
-    try:
-        if kind == "float":
-            return float(value)
-        if kind == "int":
-            return int(value)
+    if kind == "str":
         return value
+    try:
+        number = float(value) if kind == "float" else int(value)
     except ValueError as exc:
         raise ConfigError(f"invalid {kind} for {key}: {value!r}") from exc
+    # every float key is a finite quantity; rejecting here names the key,
+    # where a section check may blame another key for the same value
+    if kind == "float" and not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def build_config(overrides: dict[str, str]) -> RunConfig:

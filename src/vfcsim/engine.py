@@ -9,9 +9,15 @@ serviced or dropped no later than min(arrival + deadline, vehicle exit),
 enforced by an internal expiry event for every task still outstanding
 after its decision, so ledgers always conserve tasks.
 
-Events dispatch in (time, sequence) order from a single heap, and all
-randomness flows through one seeded generator per episode, which makes
-runs bit-reproducible for a given configuration, scheduler and seed.
+Events dispatch in (time, sequence) order from a single heap, each popped
+entry going to the handler that its kind indexes in a table of bound
+methods. A decision tick's new tasks travel as one TASK_ARRIVAL entry,
+pushed by the tick's snapshot, whose handler decides them one by one in
+creation order. Nothing can come between them: everything due at the tick
+that was pushed before the snapshot ran dispatches first (lower sequence),
+and everything the decisions push is later in time or sequence. Randomness
+flows through one seeded generator per episode, which makes runs
+bit-reproducible for a given configuration, scheduler and seed.
 """
 
 from __future__ import annotations
@@ -70,8 +76,11 @@ from .traffic import Scenario, VehicleSpec, sample_vehicles
 
 
 class EventKind(IntEnum):
+    """Event kinds; the value indexes _Episode.run's handler table."""
+
     VEHICLE_ENTER = 0
     VEHICLE_EXIT = 1
+    # payload: the list of tasks one decision tick created, in creation order
     TASK_ARRIVAL = 2
     UPLOAD_DONE = 3
     EXECUTION_DONE = 4
@@ -564,6 +573,15 @@ def build_scheduler(
             raise ValidationError(
                 "qlearn evaluation needs a trained checkpoint (q-tables missing)"
             )
+        n = cfg.sim.fog_nodes
+        for node_id in tables:
+            if node_id not in range(n):
+                raise ValidationError(f"node {node_id!r}: q-table given, but the grid has "
+                                      f"fog nodes 0..{n - 1} only")
+        for node_id in range(n):
+            if node_id not in tables:
+                raise ValidationError(f"node {node_id}: no q-table")
+            _check_table_shape(tables[node_id], f"node {node_id}")
         bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
         return QLearningScheduler(tables, cfg.agent, random.Random(0), bundles, epsilon)
     raise ValidationError(f"unknown scheduler {name!r}")
@@ -691,23 +709,21 @@ class _Episode:
 
     def run(self) -> EpisodeResult:
         self.schedule_all()
+        # indexed by EventKind
+        handlers = (
+            self.on_vehicle_enter,
+            self.on_vehicle_exit,
+            self.on_tick_arrivals,
+            self.on_upload_done,
+            self.on_execution_done,
+            self.on_snapshot,
+            self.on_task_expire,
+        )
         heap = self.heap
+        pop = heapq.heappop
         while heap:
-            time, _seq, kind, payload = heapq.heappop(heap)
-            if kind == EventKind.TASK_ARRIVAL:
-                self.on_task_arrival(time, payload)
-            elif kind == EventKind.UPLOAD_DONE:
-                self.on_upload_done(time, payload)
-            elif kind == EventKind.EXECUTION_DONE:
-                self.on_execution_done(time, payload)
-            elif kind == EventKind.TASK_EXPIRE:
-                self.on_task_expire(time, payload)
-            elif kind == EventKind.SNAPSHOT:
-                self.on_snapshot(time)
-            elif kind == EventKind.VEHICLE_ENTER:
-                self.on_vehicle_enter(time, payload)
-            else:
-                self.on_vehicle_exit(time, payload)
+            time, _seq, kind, payload = pop(heap)
+            handlers[kind](time, payload)
         if self.resolved != self.task_counter:
             raise RuntimeError(
                 f"task conservation violated: {self.resolved} resolved of {self.task_counter}"
@@ -756,26 +772,28 @@ class _Episode:
         if self.events is not None:
             self.log("VehicleExit", now, -1, -1, vehicle_id)
 
-    def on_snapshot(self, now: float) -> None:
+    def on_snapshot(self, now: float, _payload: None) -> None:
         p = self.arrival_prob
         if p <= 0.0:
             return
-        rng = self.rng
+        draw = self.rng.random
+        uniform = self.rng.uniform
         sim = self.sim
         mb = BITS_PER_MB
+        tasks: list[Task] = []
         for veh in self.active.values():
             if veh.exit_time <= now:
                 continue
-            if rng.random() >= p:
+            if draw() >= p:
                 continue
-            size_mb = rng.uniform(sim.task_size_mb_min, sim.task_size_mb_max)
-            demand = rng.uniform(sim.task_demand_mips_min, sim.task_demand_mips_max)
-            deadline = rng.uniform(sim.task_deadline_s_min, sim.task_deadline_s_max)
+            size_mb = uniform(sim.task_size_mb_min, sim.task_size_mb_max)
+            demand = uniform(sim.task_demand_mips_min, sim.task_demand_mips_max)
+            deadline = uniform(sim.task_deadline_s_min, sim.task_deadline_s_max)
             size_bits = size_mb * mb
             bound = now + deadline
             if veh.exit_time < bound:
                 bound = veh.exit_time
-            task = Task(
+            tasks.append(Task(
                 task_id=self.task_counter,
                 vehicle=veh,
                 size_bits=size_bits,
@@ -787,9 +805,15 @@ class _Episode:
                 mem_frac=_clamp01(size_mb / sim.node_mem_mb),
                 disk_frac=_clamp01(size_mb / sim.node_storage_mb),
                 bw_frac=_clamp01((size_bits / deadline) / self.link.wired_rate_bps),
-            )
+            ))
             self.task_counter += 1
-            self.push(now, EventKind.TASK_ARRIVAL, task)
+        if tasks:
+            self.push(now, EventKind.TASK_ARRIVAL, tasks)
+
+    def on_tick_arrivals(self, now: float, tasks: list[Task]) -> None:
+        arrive = self.on_task_arrival
+        for task in tasks:
+            arrive(now, task)
 
     def on_task_arrival(self, now: float, task: Task) -> None:
         veh = task.vehicle
@@ -1231,19 +1255,33 @@ def save_tables(tables: dict[int, QTable], directory: str | Path) -> None:
         table.save(directory / f"qtable_node{node_id}.tsv")
 
 
+def _check_table_shape(table: QTable, owner: str) -> None:
+    if (table.num_states, table.num_actions) != (NUM_STATES, NUM_ACTIONS):
+        raise ValidationError(
+            f"{owner}: q-table is {table.num_states} x {table.num_actions}, "
+            f"expected num_states={NUM_STATES} num_actions={NUM_ACTIONS}"
+        )
+
+
 def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
+    """The tables qtable_node0..num_nodes-1.tsv in `directory`; a directory
+    that also holds a table of another node is not this grid's checkpoint."""
     directory = Path(directory)
+    names = [f"qtable_node{node_id}.tsv" for node_id in range(num_nodes)]
+    expected = set(names)
+    for path in sorted(directory.glob("qtable_node*.tsv")):
+        if path.name not in expected:
+            raise ValidationError(
+                f"{path}: not a table of this {num_nodes}-node grid, "
+                f"whose tables are qtable_node0..{num_nodes - 1}.tsv"
+            )
     tables: dict[int, QTable] = {}
-    for node_id in range(num_nodes):
-        path = directory / f"qtable_node{node_id}.tsv"
+    for node_id, name in enumerate(names):
+        path = directory / name
         if not path.exists():
             raise ValidationError(f"checkpoint incomplete: missing {path}")
         table = QTable.load(path)
-        if (table.num_states, table.num_actions) != (NUM_STATES, NUM_ACTIONS):
-            raise ValidationError(
-                f"{path}: q-table is {table.num_states} x {table.num_actions}, "
-                f"expected num_states={NUM_STATES} num_actions={NUM_ACTIONS}"
-            )
+        _check_table_shape(table, str(path))
         tables[node_id] = table
     return tables
 

@@ -109,6 +109,19 @@ def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
     assert named in capsys.readouterr().err
 
 
+def test_eval_rejects_checkpoint_of_a_larger_grid(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint"
+    checkpoint.mkdir()
+    for node_id in range(12):
+        (checkpoint / f"qtable_node{node_id}.tsv").write_text(
+            "# vfcsim qtable v1 num_states=354294 num_actions=9\n"
+        )
+    code = run(["eval", *TINY, "--scheduler", "qlearn", "--checkpoint", str(checkpoint)],
+               tmp_path / "out")
+    assert code == 2
+    assert "qtable_node10.tsv: not a table of this 9-node grid" in capsys.readouterr().err
+
+
 def test_eval_accepts_recorded_trace(tmp_path):
     trace = tmp_path / "trace.csv"
     with trace.open("w", newline="") as fh:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import pytest
@@ -475,6 +476,51 @@ def test_baseline_ledgers_pinned(override):
     assert digests == PINNED_LEDGERS[override]
 
 
+# A recorded trace whose entries and exits all fall on decision ticks
+# (interval 1 s), every active vehicle emitting a task at every tick. At
+# t = 7 one vehicle exits, two enter, and the exiting vehicle's tasks
+# finish or expire; at t = 12 two vehicles exit.
+TICK_TRACE = [
+    vehicle(0, entry=0.0, dwell=7.0, x=500.0, y=500.0, cpu=2.0e9),
+    vehicle(1, entry=0.0, dwell=12.0, speed=12.0, heading=0.5, x=1400.0, y=1600.0, cpu=4.0e9),
+    vehicle(2, entry=2.0, dwell=10.0, cpu=3.0e9),
+    vehicle(3, entry=7.0, dwell=8.0, speed=20.0, heading=2.0, x=2600.0, y=400.0, cpu=5.0e9),
+    vehicle(4, entry=7.0, dwell=13.0, x=520.0, y=2480.0, cpu=6.0e9),
+]
+# ledger (ledger_sha256) and event-log SHA-256 of fcfs on TICK_TRACE, NO.4
+# for 20 s at arrival_prob 1.0, recorded when each task had an arrival
+# event of its own on the heap
+PINNED_TICK_TRACE = (
+    156,
+    "6c8a09ad774b0557c21643f76cd7fdecbfe261cebaec0d65dc4215ebb0859427",
+    "9a8cd6e8c16e347b9e2093b8bc1bc35c8e4a72c63a09e2dca26543c738308148",
+)
+
+
+def test_events_at_a_tick_precede_its_arrivals(tmp_path):
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "20",
+                        "sim.arrival_prob": "1.0"})
+    result = run_evaluation(cfg, "fcfs", 1, vehicles=TICK_TRACE, collect_events=True)
+    path = tmp_path / "events.ndjson"
+    write_event_log(result.events, path)
+    assert (len(result.events), ledger_sha256(result.ledger),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == PINNED_TICK_TRACE
+
+    for tick, exiting in ((7.0, {0}), (12.0, {1, 2})):
+        # (kind, vehicle) for exits and arrivals, whose vehicle comes last
+        kinds = [(e[0], e[-1]) for e in result.events if e[1] == tick]
+        first_arrival = next(i for i, (kind, _) in enumerate(kinds) if kind == "TaskArrival")
+        before, arrivals = kinds[:first_arrival], kinds[first_arrival:]
+        # the exits and the tasks they end come first, then the tick's
+        # arrivals, one per vehicle still active, in a single run
+        assert {v for kind, v in before if kind == "VehicleExit"} == exiting
+        assert "TaskDropped" in {kind for kind, _ in before}
+        assert {kind for kind, _ in arrivals} == {"TaskArrival"}
+        active = {v.vehicle_id for v in TICK_TRACE
+                  if v.entry_time <= tick < v.entry_time + v.dwell}
+        assert sorted(v for _, v in arrivals) == sorted(active)
+
+
 def test_different_seeds_differ():
     _, a = run_short(seed=1)
     _, b = run_short(seed=2)
@@ -553,6 +599,33 @@ def test_load_tables_rejects_other_dimensions(tmp_path, dims, expected):
     with pytest.raises(ValidationError, match=expected) as info:
         load_tables(tmp_path, 2)
     assert str(info.value).startswith(f"{tmp_path / 'qtable_node1.tsv'}: ")
+
+
+def test_load_tables_rejects_a_table_of_another_node(tmp_path):
+    # a 12-node checkpoint is not a 9-node one
+    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
+    with pytest.raises(ValidationError, match="9-node grid") as info:
+        load_tables(tmp_path, 9)
+    assert str(info.value).startswith(f"{tmp_path / 'qtable_node10.tsv'}: ")
+    assert set(load_tables(tmp_path, 12)) == set(range(12))
+
+
+def tables_for(node_ids, dims=(NUM_STATES, NUM_ACTIONS)):
+    return {i: init_q_values(*dims) for i in node_ids}
+
+
+@pytest.mark.parametrize("tables, named", [
+    # nine 2-action tables used to evaluate NO.1 with every action local
+    (tables_for(range(9), (NUM_STATES, 2)), "node 0: q-table is 354294 x 2"),
+    (tables_for(range(9)) | tables_for([4], (10, NUM_ACTIONS)), "node 4: q-table is 10 x 9"),
+    (tables_for(range(8)), "node 8: no q-table"),
+    (tables_for(range(10)), "node 9: q-table given"),
+    (tables_for(str(i) for i in range(9)), "node '0': q-table given"),
+])
+def test_build_scheduler_rejects_tables_not_of_the_grid(tables, named):
+    cfg = build_config({})
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        build_scheduler(cfg, "qlearn", tables)
 
 
 def test_load_tables_missing_file(tmp_path):
