@@ -1249,10 +1249,18 @@ def run_evaluation(
 
 
 def save_tables(tables: dict[int, QTable], directory: str | Path) -> None:
+    """Write one qtable_node{k}.tsv per table and remove any other node's
+    table, so the directory holds exactly this grid's checkpoint."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    names = set()
     for node_id, table in sorted(tables.items()):
-        table.save(directory / f"qtable_node{node_id}.tsv")
+        name = f"qtable_node{node_id}.tsv"
+        table.save(directory / name)
+        names.add(name)
+    for path in directory.glob("qtable_node*.tsv"):
+        if path.name not in names:
+            path.unlink()
 
 
 def _check_table_shape(table: QTable, owner: str) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import re
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from vfcsim.config import (
     load_config,
     parse_config_text,
 )
-from vfcsim.errors import ConfigError
+from vfcsim.errors import ConfigError, ValidationError
 from vfcsim.traffic import Scenario
 
 
@@ -225,6 +226,33 @@ def test_unsupported_annotation_fails_key_derivation(monkeypatch):
     monkeypatch.setitem(config._SECTIONS, "flags", ("flags", Flags))
     with pytest.raises(TypeError, match="flags.verbose"):
         config._derive_tags()
+
+
+# build_config rejects these before the sections validate; the dataclass
+# checks still guard configs built in code
+MAX_FIELDS = (
+    "vehicle_cpu_max_hz",
+    "node_cpu_max_hz",
+    "task_size_mb_max",
+    "task_demand_mips_max",
+    "task_deadline_s_max",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", MAX_FIELDS)
+def test_non_finite_maximum_rejected(name, value):
+    sim = dataclasses.replace(build_config({}).sim, **{name: value})
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        sim.validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, name", [("sim", "bundle_large"), ("state", "response_slow")])
+def test_non_finite_upper_bound_rejected(section, name, value):
+    params = dataclasses.replace(getattr(build_config({}), section), **{name: value})
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        params.validate()
 
 
 FLOAT_KEYS = [key for key in known_keys() if config._TAGS[key] == "float"]

@@ -610,6 +610,15 @@ def test_load_tables_rejects_a_table_of_another_node(tmp_path):
     assert set(load_tables(tmp_path, 12)) == set(range(12))
 
 
+def test_save_tables_replaces_a_checkpoint_of_another_grid(tmp_path):
+    # training a 12-node grid, then the 9-node one, into the same directory
+    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
+    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(9)}, tmp_path)
+    files = sorted(p.name for p in tmp_path.glob("qtable_node*.tsv"))
+    assert files == sorted(f"qtable_node{i}.tsv" for i in range(9))
+    assert set(load_tables(tmp_path, 9)) == set(range(9))
+
+
 def tables_for(node_ids, dims=(NUM_STATES, NUM_ACTIONS)):
     return {i: init_q_values(*dims) for i in node_ids}
 
