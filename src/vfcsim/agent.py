@@ -50,8 +50,9 @@ NUM_ACTIONS = len(ACTIONS)
 class HyperParams:
     """Learning-rate, discount and exploration schedule settings.
 
-    alpha_schedule selects a fixed learning rate or the harmonic
-    1/(1 + visits(s, a)) decay used by the convergence oracle.
+    Training uses the fixed learning rate alpha. A caller that wants a
+    decaying rate passes it per update as update_q_value(alpha=...), as
+    the criterion-1 convergence oracle does.
     """
 
     alpha: float = 0.1
@@ -60,7 +61,6 @@ class HyperParams:
     epsilon_end: float = 0.01
     episodes: int = 100
     max_time_steps: int = 300
-    alpha_schedule: str = "fixed"
 
     def validate(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -78,10 +78,6 @@ class HyperParams:
             raise ValidationError(f"episodes={self.episodes!r} must be >= 1")
         if self.max_time_steps < 1:
             raise ValidationError(f"max_time_steps={self.max_time_steps!r} must be >= 1")
-        if self.alpha_schedule not in ("fixed", "harmonic"):
-            raise ValidationError(
-                f"alpha_schedule must be 'fixed' or 'harmonic', got {self.alpha_schedule!r}"
-            )
 
 
 class QTable:
@@ -168,6 +164,8 @@ class QTable:
             if not line:
                 continue
             if line[0] == "#":
+                if table is not None:
+                    raise ValidationError(f"{path}:{lineno}: repeated q-table header")
                 parts = dict(
                     token.split("=", 1) for token in line.lstrip("# ").split() if "=" in token
                 )
@@ -229,7 +227,8 @@ def update_q_value(
     """One Bellman backup; returns the updated entry.
 
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)). The optional
-    alpha argument overrides params.alpha (used by decaying schedules).
+    alpha argument overrides params.alpha: it is how a caller applies a
+    decaying rate, as the criterion-1 convergence oracle does.
     """
     if not math.isfinite(reward):
         raise ValidationError(f"reward must be finite, got {reward!r}")

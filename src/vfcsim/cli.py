@@ -153,10 +153,9 @@ def cmd_train(args) -> int:
         ],
     )
     if not failed:
-        last = curve[-1] if curve else {"reward_sum": 0.0}
         print(
             f"trained {cfg.agent.episodes} episodes on {cfg.scenario.name} "
-            f"(final episode reward {last['reward_sum']:.2f}); checkpoint in {checkpoint_dir}"
+            f"(final episode reward {curve[-1]['reward_sum']:.2f}); checkpoint in {checkpoint_dir}"
         )
     return 1 if failed else 0
 

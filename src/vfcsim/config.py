@@ -7,8 +7,9 @@ canonical form that parses back to an identical RunConfig, which is what
 run directories receive as config_echo.cfg for provenance.
 
 The keys are the fields of the section dataclasses (`<prefix>.<field>`,
-prefixes in _SECTIONS), typed by their annotations; the few keys that
-are not plain section fields are listed once below.
+prefixes in _SECTIONS), typed by their annotations. The only other keys
+are reward.latency_floor and reward.quality_desired, which are RunConfig
+fields of their own.
 
 scenario.name selects a built-in traffic scenario; individual scenario.*
 statistics may then be overridden (or a fully custom scenario described).
@@ -27,7 +28,7 @@ from .engine import RunConfig, SimParams
 from .errors import ConfigError, ValidationError
 from .link import LinkParams
 from .rewards import RewardWeights
-from .state_space import FRACTION_FIELDS, StateSpaceConfig
+from .state_space import StateSpaceConfig
 from .traffic import SCENARIOS, Scenario
 
 # key prefix -> (RunConfig attribute, dataclass whose fields are the keys)
@@ -39,10 +40,6 @@ _SECTIONS = {
     "sim": ("sim", SimParams),
     "scenario": ("scenario", Scenario),
 }
-
-# StateSpaceConfig.caps is a dict: each entry is a key of its own.
-_CAP_PREFIX = "state.cap."
-_CAP_KEYS = {_CAP_PREFIX + name: "float" for name in FRACTION_FIELDS}
 
 # RunConfig's own fields that are keyed under the reward prefix.
 _RUN_CONFIG_KEYS = ("reward.latency_floor", "reward.quality_desired")
@@ -57,11 +54,10 @@ DEFAULT_SCENARIO = "NO.1"
 
 def _derive_tags() -> dict[str, str]:
     """Key -> type tag ("float", "int" or "str") from the field annotations."""
-    tags = dict(_CAP_KEYS)
+    tags = {}
     for prefix, (_, cls) in _SECTIONS.items():
         for f in dataclasses.fields(cls):
-            if (prefix, f.name) != ("state", "caps"):
-                tags[f"{prefix}.{f.name}"] = f.type
+            tags[f"{prefix}.{f.name}"] = f.type
     run_config_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for key in _RUN_CONFIG_KEYS:
         tags[key] = run_config_types[key.partition(".")[2]]
@@ -79,10 +75,8 @@ def known_keys() -> list[str]:
 
 
 def _slot(cfg: RunConfig, key: str) -> tuple[object, str]:
-    """Where key's value is stored: (object, attribute), or (dict, entry)
-    for state.cap.*. The object is None when cfg has no scenario."""
-    if key.startswith(_CAP_PREFIX):
-        return cfg.state.caps, key[len(_CAP_PREFIX):]
+    """Where key's value is stored: (object, attribute). The object is
+    None when cfg has no scenario."""
     prefix, _, name = key.partition(".")
     if key in _RUN_CONFIG_KEYS:
         return cfg, name
@@ -134,8 +128,6 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
         holder, attr = _slot(cfg, key)
         if holder is None:  # a scenario.* key: the Scenario is built below
             scenario_fields[attr] = value
-        elif isinstance(holder, dict):
-            holder[attr] = value
         else:
             setattr(holder, attr, value)
 
@@ -205,6 +197,5 @@ def dump_config(cfg: RunConfig) -> str:
         holder, name = _slot(cfg, key)
         if holder is None:
             continue
-        value = holder[name] if isinstance(holder, dict) else getattr(holder, name)
-        lines.append(f"{key} = {_format(value)}")
+        lines.append(f"{key} = {_format(getattr(holder, name))}")
     return "\n".join(lines) + "\n"

@@ -132,7 +132,6 @@ class SimParams:
     task_deadline_s_max: float = 10.0
     min_dwell_s: float = 1.0
     topology_seed: int = 20231
-    wfq_weights: str = "cpu"
 
     def validate(self) -> None:
         if self.fog_nodes < 1:
@@ -194,20 +193,6 @@ class SimParams:
                 "bundle factors must satisfy 1 <= small <= medium <= large, got "
                 f"{self.bundle_small!r}, {self.bundle_medium!r}, {self.bundle_large!r}"
             )
-        if not (self.wfq_weights in ("cpu", "equal") or _parse_weight_list(self.wfq_weights)):
-            raise ValidationError(
-                f"wfq_weights must be 'cpu', 'equal' or a comma list of positives, got {self.wfq_weights!r}"
-            )
-
-
-def _parse_weight_list(text: str) -> list[float] | None:
-    try:
-        weights = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        return None
-    if not weights or any(not (math.isfinite(w) and w > 0.0) for w in weights):
-        return None
-    return weights
 
 
 @dataclass
@@ -542,20 +527,6 @@ class CellIndex:
         return nearest, reachable
 
 
-def resolve_wfq_weights(cfg: RunConfig, nodes: list[NodeState]) -> list[float]:
-    mode = cfg.sim.wfq_weights
-    if mode == "equal":
-        return [1.0] * len(nodes)
-    if mode == "cpu":
-        return [node.cpu_freq / 1e9 for node in nodes]
-    weights = _parse_weight_list(mode)
-    if weights is None or len(weights) != len(nodes):
-        raise ValidationError(
-            f"wfq_weights list must name {len(nodes)} positive weights, got {mode!r}"
-        )
-    return weights
-
-
 def build_scheduler(
     cfg: RunConfig,
     name: str,
@@ -567,7 +538,8 @@ def build_scheduler(
     if name == "rr":
         return RoundRobinScheduler(cfg.sim.fog_nodes)
     if name == "wfq":
-        return WfqScheduler(resolve_wfq_weights(cfg, build_nodes(cfg)))
+        # each node weighs its CPU capacity in GHz
+        return WfqScheduler([node.cpu_freq / 1e9 for node in build_nodes(cfg)])
     if name == "qlearn":
         if tables is None:
             raise ValidationError(
@@ -583,7 +555,7 @@ def build_scheduler(
                 raise ValidationError(f"node {node_id}: no q-table")
             _check_table_shape(tables[node_id], f"node {node_id}")
         bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
-        return QLearningScheduler(tables, cfg.agent, random.Random(0), bundles, epsilon)
+        return QLearningScheduler(tables, random.Random(0), bundles, epsilon)
     raise ValidationError(f"unknown scheduler {name!r}")
 
 
@@ -637,9 +609,6 @@ class _Episode:
         self.resolved = 0
         self.comp_sums = [0.0, 0.0, 0.0, 0.0]
         self.reward_sum = 0.0
-        self.visit_counts: dict[tuple[int, int, int], int] | None = (
-            {} if (self.train and cfg.agent.alpha_schedule == "harmonic") else None
-        )
         scheduler.on_episode_start()
         if scheduler.uses_state:
             scheduler.rng = self.rng
@@ -1115,21 +1084,13 @@ class _Episode:
             x, y = veh.position_at(t, self.area)
             decision = self.nodes[task.decision_node]
             next_state = self.state_for(decision, task, len(self.grid.scan(x, y)[1]))
-            table = self.scheduler.tables[task.decision_node]
-            alpha = None
-            if self.visit_counts is not None:
-                key = (task.decision_node, task.state_ordinal, task.action_ordinal)
-                visits = self.visit_counts.get(key, 0)
-                self.visit_counts[key] = visits + 1
-                alpha = 1.0 / (1.0 + visits)
             update_q_value(
-                table,
+                self.scheduler.tables[task.decision_node],
                 task.state_ordinal,
                 task.action_ordinal,
                 next_state,
                 reward,
                 self.cfg.agent,
-                alpha,
             )
 
 
@@ -1175,7 +1136,7 @@ def run_training(
     cfg.validate()
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
-    scheduler = QLearningScheduler(tables, cfg.agent, random.Random(0), bundles)
+    scheduler = QLearningScheduler(tables, random.Random(0), bundles)
     curve: list[dict] = []
     for episode in range(cfg.agent.episodes):
         scheduler.epsilon = epsilon_at(episode, cfg.agent)

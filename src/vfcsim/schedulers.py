@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .agent import Action, HyperParams, QTable, Tier, select_action
+from .agent import Action, QTable, Tier, select_action
 from .errors import ValidationError
 
 
@@ -212,7 +212,6 @@ class QLearningScheduler(Scheduler):
     def __init__(
         self,
         tables: dict[int, QTable],
-        params: HyperParams,
         rng: random.Random,
         bundle_factors: tuple[float, float, float] = (1.0, 1.5, 2.0),
         epsilon: float = 0.0,
@@ -220,7 +219,6 @@ class QLearningScheduler(Scheduler):
         if not tables:
             raise ValidationError("qlearn scheduler needs at least one q-table")
         self.tables = tables
-        self.params = params
         self.rng = rng
         self.bundle_factors = bundle_factors
         self.epsilon = epsilon

@@ -2,15 +2,15 @@
 
 Twelve observed variables are reduced to coarse levels: eleven of them to
 three levels and the SLA flag to two, giving 3**11 * 2 = 354294 states.
-Continuous readings are normalized into [0, 1] (dividing by a per-variable
-cap where one applies) and mapped through two thresholds; values landing
-exactly on a threshold take the upper level.
+Rates are normalized by rate_scale, and every reading is mapped through
+two thresholds; values landing exactly on a threshold take the upper
+level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ValidationError
@@ -39,22 +39,6 @@ class SlaLevel(IntEnum):
     NOT_FULFILLED = 1
 
 
-# Fields normalized by a cap defaulting to 1.0 (already fractions).
-FRACTION_FIELDS = (
-    "cpu_usage",
-    "mem_usage",
-    "disk_usage",
-    "net_bw_usage",
-    "app_type_weight",
-    "op_requirement",
-    "storage_availability",
-)
-
-
-def _default_caps() -> dict[str, float]:
-    return {name: 1.0 for name in FRACTION_FIELDS}
-
-
 @dataclass
 class StateSpaceConfig:
     """Thresholds and normalization constants for discretization."""
@@ -66,7 +50,6 @@ class StateSpaceConfig:
     response_slow: float = 10.0
     node_count_low: int = 1
     node_count_high: int = 2
-    caps: dict[str, float] = field(default_factory=_default_caps)
 
     def validate(self) -> None:
         if not (0.0 < self.low_threshold < self.high_threshold < 1.0):
@@ -88,10 +71,6 @@ class StateSpaceConfig:
                 "node count thresholds must satisfy 0 < node_count_low < node_count_high, "
                 f"got node_count_low={self.node_count_low!r} node_count_high={self.node_count_high!r}"
             )
-        for name in FRACTION_FIELDS:
-            cap = self.caps.get(name)
-            if cap is None or not (cap > 0.0 and math.isfinite(cap)):
-                raise ValidationError(f"caps[{name!r}] must be positive and finite, got {cap!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,31 +206,25 @@ def snapshot_ordinal(
 
     low = config.low_threshold
     high = config.high_threshold
-    caps = config.caps
     rate_scale = config.rate_scale
 
     # mixed-radix digits in DiscreteState field order; a value exactly on
     # a threshold takes the upper level
-    x = cpu_usage / caps["cpu_usage"]
-    idx = 0 if x < low else 1 if x < high else 2
-    x = mem_usage / caps["mem_usage"]
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
-    x = disk_usage / caps["disk_usage"]
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
-    x = net_bw_usage / caps["net_bw_usage"]
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    idx = 0 if cpu_usage < low else 1 if cpu_usage < high else 2
+    idx = idx * 3 + (0 if mem_usage < low else 1 if mem_usage < high else 2)
+    idx = idx * 3 + (0 if disk_usage < low else 1 if disk_usage < high else 2)
+    idx = idx * 3 + (0 if net_bw_usage < low else 1 if net_bw_usage < high else 2)
     x = request_rate / rate_scale
     idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
-    x = app_type_weight / caps["app_type_weight"]
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    idx = idx * 3 + (0 if app_type_weight < low else 1 if app_type_weight < high else 2)
     x = expected_demand / rate_scale
     idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
     x = recent_response_time
     idx = idx * 3 + (0 if x < config.response_fast else 1 if x < config.response_slow else 2)
     idx = idx * 2 + (0 if sla_met else 1)
-    x = op_requirement / caps["op_requirement"]
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    idx = idx * 3 + (0 if op_requirement < low else 1 if op_requirement < high else 2)
     x = available_nodes
     idx = idx * 3 + (0 if x < config.node_count_low else 1 if x < config.node_count_high else 2)
-    x = storage_availability / caps["storage_availability"]
-    return idx * 3 + (0 if x < low else 1 if x < high else 2)
+    return idx * 3 + (
+        0 if storage_availability < low else 1 if storage_availability < high else 2
+    )

@@ -163,18 +163,21 @@ def load_trace_csv(
     """Read recorded vehicle traces instead of sampling synthetic ones.
 
     The CSV must carry the columns vehicle_id, entry_time, dwell, speed,
-    x, y. Headings and local CPU capacities are not part of the trace
-    format and are drawn from the run RNG.
+    x, y; every value must be finite and every vehicle_id distinct.
+    Headings and local CPU capacities are not part of the trace format
+    and are drawn from the run RNG.
     """
     path = Path(path)
     vehicles: list[VehicleSpec] = []
+    first_line: dict[int, int] = {}  # vehicle_id -> line that introduced it
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(TRACE_COLUMNS).issubset(reader.fieldnames):
             raise ValidationError(
                 f"{path}: trace CSV must have columns {', '.join(TRACE_COLUMNS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last line; blank lines count
             try:
                 spec = VehicleSpec(
                     vehicle_id=int(row["vehicle_id"]),
@@ -188,6 +191,15 @@ def load_trace_csv(
                 )
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad trace row: {exc}") from exc
+            for name in ("entry_time", "dwell", "speed", "x", "y"):
+                if not math.isfinite(getattr(spec, name)):
+                    raise ValidationError(f"{path}:{lineno}: {name} must be finite, got {row[name]!r}")
+            if spec.vehicle_id in first_line:
+                raise ValidationError(
+                    f"{path}:{lineno}: vehicle_id {spec.vehicle_id} already used on line "
+                    f"{first_line[spec.vehicle_id]}"
+                )
+            first_line[spec.vehicle_id] = lineno
             if spec.entry_time < 0.0 or spec.dwell <= 0.0 or spec.speed < 0.0:
                 raise ValidationError(f"{path}:{lineno}: negative entry/dwell/speed")
             vehicles.append(spec)

@@ -401,26 +401,25 @@ def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:
 
 
 def discretize_by_field(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
-    """Level of each reading on its own (no validation): value / cap, or
+    """Level of each reading on its own (no validation): the value, or
     value / rate_scale for rates, against the two thresholds, with a value
     on a threshold taking the upper level."""
 
     def tri(value, low=config.low_threshold, high=config.high_threshold):
         return 0 if value < low else (1 if value < high else 2)
 
-    caps = config.caps
     return DiscreteState(
-        cu=Level(tri(snapshot.cpu_usage / caps["cpu_usage"])),
-        mu=Level(tri(snapshot.mem_usage / caps["mem_usage"])),
-        dsu=Level(tri(snapshot.disk_usage / caps["disk_usage"])),
-        nbu=Level(tri(snapshot.net_bw_usage / caps["net_bw_usage"])),
+        cu=Level(tri(snapshot.cpu_usage)),
+        mu=Level(tri(snapshot.mem_usage)),
+        dsu=Level(tri(snapshot.disk_usage)),
+        nbu=Level(tri(snapshot.net_bw_usage)),
         nr=Level(tri(snapshot.request_rate / config.rate_scale)),
-        at=AppType(tri(snapshot.app_type_weight / caps["app_type_weight"])),
+        at=AppType(tri(snapshot.app_type_weight)),
         ed=Level(tri(snapshot.expected_demand / config.rate_scale)),
         rt=ResponseLevel(tri(snapshot.recent_response_time,
                              config.response_fast, config.response_slow)),
         sla=SlaLevel.FULFILLED if snapshot.sla_met else SlaLevel.NOT_FULFILLED,
-        or_=Level(tri(snapshot.op_requirement / caps["op_requirement"])),
+        or_=Level(tri(snapshot.op_requirement)),
         ncn=Level(tri(snapshot.available_nodes, config.node_count_low, config.node_count_high)),
-        asd=Level(tri(snapshot.storage_availability / caps["storage_availability"])),
+        asd=Level(tri(snapshot.storage_availability)),
     )

@@ -226,8 +226,6 @@ def test_hyperparams_validation():
         HyperParams(epsilon_start=0.01, epsilon_end=0.1).validate()
     with pytest.raises(ValidationError, match="episodes"):
         HyperParams(episodes=0).validate()
-    with pytest.raises(ValidationError, match="alpha_schedule"):
-        HyperParams(alpha_schedule="linear").validate()
     HyperParams().validate()
 
 
@@ -288,6 +286,15 @@ def test_load_rejects_data_before_header(tmp_path):
     path.write_text("0\t0\t1.0\n")
     with pytest.raises(ValidationError, match="header"):
         QTable.load(path)
+
+
+def test_load_rejects_repeated_header(tmp_path):
+    path = tmp_path / "bad.tsv"
+    header = "# vfcsim qtable v1 num_states=10 num_actions=9\n"
+    path.write_text(f"{header}5\t1\t0.5\n{header}6\t2\t0.25\n")
+    with pytest.raises(ValidationError, match="repeated q-table header") as info:
+        QTable.load(path)
+    assert str(info.value).startswith(f"{path}:3: ")
 
 
 def test_load_rejects_malformed_row(tmp_path):

@@ -140,6 +140,23 @@ def test_eval_accepts_recorded_trace(tmp_path):
     assert int(rows[1][9]) > 0
 
 
+@pytest.mark.parametrize("row, message", [
+    ([1, 0.0, 50.0, 0.0, "nan", 1500.0], "trace.csv:3: x must be finite"),
+    ([1, 0.0, "inf", 0.0, 1500.0, 1500.0], "trace.csv:3: dwell must be finite"),
+    ([0, 0.0, 50.0, 0.0, 1500.0, 1500.0], "trace.csv:3: vehicle_id 0 already used on line 2"),
+])
+def test_eval_rejects_bad_trace(tmp_path, capsys, row, message):
+    trace = tmp_path / "trace.csv"
+    with trace.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["vehicle_id", "entry_time", "dwell", "speed", "x", "y"])
+        w.writerow([0, 0.0, 50.0, 0.0, 1500.0, 1500.0])
+        w.writerow(row)
+    code = run(["eval", *TINY, "--scheduler", "fcfs", "--trace", str(trace)], tmp_path / "out")
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
     trace = tmp_path / "trace.csv"
     with trace.open("w", newline="") as fh:

@@ -92,12 +92,6 @@ def test_custom_scenario_requires_core_fields():
     assert cfg.scenario.entry_rate == pytest.approx(0.5)
 
 
-def test_state_cap_keys_reach_discretizer():
-    cfg = build_config({"state.cap.cpu_usage": "2.0"})
-    assert cfg.state.caps["cpu_usage"] == 2.0
-    assert cfg.state.caps["mem_usage"] == 1.0
-
-
 def test_load_config_precedence(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("agent.episodes = 7\nscenario.name = NO.2\nsim.fog_nodes = 4\n")
@@ -123,7 +117,7 @@ def test_dump_round_trip():
         "agent.episodes": "12",
         "scenario.name": "NO.3",
         "sim.arrival_prob": "0.2",
-        "state.cap.cpu_usage": "1.5",
+        "state.response_fast": "4.5",
         "reward.w1": "0.25",
         "reward.w2": "0.35",
     })
@@ -132,6 +126,7 @@ def test_dump_round_trip():
     assert dump_config(rebuilt) == text
     assert rebuilt.agent.episodes == 12
     assert rebuilt.weights.w1 == 0.25
+    assert rebuilt.state.response_fast == 4.5
     assert rebuilt.scenario.name == "NO.3"
 
 
@@ -152,14 +147,16 @@ def test_known_keys_sorted_and_stable():
 CUSTOM_SCENARIO = {"scenario.name": "rush-hour", "scenario.adt": "100", "scenario.anv": "50", "scenario.asv": "5"}
 
 # SHA-256 of dump_config(build_config(overrides)), recorded before the key
-# list was derived from the dataclasses; config_echo.cfg must keep its bytes.
+# list was derived from the dataclasses, then re-derived by deleting the
+# lines of the REMOVED_KEYS below from those echoes; config_echo.cfg must
+# keep its bytes.
 ECHO_SHA256 = (
-    ({}, "d32e9aa31eef9c6ddc55405cace982b82a1eb0cc1a0f93fd1ea817b8bcafe5ce"),
+    ({}, "c66a795f84b214df6b76ff6f1af939ded280e366b6e07d58df4559674ed903e4"),
     (
-        {"scenario.name": "NO.4", "state.cap.cpu_usage": "1.5", "reward.latency_floor": "0.002"},
-        "f0c8df28a8505c547e776b735d7b2be0ef6d5731e8b87207b1463bfa99d893b6",
+        {"scenario.name": "NO.4", "reward.latency_floor": "0.002"},
+        "42837ef599a91558a459f696677f2577a75fe3c5fb0abe60d18d965f04fc42bb",
     ),
-    (CUSTOM_SCENARIO, "38b7da6020a37b853383d9ef2ba1244f7512b0e6cfe3570221789db80b8a6dd0"),
+    (CUSTOM_SCENARIO, "e9d1ceafdfad22077cd0a90f32b7eed7fc1b2209338a03c8636c2df13030efff"),
 )
 
 
@@ -171,16 +168,38 @@ def test_dump_bytes_pinned(overrides, digest):
 
 def test_known_keys_pinned():
     keys = known_keys()
-    assert len(keys) == 80
+    assert len(keys) == 71
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
-    assert digest == "1b3598be2ede4d89a207f5c5103ce98256c7d8d19f4ebd6be9238ec7862bb992"
+    assert digest == "3b3d2896eb878c0a0a8e6490422430dbd7ab9b140eb74e74752e60ea3630d217"
+
+
+# Keys that once selected a second code path: per-field state caps, a
+# harmonic learning-rate schedule and alternative WFQ weights.
+REMOVED_KEYS = (
+    "agent.alpha_schedule",
+    "sim.wfq_weights",
+    "state.cap.app_type_weight",
+    "state.cap.cpu_usage",
+    "state.cap.disk_usage",
+    "state.cap.mem_usage",
+    "state.cap.net_bw_usage",
+    "state.cap.op_requirement",
+    "state.cap.storage_availability",
+)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(key):
+    assert key not in known_keys()
+    with pytest.raises(ConfigError, match=f"unknown key '{re.escape(key)}'"):
+        build_config({key: "1.0"})
+    with pytest.raises(ConfigError, match=f"run.cfg:2: unknown key '{re.escape(key)}'"):
+        parse_config_text(f"agent.episodes = 3\n{key} = 1.0\n", "run.cfg")
 
 
 def _value(cfg, key):
     """Read a key's value straight from the RunConfig fields."""
     prefix, _, name = key.partition(".")
-    if name.startswith("cap."):
-        return cfg.state.caps[name[len("cap."):]]
     if key in ("reward.latency_floor", "reward.quality_desired"):
         return getattr(cfg, name)
     sections = {

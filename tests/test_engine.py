@@ -21,7 +21,6 @@ from vfcsim.engine import (
     build_scheduler,
     derive_seed,
     load_tables,
-    resolve_wfq_weights,
     run_episode,
     run_evaluation,
     run_training,
@@ -143,17 +142,12 @@ def test_release_guards(resource, amount):
         release(amount)
 
 
-def test_wfq_weight_resolution():
-    cfg = build_config({"sim.wfq_weights": "equal"})
-    assert resolve_wfq_weights(cfg, build_nodes(cfg)) == [1.0] * 9
-    cfg = build_config({})
-    nodes = build_nodes(cfg)
-    assert resolve_wfq_weights(cfg, nodes) == [n.cpu_freq / 1e9 for n in nodes]
-    cfg = build_config({"sim.fog_nodes": "2", "sim.wfq_weights": "2.0,1.0"})
-    assert resolve_wfq_weights(cfg, build_nodes(cfg)) == [2.0, 1.0]
-    with pytest.raises(ValidationError, match="wfq_weights"):
-        cfg = build_config({"sim.wfq_weights": "2.0,1.0"})  # 9 nodes, 2 weights
-        resolve_wfq_weights(cfg, build_nodes(cfg))
+@pytest.mark.parametrize("fog_nodes", ["9", "2"])
+def test_wfq_weighs_each_node_by_its_cpu_ghz(fog_nodes):
+    cfg = build_config({"sim.fog_nodes": fog_nodes})
+    ghz = [n.cpu_freq / 1e9 for n in build_nodes(cfg)]
+    assert build_scheduler(cfg, "wfq").weights == ghz
+    assert len(set(ghz)) == len(ghz)  # unequal weights, so the weighting shows
 
 
 def test_build_scheduler_names():

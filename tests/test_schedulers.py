@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vfcsim.agent import HyperParams, Tier, init_q_values
+from vfcsim.agent import Tier, init_q_values
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import (
     DecisionContext,
@@ -193,7 +193,7 @@ def make_qlearn(table_values=None, epsilon=0.0, num_states=16):
     table = init_q_values(num_states, 9)
     for (s, a), v in (table_values or {}).items():
         table.set(s, a, v)
-    sched = QLearningScheduler({0: table}, HyperParams(), random.Random(0), epsilon=epsilon)
+    sched = QLearningScheduler({0: table}, random.Random(0), epsilon=epsilon)
     sched.decision_node = 0
     return sched
 
@@ -254,7 +254,7 @@ def test_qlearn_failed_fog_resolution_reports_action():
 
 def test_qlearn_needs_tables():
     with pytest.raises(ValidationError):
-        QLearningScheduler({}, HyperParams(), random.Random(0))
+        QLearningScheduler({}, random.Random(0))
 
 
 # -- interface parity -------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracles import TelemetrySnapshot, discretize, discretize_by_field, state_index
 from vfcsim.errors import ValidationError
 from vfcsim.state_space import (
-    FRACTION_FIELDS,
     NUM_STATES,
     AppType,
     DiscreteState,
@@ -125,11 +124,16 @@ def test_rate_scale_divides_rates():
     assert discretize(make_snapshot(expected_demand=7.0), cfg).ed is Level.HIGH
 
 
-def test_caps_rescale_fractions():
-    cfg = StateSpaceConfig()
-    cfg.caps["cpu_usage"] = 2.0
-    # 0.5 of a 2.0 cap is a quarter: Low
-    assert discretize(make_snapshot(cpu_usage=0.5), cfg).cu is Level.LOW
+# the readings that must lie in [0, 1]
+FRACTION_FIELDS = (
+    "cpu_usage",
+    "mem_usage",
+    "disk_usage",
+    "net_bw_usage",
+    "app_type_weight",
+    "op_requirement",
+    "storage_availability",
+)
 
 
 @pytest.mark.parametrize("field", FRACTION_FIELDS)

@@ -147,3 +147,35 @@ def test_trace_bad_values_rejected(tmp_path):
     write_trace(path, [(0, 1.0, 5.0, "fast", 0.0, 0.0)])
     with pytest.raises(ValidationError, match="bad trace row"):
         load_trace_csv(path, random.Random(2), 1e9, 2e9)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["entry_time", "dwell", "speed", "x", "y"])
+def test_trace_non_finite_value_rejected(tmp_path, column, bad):
+    path = tmp_path / "trace.csv"
+    good = (0, 1.0, 50.0, 1.0, 10.0, 10.0)
+    row = list(good)
+    row[TRACE_COLUMNS.index(column)] = bad
+    write_trace(path, [good, row])
+    with pytest.raises(ValidationError, match=f"trace.csv:3: {column} must be finite"):
+        load_trace_csv(path, random.Random(2), 1e9, 2e9)
+
+
+def test_trace_error_names_the_file_line_past_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        ",".join(TRACE_COLUMNS) + "\n0,0.0,50.0,1.0,10.0,10.0\n\n1,-1.0,50.0,1.0,10.0,10.0\n"
+    )
+    with pytest.raises(ValidationError, match="trace.csv:4: negative"):
+        load_trace_csv(path, random.Random(2), 1e9, 2e9)
+
+
+def test_trace_repeated_vehicle_id_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, [
+        (4, 0.0, 50.0, 1.0, 10.0, 10.0),
+        (5, 1.0, 50.0, 1.0, 10.0, 10.0),
+        (4, 2.0, 80.0, 1.0, 10.0, 10.0),
+    ])
+    with pytest.raises(ValidationError, match="trace.csv:4: vehicle_id 4 already used on line 2"):
+        load_trace_csv(path, random.Random(2), 1e9, 2e9)
