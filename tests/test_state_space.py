@@ -136,6 +136,18 @@ FRACTION_FIELDS = (
 )
 
 
+FRACTION_LEVEL_ATTRS = dict(zip(FRACTION_FIELDS, ("cu", "mu", "dsu", "nbu", "at", "or_", "asd")))
+
+
+@pytest.mark.parametrize("field", FRACTION_FIELDS)
+def test_fraction_is_binned_as_read(field):
+    # no cap rescales a fraction: its [0, 1] range spans all three levels
+    attr = FRACTION_LEVEL_ATTRS[field]
+    levels = [getattr(discretize(make_snapshot(**{field: v}), CFG), attr).value
+              for v in (0.0, 0.3, 0.5, 0.7, 1.0)]
+    assert levels == [0, 0, 1, 2, 2]
+
+
 @pytest.mark.parametrize("field", FRACTION_FIELDS)
 def test_fraction_validation_names_field(field):
     with pytest.raises(ValidationError, match=field):
