@@ -57,6 +57,15 @@ AGGREGATE_COLUMNS = (
 )
 
 
+def _check_unique(values: list, flag: str) -> None:
+    """A repeated entry would run twice and count twice in every mean."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"{flag} lists {v!r} more than once")
+        seen.add(v)
+
+
 def _parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -64,6 +73,11 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"bad --seed list {text!r}") from exc
     if not seeds:
         raise ConfigError("empty --seed list")
+    for seed in seeds:
+        if seed < 0:
+            # random.Random seeds with the absolute value: -1 replays 1
+            raise ConfigError(f"--seed {seed!r} is negative")
+    _check_unique(seeds, "--seed")
     return seeds
 
 
@@ -74,6 +88,7 @@ def _parse_probs(text: str) -> list[float]:
         raise ConfigError(f"bad --probs list {text!r}") from exc
     if not probs or any(not (0.0 <= p <= 1.0) for p in probs):
         raise ConfigError(f"--probs values must lie in [0, 1], got {text!r}")
+    _check_unique(probs, "--probs")
     return probs
 
 
@@ -84,6 +99,15 @@ def _parse_schedulers(text: str) -> list[str]:
             raise ConfigError(f"unknown scheduler {name!r} (choices: {', '.join(SCHEDULER_NAMES)})")
     if not names:
         raise ConfigError("empty --schedulers list")
+    _check_unique(names, "--schedulers")
+    return names
+
+
+def _parse_scenarios(text: str) -> list[str]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ConfigError("empty --scenarios list")
+    _check_unique(names, "--scenarios")
     return names
 
 
@@ -128,12 +152,15 @@ def _load_checkpoint(args, cfg):
 
 
 def cmd_train(args) -> int:
+    seeds = _parse_seeds(args.seed)
+    if len(seeds) > 1:
+        raise ConfigError(f"train takes one --seed, got {args.seed!r}")
+    seed = seeds[0]
     cfg = _load(args)
     if args.episodes is not None:
         cfg.agent.episodes = args.episodes
     out = _out_dir(args)
     _write_echo(cfg, out)
-    seed = _parse_seeds(args.seed)[0]
     checkpoint_dir = out / "checkpoint"
     curve_path = out / "learning_curve.csv"
     try:
@@ -189,10 +216,10 @@ def _evaluate_rows(cfg, scheduler, seeds, tables, arrival_prob, episodes, out=No
 
 
 def cmd_eval(args) -> int:
+    seeds = _parse_seeds(args.seed)
     cfg = _load(args)
     out = _out_dir(args)
     _write_echo(cfg, out)
-    seeds = _parse_seeds(args.seed)
     tables = _load_checkpoint(args, cfg) if args.scheduler == "qlearn" else None
     vehicles = None
     if args.trace:
@@ -261,9 +288,7 @@ def _report_failures(failures, out: Path) -> None:
 
 def cmd_compare(args) -> int:
     schedulers = _parse_schedulers(args.schedulers)
-    scenarios = [tok.strip() for tok in args.scenarios.split(",") if tok.strip()]
-    if not scenarios:
-        raise ConfigError("empty --scenarios list")
+    scenarios = _parse_scenarios(args.scenarios)
     seeds = _parse_seeds(args.seed)
     out = _out_dir(args)
     needs_tables = "qlearn" in schedulers

@@ -10,14 +10,15 @@ enforced by an internal expiry event for every task still outstanding
 after its decision, so ledgers always conserve tasks.
 
 Events dispatch in (time, sequence) order from a single heap, each popped
-entry going to the handler that its kind indexes in a table of bound
-methods. A decision tick's new tasks travel as one TASK_ARRIVAL entry,
-pushed by the tick's snapshot, whose handler decides them one by one in
-creation order. Nothing can come between them: everything due at the tick
-that was pushed before the snapshot ran dispatches first (lower sequence),
-and everything the decisions push is later in time or sequence. Randomness
-flows through one seeded generator per episode, which makes runs
-bit-reproducible for a given configuration, scheduler and seed.
+entry going to the handler in a table of bound methods that its kind, one
+of EventKind's plain int values 0-6, indexes. A decision tick's new tasks
+travel as one TASK_ARRIVAL entry, pushed by the tick's snapshot, whose
+handler decides them one by one in creation order. Nothing can come
+between them: everything due at the tick that was pushed before the
+snapshot ran dispatches first (lower sequence), and everything the
+decisions push is later in time or sequence. Randomness flows through one
+seeded generator per episode, which makes runs bit-reproducible for a
+given configuration, scheduler and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import IntEnum
 from pathlib import Path
 
 from .agent import (
@@ -75,8 +75,10 @@ from .state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 from .traffic import Scenario, VehicleSpec, sample_vehicles
 
 
-class EventKind(IntEnum):
-    """Event kinds; the value indexes _Episode.run's handler table."""
+class EventKind:
+    """Event kinds as plain int constants; the value indexes _Episode.run's
+    handler table. Not an IntEnum: a member read costs ~5x a class
+    attribute read, and a tuple indexed by an enum misses the int fast path."""
 
     VEHICLE_ENTER = 0
     VEHICLE_EXIT = 1
@@ -96,6 +98,11 @@ _UPLOADING = 1
 _QUEUED = 2
 _EXECUTING = 3
 _DONE = 4
+
+# tiers bound once, so the per-task paths read a global, not an enum member
+_LOCAL = Tier.LOCAL
+_FOG = Tier.FOG
+_CLOUD = Tier.CLOUD
 
 
 @dataclass
@@ -426,6 +433,13 @@ class CheckpointError(RuntimeError):
 def derive_seed(master_seed: int, index: int) -> int:
     """Stream seed for episode or run `index` under a master seed."""
     return master_seed * 1_000_003 + index
+
+
+def _check_master_seed(seed: int) -> None:
+    # random.Random seeds with the absolute value, so derive_seed(-m, 0)
+    # would replay the traffic of seed m
+    if seed < 0:
+        raise ValidationError(f"seed={seed!r} must be >= 0")
 
 
 def build_nodes(cfg: RunConfig) -> list[NodeState]:
@@ -762,18 +776,22 @@ class _Episode:
             bound = now + deadline
             if veh.exit_time < bound:
                 bound = veh.exit_time
+            # The per-task dataclasses (Task, NodeView, DecisionContext,
+            # TaskRecord and the reward samples) are built positionally, in
+            # field order: on CPython 3.11 a keyword call to a slots
+            # dataclass costs 2-3x the positional one (Task 1.70 vs 0.55 us).
             tasks.append(Task(
-                task_id=self.task_counter,
-                vehicle=veh,
-                size_bits=size_bits,
-                demand_mips=demand,
-                deadline=deadline,
-                arrival=now,
-                bound=bound,
-                cycles=size_bits * self.link.cycles_per_bit,
-                mem_frac=_clamp01(size_mb / sim.node_mem_mb),
-                disk_frac=_clamp01(size_mb / sim.node_storage_mb),
-                bw_frac=_clamp01((size_bits / deadline) / self.link.wired_rate_bps),
+                self.task_counter,  # task_id
+                veh,
+                size_bits,
+                demand,  # demand_mips
+                deadline,
+                now,  # arrival
+                bound,
+                size_bits * self.link.cycles_per_bit,  # cycles
+                _clamp01(size_mb / sim.node_mem_mb),  # mem_frac
+                _clamp01(size_mb / sim.node_storage_mb),  # disk_frac
+                _clamp01((size_bits / deadline) / self.link.wired_rate_bps),  # bw_frac
             ))
             self.task_counter += 1
         if tasks:
@@ -800,14 +818,13 @@ class _Episode:
             free = 1.0 - node.cpu_commit
             views.append(
                 NodeView(
-                    node_id=node.node_id,
-                    free_share=free if free > 0.0 else 0.0,
-                    max_share=1.0 - node.baseline,
-                    distance_m=dist,
-                    req_share=(
-                        (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf
-                    ),
-                    upload_s=up,
+                    node.node_id,
+                    free if free > 0.0 else 0.0,  # free_share
+                    1.0 - node.baseline,  # max_share
+                    dist,  # distance_m
+                    # req_share
+                    (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf,
+                    up,  # upload_s
                 )
             )
 
@@ -819,7 +836,7 @@ class _Episode:
                 task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
             )
 
-        ctx = DecisionContext(cpu_mips=(task.cycles / slack) / 1e6, nodes=views)
+        ctx = DecisionContext((task.cycles / slack) / 1e6, views)  # cpu_mips, nodes
         scheduler = self.scheduler
         if scheduler.uses_state:
             task.state_ordinal = self.state_for(decision, task, len(views))
@@ -839,7 +856,7 @@ class _Episode:
         task.tier = int(placement.tier)
         task.bundle = placement.bundle_factor
         veh = task.vehicle
-        if placement.tier == Tier.LOCAL:
+        if placement.tier == _LOCAL:
             start = veh.busy_until if veh.busy_until > now else now
             proc = task.cycles / veh.spec.local_cpu_hz
             completion = start + proc
@@ -869,7 +886,7 @@ class _Episode:
         task.bw_alloc = _clamp01(task.bw_frac * placement.bundle_factor)
         node.bw_commit += task.bw_alloc
         task.stage = _UPLOADING
-        if placement.tier == Tier.CLOUD:
+        if placement.tier == _CLOUD:
             task.upload_planned = view.upload_s + task.size_bits / self.link.wired_rate_bps
             task.eff_cpu = _clamp01((task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz)
             task.proc_planned = task.cycles / self.sim.cloud_cpu_hz
@@ -890,9 +907,9 @@ class _Episode:
         task.upload_done_time = now
         if self.events is not None:
             self.log("UploadDone", now, task.task_id, task.exec_node,
-                     "cloud" if task.tier == Tier.CLOUD else "fog")
+                     "cloud" if task.tier == _CLOUD else "fog")
 
-        if task.tier == Tier.CLOUD:
+        if task.tier == _CLOUD:
             completion = now + task.proc_planned
             if completion > task.bound:
                 self.drop(task, now)
@@ -926,7 +943,7 @@ class _Episode:
 
     def on_execution_done(self, now: float, task: Task) -> None:
         tier = task.tier
-        if tier == Tier.FOG:
+        if tier == _FOG:
             node = self.nodes[task.exec_node]
             stats_node = node
         else:
@@ -934,9 +951,9 @@ class _Episode:
             stats_node = self.nodes[task.decision_node]
 
         util = UtilizationSample(
-            ncu=_clamp01(stats_node.cpu_commit),
-            nmu=_clamp01(stats_node.mem_commit),
-            nnbu=_clamp01(stats_node.bw_commit),
+            _clamp01(stats_node.cpu_commit),  # ncu
+            _clamp01(stats_node.mem_commit),  # nmu
+            _clamp01(stats_node.bw_commit),  # nnbu
         )
         if node is not None:
             node.release_cpu(task.cpu_share)
@@ -947,19 +964,19 @@ class _Episode:
         stats_node.record_outcome(True)
 
         weights = self.cfg.weights
-        if tier == Tier.LOCAL:
+        if tier == _LOCAL:
             wastage = 0.0
         else:
-            actual_cpu = task.cpu_share if tier == Tier.FOG else _clamp01(task.eff_cpu * task.bundle)
+            actual_cpu = task.cpu_share if tier == _FOG else _clamp01(task.eff_cpu * task.bundle)
             wastage = resource_wastage(
                 [
                     WastageSample(
-                        actual_cpu=_clamp01(actual_cpu),
-                        efficient_cpu=_clamp01(task.eff_cpu),
-                        actual_mem=_clamp01(task.mem_frac * task.bundle),
-                        efficient_mem=task.mem_frac,
-                        actual_bw=_clamp01(task.bw_frac * task.bundle),
-                        efficient_bw=task.bw_frac,
+                        _clamp01(actual_cpu),
+                        _clamp01(task.eff_cpu),
+                        _clamp01(task.mem_frac * task.bundle),  # actual_mem
+                        task.mem_frac,  # efficient_mem
+                        _clamp01(task.bw_frac * task.bundle),  # actual_bw
+                        task.bw_frac,  # efficient_bw
                     )
                 ]
             )
@@ -968,9 +985,9 @@ class _Episode:
         throughput = (task.size_bits / t_current) / self.link.wired_rate_bps if t_current > 0.0 else 1.0
         qos = qos_reward(
             QualitySample(
-                latency=t_current,
-                throughput=throughput if throughput <= 1.0 else 1.0,
-                reliability=stats_node.reliability(),
+                t_current,  # latency
+                throughput if throughput <= 1.0 else 1.0,
+                stats_node.reliability(),
             ),
             weights,
             self.cfg.latency_floor,
@@ -988,9 +1005,9 @@ class _Episode:
             # admission only allows completion <= bound; when completion
             # falls exactly on the bound this expiry event dispatches
             # first (lower sequence number), so verify and stand down
-            if task.tier == Tier.LOCAL:
+            if task.tier == _LOCAL:
                 completion = task.arrival + task.wait + task.proc
-            elif task.tier == Tier.FOG:
+            elif task.tier == _FOG:
                 completion = task.upload_done_time + task.wait + task.proc
             else:
                 completion = task.upload_done_time + task.proc
@@ -1048,17 +1065,17 @@ class _Episode:
         self.reward_sum += reward
         self.edge_log.add(task.decision_node, int(now), reward)
         record = TaskRecord(
-            task_id=task.task_id,
-            arrival=task.arrival,
-            upload=task.upload if serviced else 0.0,
-            wait=task.wait if serviced else 0.0,
-            proc=task.proc if serviced else 0.0,
-            completion=now,
-            serviced=serviced,
-            tier=task.tier,
-            node_id=task.exec_node,
-            reward=reward,
-            components=components,
+            task.task_id,
+            task.arrival,
+            task.upload if serviced else 0.0,
+            task.wait if serviced else 0.0,
+            task.proc if serviced else 0.0,
+            now,  # completion
+            serviced,
+            task.tier,
+            task.exec_node,  # node_id
+            reward,
+            components,
         )
         self.ledger.append(record)
         if self.events is not None:
@@ -1070,7 +1087,7 @@ class _Episode:
                 task.arrival,
                 components,
                 task.decision_node,
-                task.tier == Tier.LOCAL,
+                task.tier == _LOCAL,
                 record.proc,
                 reward,
                 serviced,
@@ -1134,6 +1151,7 @@ def run_training(
     given; a write failure raises CheckpointError carrying the curve.
     """
     cfg.validate()
+    _check_master_seed(master_seed)
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
     scheduler = QLearningScheduler(tables, random.Random(0), bundles)
@@ -1182,6 +1200,7 @@ def run_evaluation(
     replaces the sampled traffic in every episode (a recorded trace).
     """
     cfg.validate()
+    _check_master_seed(seed)
     n_episodes = cfg.sim.eval_episodes if episodes is None else episodes
     if n_episodes < 1:
         raise ValidationError(f"episodes={n_episodes!r} must be >= 1")

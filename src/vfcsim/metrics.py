@@ -56,7 +56,8 @@ class TaskLedger:
 
     @property
     def k_local(self) -> int:
-        return sum(1 for r in self.records if r.serviced and r.tier == Tier.LOCAL)
+        local = Tier.LOCAL  # bound once, not read per record
+        return sum(1 for r in self.records if r.serviced and r.tier == local)
 
     @property
     def k_dropped(self) -> int:
@@ -192,18 +193,19 @@ def build_report(
     edge_log: EdgeRewardLog,
     num_edges: int,
 ) -> MetricsReport:
+    # k_serviced and k_dropped each pass over every record: read them once
+    total = ledger.k_total
+    serviced = ledger.k_serviced
+    dropped = ledger.k_dropped
     flags: list[str] = []
-    if ledger.k_total == 0:
+    if total == 0:
         flags.append("no-tasks")
-    elif ledger.k_serviced == 0:
+    elif serviced == 0:
         flags.append("no-serviced-tasks")
     cr, cr_flags = cumulative_reward(episodes)
     flags.extend(cr_flags)
-    total = ledger.k_total
-    serviced = ledger.k_serviced
-    conserved = serviced + ledger.k_dropped
-    if conserved != total:
-        raise ValidationError(f"ledger conservation violated: {serviced}+{ledger.k_dropped} != {total}")
+    if serviced + dropped != total:
+        raise ValidationError(f"ledger conservation violated: {serviced}+{dropped} != {total}")
     return MetricsReport(
         apt=apt(ledger),
         ast=ast(ledger),
@@ -213,7 +215,7 @@ def build_report(
         k_total=total,
         k_serviced=serviced,
         k_local=ledger.k_local,
-        k_dropped=ledger.k_dropped,
+        k_dropped=dropped,
         flags=tuple(flags),
     )
 

@@ -24,6 +24,11 @@ from dataclasses import dataclass
 from .agent import Action, QTable, Tier, select_action
 from .errors import ValidationError
 
+# tiers bound once, so the per-task paths read a global, not an enum member
+_LOCAL = Tier.LOCAL
+_FOG = Tier.FOG
+_CLOUD = Tier.CLOUD
+
 
 @dataclass(slots=True)
 class NodeView:
@@ -74,14 +79,14 @@ def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placem
     relay = _nearest_reachable(ctx.nodes)
     if relay is None:
         return None
-    return Placement(Tier.CLOUD, relay.node_id, 0.0, bundle_factor)
+    return Placement(_CLOUD, relay.node_id, 0.0, bundle_factor)
 
 
 def _fog_placement(node: NodeView, bundle_factor: float = 1.0) -> Placement:
     share = node.req_share * bundle_factor
     if share > node.max_share:
         share = node.max_share
-    return Placement(Tier.FOG, node.node_id, share, bundle_factor)
+    return Placement(_FOG, node.node_id, share, bundle_factor)
 
 
 class Scheduler:
@@ -236,9 +241,9 @@ class QLearningScheduler(Scheduler):
         return placement
 
     def _resolve(self, ctx: DecisionContext, action: Action, factor: float) -> Placement | None:
-        if action.tier == Tier.LOCAL:
-            return Placement(Tier.LOCAL, -1, 0.0, 1.0, action.ordinal)
-        if action.tier == Tier.CLOUD:
+        if action.tier == _LOCAL:
+            return Placement(_LOCAL, -1, 0.0, 1.0, action.ordinal)
+        if action.tier == _CLOUD:
             return _cloud_placement(ctx, factor)
         # least-loaded viable node; iteration order makes ties go to the
         # lowest node ID

@@ -306,3 +306,37 @@ def test_bad_seed_list_exits_2(tmp_path, capsys):
     code = run(["eval", *TINY, "--scheduler", "fcfs", "--seed", "one"], tmp_path)
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds, named", [
+    ("1,-1,1", "--seed -1 is negative"),
+    ("1,2,1", "--seed lists 1 more than once"),
+    ("3,03", "--seed lists 3 more than once"),
+], ids=["negative", "repeated", "same-int"])
+def test_negative_or_repeated_seed_exits_2(tmp_path, capsys, seeds, named):
+    code = run(["eval", *TINY, "--scheduler", "fcfs", "--seed", seeds], tmp_path)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_takes_one_seed(tmp_path, capsys):
+    code = run(["train", *TINY, "--episodes", "1", "--seed", "1,2"], tmp_path)
+    assert code == 2
+    assert "one --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, named", [
+    (["sweep", "--schedulers", "fcfs", "--probs", "0.5,0.5"], "--probs lists 0.5 more than once"),
+    (["sweep", "--schedulers", "fcfs", "--probs", "0.5,0.50"], "--probs lists 0.5 more than once"),
+    (["sweep", "--schedulers", "fcfs,rr,fcfs", "--probs", "0.5"], "--schedulers lists 'fcfs' more than once"),
+    (["compare", "--schedulers", "rr,rr", "--scenarios", "NO.4"], "--schedulers lists 'rr' more than once"),
+    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4,NO.4"], "--scenarios lists 'NO.4' more than once"),
+], ids=["sweep-probs", "sweep-probs-same-float", "sweep-schedulers", "compare-schedulers",
+        "compare-scenarios"])
+def test_repeated_list_entry_exits_2(tmp_path, capsys, args, named):
+    code = run([*args, *TINY, "--seed", "1"], tmp_path)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

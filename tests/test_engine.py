@@ -167,6 +167,46 @@ def test_derive_seed_spreads():
     assert derive_seed(1, 2) == derive_seed(1, 2)
 
 
+def test_negative_master_seed_rejected(tiny_cfg):
+    # random.Random(-1) replays random.Random(1), so seed -1 would replay 1
+    tiny_cfg.agent.episodes = 1
+    with pytest.raises(ValidationError, match="seed=-1"):
+        run_training(tiny_cfg, -1)
+    with pytest.raises(ValidationError, match="seed=-1"):
+        run_evaluation(tiny_cfg, "fcfs", -1)
+
+
+# handler of each event kind, in the order of _Episode.run's table
+HANDLERS = (
+    ("VEHICLE_ENTER", "on_vehicle_enter"),
+    ("VEHICLE_EXIT", "on_vehicle_exit"),
+    ("TASK_ARRIVAL", "on_tick_arrivals"),
+    ("UPLOAD_DONE", "on_upload_done"),
+    ("EXECUTION_DONE", "on_execution_done"),
+    ("SNAPSHOT", "on_snapshot"),
+    ("TASK_EXPIRE", "on_task_expire"),
+)
+
+
+def test_event_kinds_are_plain_ints_indexing_the_handler_table(monkeypatch, tiny_cfg):
+    values = [getattr(EventKind, kind) for kind, _ in HANDLERS]
+    assert values == list(range(len(HANDLERS)))
+    assert all(type(v) is int for v in values)
+
+    dispatched = []
+    for kind, handler in HANDLERS:
+        monkeypatch.setattr(_Episode, handler,
+                            lambda self, now, payload, h=handler: dispatched.append((h, payload)))
+
+    def one_of_each(self):
+        for kind, _ in HANDLERS:
+            self.push(0.0, getattr(EventKind, kind), kind)
+
+    monkeypatch.setattr(_Episode, "schedule_all", one_of_each)
+    run_episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, vehicles=[])
+    assert dispatched == [(handler, kind) for kind, handler in HANDLERS]
+
+
 # -- worked examples -----------------------------------------------------------------
 
 def test_local_execution_worked_example():
