@@ -4,7 +4,7 @@ Actions pair an execution tier (vehicle-local, fog, cloud) with a resource
 bundle size scaling the allocation. The Q-table stores one row of action
 values per visited state; unwritten entries read as the 0.0 initialization,
 and argmax ties resolve to the lowest action ordinal so greedy behavior is
-deterministic.
+deterministic. A checkpoint is one qtable_node{k}.tsv per fog node.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from enum import IntEnum
 from pathlib import Path
 
 from .errors import ValidationError
+from .state_space import NUM_STATES
 
 
 class Tier(IntEnum):
@@ -197,6 +198,64 @@ class QTable:
         if table is None:
             raise ValidationError(f"{path}: missing q-table header")
         return table
+
+
+def save_tables(tables: dict[int, QTable], directory: str | Path) -> None:
+    """Write one qtable_node{k}.tsv per table and remove any other node's
+    table, so the directory holds exactly this grid's checkpoint."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    names = set()
+    for node_id, table in sorted(tables.items()):
+        name = f"qtable_node{node_id}.tsv"
+        table.save(directory / name)
+        names.add(name)
+    for path in directory.glob("qtable_node*.tsv"):
+        if path.name not in names:
+            path.unlink()
+
+
+def _check_table_shape(table: QTable, owner: str) -> None:
+    if (table.num_states, table.num_actions) != (NUM_STATES, NUM_ACTIONS):
+        raise ValidationError(
+            f"{owner}: q-table is {table.num_states} x {table.num_actions}, "
+            f"expected num_states={NUM_STATES} num_actions={NUM_ACTIONS}"
+        )
+
+
+def check_tables(tables: dict[int, QTable], num_nodes: int) -> None:
+    """Tables for exactly the fog nodes 0..num_nodes-1, each of the agent's shape."""
+    for node_id in tables:
+        if node_id not in range(num_nodes):
+            raise ValidationError(f"node {node_id!r}: q-table given, but the grid has "
+                                  f"fog nodes 0..{num_nodes - 1} only")
+    for node_id in range(num_nodes):
+        if node_id not in tables:
+            raise ValidationError(f"node {node_id}: no q-table")
+        _check_table_shape(tables[node_id], f"node {node_id}")
+
+
+def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
+    """The tables qtable_node0..num_nodes-1.tsv in `directory`; a directory
+    that also holds a table of another node is not this grid's checkpoint."""
+    directory = Path(directory)
+    names = [f"qtable_node{node_id}.tsv" for node_id in range(num_nodes)]
+    expected = set(names)
+    for path in sorted(directory.glob("qtable_node*.tsv")):
+        if path.name not in expected:
+            raise ValidationError(
+                f"{path}: not a table of this {num_nodes}-node grid, "
+                f"whose tables are qtable_node0..{num_nodes - 1}.tsv"
+            )
+    tables: dict[int, QTable] = {}
+    for node_id, name in enumerate(names):
+        path = directory / name
+        if not path.exists():
+            raise ValidationError(f"checkpoint incomplete: missing {path}")
+        table = QTable.load(path)
+        _check_table_shape(table, str(path))
+        tables[node_id] = table
+    return tables
 
 
 def init_q_values(num_states: int, num_actions: int) -> QTable:

@@ -5,6 +5,10 @@ directory so results can be reproduced from the artifacts alone. Runs are
 deterministic for a given (config, scheduler, seed), and output files are
 written in a fixed order so identical invocations produce identical bytes.
 
+--arrival-prob and --episodes set config keys (sim.arrival_prob, and
+agent.episodes for train or sim.eval_episodes otherwise) over --set, so
+the echo holds them too.
+
 Exit codes: 0 on success, 1 when one or more runs failed (failures are
 recorded and the remaining runs still execute), 2 on configuration or
 usage errors.
@@ -19,9 +23,11 @@ import random
 import sys
 from pathlib import Path
 
+from .agent import load_tables
 from .config import dump_config, load_config
-from .engine import CheckpointError, load_tables, run_evaluation, run_training, write_event_log
+from .engine import CheckpointError, run_evaluation, run_training
 from .errors import ConfigError, ValidationError
+from .eventlog import write_event_log
 from .metrics import RUN_CSV_COLUMNS, mean_std, run_csv_row
 from .traffic import load_trace_csv
 
@@ -130,8 +136,17 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load(args, scenario: str | None = None):
-    return load_config(args.config, _parse_sets(args.set), scenario or args.scenario)
+def _load(args, scenario: str | None = None, arrival_prob: float | None = None):
+    """The config of a run: file, --scenario, --set, then the flags."""
+    overrides = _parse_sets(args.set)
+    if arrival_prob is None:
+        arrival_prob = getattr(args, "arrival_prob", None)
+    if arrival_prob is not None:
+        overrides["sim.arrival_prob"] = repr(arrival_prob)
+    if args.episodes is not None:
+        key = "agent.episodes" if args.command == "train" else "sim.eval_episodes"
+        overrides[key] = str(args.episodes)
+    return load_config(args.config, overrides, scenario or args.scenario)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -157,14 +172,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"train takes one --seed, got {args.seed!r}")
     seed = seeds[0]
     cfg = _load(args)
-    if args.episodes is not None:
-        cfg.agent.episodes = args.episodes
     out = _out_dir(args)
     _write_echo(cfg, out)
     checkpoint_dir = out / "checkpoint"
     curve_path = out / "learning_curve.csv"
     try:
-        result = run_training(cfg, seed, args.arrival_prob, checkpoint_dir)
+        result = run_training(cfg, seed, checkpoint_dir=checkpoint_dir)
         curve = result.curve
         failed = False
     except CheckpointError as exc:
@@ -187,31 +200,28 @@ def cmd_train(args) -> int:
     return 1 if failed else 0
 
 
-def _evaluate_rows(cfg, scheduler, seeds, tables, arrival_prob, episodes, out=None, events=False, vehicles=None):
-    """Run one scheduler across seeds; returns (rows, reports, failures)."""
+def _evaluate(runs, seeds, out=None, vehicles=None):
+    """Evaluate each (config, scheduler, tables) of `runs` on every seed, in
+    order; returns (rows, reports, failures). With `out`, each evaluation
+    writes its event log there."""
     rows = []
     reports = []
     failures = []
-    for seed in seeds:
-        try:
-            result = run_evaluation(
-                cfg,
-                scheduler,
-                seed,
-                tables=tables,
-                arrival_prob=arrival_prob,
-                episodes=episodes,
-                collect_events=events,
-                vehicles=vehicles,
-            )
-        except (ValidationError, RuntimeError) as exc:
-            failures.append((scheduler, cfg.scenario.name, seed, str(exc)))
-            continue
-        prob = cfg.sim.arrival_prob if arrival_prob is None else arrival_prob
-        rows.append(run_csv_row(result.report, scheduler, cfg.scenario.name, seed, prob))
-        reports.append((seed, result.report))
-        if events and out is not None and result.events is not None:
-            write_event_log(result.events, out / f"events_{scheduler}_seed{seed}.ndjson")
+    for cfg, scheduler, tables in runs:
+        for seed in seeds:
+            try:
+                result = run_evaluation(
+                    cfg, scheduler, seed, tables=tables,
+                    collect_events=out is not None, vehicles=vehicles,
+                )
+            except (ValidationError, RuntimeError) as exc:
+                failures.append((scheduler, cfg.scenario.name, seed, str(exc)))
+                continue
+            rows.append(run_csv_row(result.report, scheduler, cfg.scenario.name, seed,
+                                    cfg.sim.arrival_prob))
+            reports.append((seed, result.report))
+            if out is not None:
+                write_event_log(result.events, out / f"events_{scheduler}_seed{seed}.ndjson")
     return rows, reports, failures
 
 
@@ -227,10 +237,7 @@ def cmd_eval(args) -> int:
         vehicles = load_trace_csv(
             args.trace, random.Random(seeds[0]), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
         )
-    rows, reports, failures = _evaluate_rows(
-        cfg, args.scheduler, seeds, tables, args.arrival_prob, args.episodes,
-        out=out, events=True, vehicles=vehicles,
-    )
+    rows, reports, failures = _evaluate([(cfg, args.scheduler, tables)], seeds, out, vehicles)
     _write_csv(out / "metrics.csv", RUN_CSV_COLUMNS, rows)
     _report_failures(failures, out)
     for seed, report in reports:
@@ -291,24 +298,14 @@ def cmd_compare(args) -> int:
     scenarios = _parse_scenarios(args.scenarios)
     seeds = _parse_seeds(args.seed)
     out = _out_dir(args)
-    needs_tables = "qlearn" in schedulers
-    all_rows: list[list[str]] = []
-    failures = []
-    echoed = False
+    runs = []
     for scenario in scenarios:
         cfg = _load(args, scenario)
-        if not echoed:
+        if scenario == scenarios[0]:
             _write_echo(cfg, out)
-            echoed = True
-        tables = _load_checkpoint(args, cfg) if needs_tables else None
-        for scheduler in schedulers:
-            rows, _reports, fails = _evaluate_rows(
-                cfg, scheduler, seeds,
-                tables if scheduler == "qlearn" else None,
-                args.arrival_prob, args.episodes,
-            )
-            all_rows.extend(rows)
-            failures.extend(fails)
+        tables = _load_checkpoint(args, cfg) if "qlearn" in schedulers else None
+        runs += [(cfg, s, tables if s == "qlearn" else None) for s in schedulers]
+    all_rows, _reports, failures = _evaluate(runs, seeds)
     _write_csv(out / "runs.csv", RUN_CSV_COLUMNS, all_rows)
     aggregate = _aggregate_rows(all_rows) + _paper_rows()
     _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate)
@@ -325,26 +322,21 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     _write_echo(cfg, out)
     tables = _load_checkpoint(args, cfg) if "qlearn" in schedulers else None
-    all_rows: list[list[str]] = []
-    failures = []
-    series: dict[tuple[str, float], list[list[str]]] = {}
+    runs = []
     for prob in probs:
-        for scheduler in schedulers:
-            rows, _reports, fails = _evaluate_rows(
-                cfg, scheduler, seeds,
-                tables if scheduler == "qlearn" else None,
-                prob, args.episodes,
-            )
-            all_rows.extend(rows)
-            failures.extend(fails)
-            series.setdefault((scheduler, prob), []).extend(rows)
+        prob_cfg = _load(args, arrival_prob=prob)
+        runs += [(prob_cfg, s, tables if s == "qlearn" else None) for s in schedulers]
+    all_rows, _reports, failures = _evaluate(runs, seeds)
+    series: dict[tuple[str, str], list[list[str]]] = {}
+    for row in all_rows:  # keyed by (scheduler, arrival_prob) as written
+        series.setdefault((row[0], row[3]), []).append(row)
     _write_csv(out / "sweep.csv", RUN_CSV_COLUMNS, all_rows)
 
     series_rows = []
     asr_series: dict[str, list[tuple[float, float]]] = {}
     for scheduler in schedulers:
         for prob in probs:
-            rows = series.get((scheduler, prob), [])
+            rows = series.get((scheduler, repr(prob)), [])
             if not rows:
                 continue
             means = {
@@ -388,14 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, arrival_prob: bool = True) -> None:
         p.add_argument("--config", default=None, help="config file (flat key = value)")
         p.add_argument("--scenario", default=None, help="traffic scenario name (default NO.1)")
         p.add_argument("--seed", default="1", help="comma-separated seed list")
         p.add_argument("--out", default=None, help="output directory (or $VFCSIM_OUT)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-        p.add_argument("--arrival-prob", type=float, default=None, dest="arrival_prob",
-                       help="per-vehicle per-interval task probability override")
+        if arrival_prob:  # sweep takes its probabilities from --probs
+            p.add_argument("--arrival-prob", type=float, default=None, dest="arrival_prob",
+                           help="per-vehicle per-interval task probability (sim.arrival_prob)")
 
     p_train = sub.add_parser("train", help="train the q-learning scheduler")
     common(p_train)
@@ -419,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="sweep the task arrival probability")
-    common(p_sweep)
+    common(p_sweep, arrival_prob=False)
     p_sweep.add_argument("--schedulers", default="qlearn,fcfs,rr,wfq")
     p_sweep.add_argument("--probs", default="0.3,0.4,0.5,0.6,0.7")
     p_sweep.add_argument("--checkpoint", default=None)

@@ -7,9 +7,8 @@ canonical form that parses back to an identical RunConfig, which is what
 run directories receive as config_echo.cfg for provenance.
 
 The keys are the fields of the section dataclasses (`<prefix>.<field>`,
-prefixes in _SECTIONS), typed by their annotations. The only other keys
-are reward.latency_floor and reward.quality_desired, which are RunConfig
-fields of their own.
+prefixes in _SECTIONS), typed by their annotations; RunConfig groups one
+instance of each section.
 
 scenario.name selects a built-in traffic scenario; individual scenario.*
 statistics may then be overridden (or a fully custom scenario described).
@@ -21,15 +20,134 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import HyperParams
-from .engine import RunConfig, SimParams
 from .errors import ConfigError, ValidationError
 from .link import LinkParams
 from .rewards import RewardWeights
 from .state_space import StateSpaceConfig
 from .traffic import SCENARIOS, Scenario
+
+
+@dataclass
+class SimParams:
+    """Geometry, fleet, node and task-population constants."""
+
+    fog_nodes: int = 9
+    area_m: float = 3000.0
+    cloud_cpu_hz: float = 1.0e10
+    vehicle_cpu_min_hz: float = 2.0e9
+    vehicle_cpu_max_hz: float = 6.0e9
+    node_cpu_min_hz: float = 3.0e9
+    node_cpu_max_hz: float = 1.0e10
+    node_cpu_init: float = 0.20
+    node_mem_init: float = 0.15
+    node_disk_init: float = 0.10
+    node_mem_mb: float = 1024.0
+    node_storage_mb: float = 4096.0
+    rolling_window: int = 20
+    rate_window_s: float = 10.0
+    demand_ema_alpha: float = 0.2
+    decision_interval_s: float = 1.0
+    arrival_prob: float = 0.05
+    eval_episodes: int = 1
+    bundle_small: float = 1.0
+    bundle_medium: float = 1.5
+    bundle_large: float = 2.0
+    app_type_mips_scale: float = 600.0
+    task_size_mb_min: float = 5.0
+    task_size_mb_max: float = 10.0
+    task_demand_mips_min: float = 100.0
+    task_demand_mips_max: float = 500.0
+    task_deadline_s_min: float = 5.0
+    task_deadline_s_max: float = 10.0
+    min_dwell_s: float = 1.0
+    topology_seed: int = 20231
+
+    def validate(self) -> None:
+        if self.fog_nodes < 1:
+            raise ValidationError(f"fog_nodes={self.fog_nodes!r} must be >= 1")
+        positives = (
+            ("area_m", self.area_m),
+            ("cloud_cpu_hz", self.cloud_cpu_hz),
+            ("vehicle_cpu_min_hz", self.vehicle_cpu_min_hz),
+            ("node_cpu_min_hz", self.node_cpu_min_hz),
+            ("node_mem_mb", self.node_mem_mb),
+            ("node_storage_mb", self.node_storage_mb),
+            ("rate_window_s", self.rate_window_s),
+            ("decision_interval_s", self.decision_interval_s),
+            ("app_type_mips_scale", self.app_type_mips_scale),
+            ("task_size_mb_min", self.task_size_mb_min),
+            ("task_demand_mips_min", self.task_demand_mips_min),
+            ("task_deadline_s_min", self.task_deadline_s_min),
+            ("min_dwell_s", self.min_dwell_s),
+            ("bundle_small", self.bundle_small),
+        )
+        for name, v in positives:
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+                raise ValidationError(f"{name} must be positive, got {v!r}")
+        ordered = (
+            ("vehicle_cpu_min_hz", self.vehicle_cpu_min_hz, "vehicle_cpu_max_hz", self.vehicle_cpu_max_hz),
+            ("node_cpu_min_hz", self.node_cpu_min_hz, "node_cpu_max_hz", self.node_cpu_max_hz),
+            ("task_size_mb_min", self.task_size_mb_min, "task_size_mb_max", self.task_size_mb_max),
+            ("task_demand_mips_min", self.task_demand_mips_min, "task_demand_mips_max", self.task_demand_mips_max),
+            ("task_deadline_s_min", self.task_deadline_s_min, "task_deadline_s_max", self.task_deadline_s_max),
+        )
+        for lo_name, lo, hi_name, hi in ordered:
+            if hi < lo:
+                raise ValidationError(f"{hi_name}={hi!r} below {lo_name}={lo!r}")
+            # NaN passes `hi < lo`; the minimums were checked finite above
+            if not math.isfinite(hi):
+                raise ValidationError(f"{hi_name} must be finite, got {hi!r}")
+        fractions = (
+            ("node_cpu_init", self.node_cpu_init),
+            ("node_mem_init", self.node_mem_init),
+            ("node_disk_init", self.node_disk_init),
+            ("arrival_prob", self.arrival_prob),
+        )
+        for name, v in fractions:
+            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+                raise ValidationError(f"{name}={v!r} outside [0, 1]")
+        if self.node_cpu_init >= 1.0:
+            raise ValidationError("node_cpu_init must leave grantable capacity below 1.0")
+        if self.rolling_window < 1:
+            raise ValidationError(f"rolling_window={self.rolling_window!r} must be >= 1")
+        if not (0.0 < self.demand_ema_alpha <= 1.0):
+            raise ValidationError(f"demand_ema_alpha={self.demand_ema_alpha!r} outside (0, 1]")
+        if self.eval_episodes < 1:
+            raise ValidationError(f"eval_episodes={self.eval_episodes!r} must be >= 1")
+        # bundle_small was checked finite above and bundle_medium sits between
+        if not math.isfinite(self.bundle_large):
+            raise ValidationError(f"bundle_large must be finite, got {self.bundle_large!r}")
+        if not (1.0 <= self.bundle_small <= self.bundle_medium <= self.bundle_large):
+            raise ValidationError(
+                "bundle factors must satisfy 1 <= small <= medium <= large, got "
+                f"{self.bundle_small!r}, {self.bundle_medium!r}, {self.bundle_large!r}"
+            )
+
+
+@dataclass
+class RunConfig:
+    """Everything a run needs, grouped by module."""
+
+    state: StateSpaceConfig = field(default_factory=StateSpaceConfig)
+    weights: RewardWeights = field(default_factory=RewardWeights)
+    agent: HyperParams = field(default_factory=HyperParams)
+    link: LinkParams = field(default_factory=LinkParams)
+    sim: SimParams = field(default_factory=SimParams)
+    scenario: Scenario | None = None
+
+    def validate(self) -> None:
+        self.state.validate()
+        self.weights.validate()
+        self.agent.validate()
+        self.link.validate()
+        self.sim.validate()
+        if self.scenario is not None:
+            self.scenario.validate()
+
 
 # key prefix -> (RunConfig attribute, dataclass whose fields are the keys)
 _SECTIONS = {
@@ -40,9 +158,6 @@ _SECTIONS = {
     "sim": ("sim", SimParams),
     "scenario": ("scenario", Scenario),
 }
-
-# RunConfig's own fields that are keyed under the reward prefix.
-_RUN_CONFIG_KEYS = ("reward.latency_floor", "reward.quality_desired")
 
 # What a custom scenario gets for the fields it leaves out; duration keeps
 # its Scenario default, and the other fields without one must be set.
@@ -58,9 +173,6 @@ def _derive_tags() -> dict[str, str]:
     for prefix, (_, cls) in _SECTIONS.items():
         for f in dataclasses.fields(cls):
             tags[f"{prefix}.{f.name}"] = f.type
-    run_config_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    for key in _RUN_CONFIG_KEYS:
-        tags[key] = run_config_types[key.partition(".")[2]]
     untyped = sorted(key for key, tag in tags.items() if tag not in ("float", "int", "str"))
     if untyped:
         raise TypeError(f"config keys need a float, int or str annotation: {untyped}")
@@ -78,8 +190,6 @@ def _slot(cfg: RunConfig, key: str) -> tuple[object, str]:
     """Where key's value is stored: (object, attribute). The object is
     None when cfg has no scenario."""
     prefix, _, name = key.partition(".")
-    if key in _RUN_CONFIG_KEYS:
-        return cfg, name
     return getattr(cfg, _SECTIONS[prefix][0]), name
 
 

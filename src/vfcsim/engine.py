@@ -27,20 +27,23 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import (
-    HyperParams,
     NUM_ACTIONS,
     QTable,
     Tier,
+    check_tables,
     epsilon_at,
     init_q_values,
+    save_tables,
     update_q_value,
 )
+from .config import RunConfig, SimParams
 from .errors import ValidationError
-from .link import BITS_PER_MB, LinkParams, shannon_rate, snr_at_distance
+from .eventlog import EventRecord
+from .link import BITS_PER_MB, shannon_rate, snr_at_distance
 from .metrics import (
     EdgeRewardLog,
     EpisodeAggregate,
@@ -52,7 +55,6 @@ from .metrics import (
 from .rewards import (
     QualitySample,
     ResponseSample,
-    RewardWeights,
     UtilizationSample,
     WastageSample,
     qos_reward,
@@ -71,8 +73,13 @@ from .schedulers import (
     Scheduler,
     WfqScheduler,
 )
-from .state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
-from .traffic import Scenario, VehicleSpec, sample_vehicles
+from .state_space import NUM_STATES, snapshot_ordinal
+from .traffic import VehicleSpec, sample_vehicles
+
+# Not called here: bench/run.py and bench/tracing.py look these two up, and
+# wrap them, as attributes of this module.
+from .agent import load_tables  # noqa: F401
+from .eventlog import write_event_log  # noqa: F401
 
 
 class EventKind:
@@ -105,130 +112,6 @@ _FOG = Tier.FOG
 _CLOUD = Tier.CLOUD
 
 
-@dataclass
-class SimParams:
-    """Geometry, fleet, node and task-population constants."""
-
-    fog_nodes: int = 9
-    area_m: float = 3000.0
-    cloud_cpu_hz: float = 1.0e10
-    vehicle_cpu_min_hz: float = 2.0e9
-    vehicle_cpu_max_hz: float = 6.0e9
-    node_cpu_min_hz: float = 3.0e9
-    node_cpu_max_hz: float = 1.0e10
-    node_cpu_init: float = 0.20
-    node_mem_init: float = 0.15
-    node_disk_init: float = 0.10
-    node_mem_mb: float = 1024.0
-    node_storage_mb: float = 4096.0
-    rolling_window: int = 20
-    rate_window_s: float = 10.0
-    demand_ema_alpha: float = 0.2
-    decision_interval_s: float = 1.0
-    arrival_prob: float = 0.05
-    eval_episodes: int = 1
-    bundle_small: float = 1.0
-    bundle_medium: float = 1.5
-    bundle_large: float = 2.0
-    app_type_mips_scale: float = 600.0
-    task_size_mb_min: float = 5.0
-    task_size_mb_max: float = 10.0
-    task_demand_mips_min: float = 100.0
-    task_demand_mips_max: float = 500.0
-    task_deadline_s_min: float = 5.0
-    task_deadline_s_max: float = 10.0
-    min_dwell_s: float = 1.0
-    topology_seed: int = 20231
-
-    def validate(self) -> None:
-        if self.fog_nodes < 1:
-            raise ValidationError(f"fog_nodes={self.fog_nodes!r} must be >= 1")
-        positives = (
-            ("area_m", self.area_m),
-            ("cloud_cpu_hz", self.cloud_cpu_hz),
-            ("vehicle_cpu_min_hz", self.vehicle_cpu_min_hz),
-            ("node_cpu_min_hz", self.node_cpu_min_hz),
-            ("node_mem_mb", self.node_mem_mb),
-            ("node_storage_mb", self.node_storage_mb),
-            ("rate_window_s", self.rate_window_s),
-            ("decision_interval_s", self.decision_interval_s),
-            ("app_type_mips_scale", self.app_type_mips_scale),
-            ("task_size_mb_min", self.task_size_mb_min),
-            ("task_demand_mips_min", self.task_demand_mips_min),
-            ("task_deadline_s_min", self.task_deadline_s_min),
-            ("min_dwell_s", self.min_dwell_s),
-            ("bundle_small", self.bundle_small),
-        )
-        for name, v in positives:
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be positive, got {v!r}")
-        ordered = (
-            ("vehicle_cpu_min_hz", self.vehicle_cpu_min_hz, "vehicle_cpu_max_hz", self.vehicle_cpu_max_hz),
-            ("node_cpu_min_hz", self.node_cpu_min_hz, "node_cpu_max_hz", self.node_cpu_max_hz),
-            ("task_size_mb_min", self.task_size_mb_min, "task_size_mb_max", self.task_size_mb_max),
-            ("task_demand_mips_min", self.task_demand_mips_min, "task_demand_mips_max", self.task_demand_mips_max),
-            ("task_deadline_s_min", self.task_deadline_s_min, "task_deadline_s_max", self.task_deadline_s_max),
-        )
-        for lo_name, lo, hi_name, hi in ordered:
-            if hi < lo:
-                raise ValidationError(f"{hi_name}={hi!r} below {lo_name}={lo!r}")
-            # NaN passes `hi < lo`; the minimums were checked finite above
-            if not math.isfinite(hi):
-                raise ValidationError(f"{hi_name} must be finite, got {hi!r}")
-        fractions = (
-            ("node_cpu_init", self.node_cpu_init),
-            ("node_mem_init", self.node_mem_init),
-            ("node_disk_init", self.node_disk_init),
-            ("arrival_prob", self.arrival_prob),
-        )
-        for name, v in fractions:
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
-                raise ValidationError(f"{name}={v!r} outside [0, 1]")
-        if self.node_cpu_init >= 1.0:
-            raise ValidationError("node_cpu_init must leave grantable capacity below 1.0")
-        if self.rolling_window < 1:
-            raise ValidationError(f"rolling_window={self.rolling_window!r} must be >= 1")
-        if not (0.0 < self.demand_ema_alpha <= 1.0):
-            raise ValidationError(f"demand_ema_alpha={self.demand_ema_alpha!r} outside (0, 1]")
-        if self.eval_episodes < 1:
-            raise ValidationError(f"eval_episodes={self.eval_episodes!r} must be >= 1")
-        # bundle_small was checked finite above and bundle_medium sits between
-        if not math.isfinite(self.bundle_large):
-            raise ValidationError(f"bundle_large must be finite, got {self.bundle_large!r}")
-        if not (1.0 <= self.bundle_small <= self.bundle_medium <= self.bundle_large):
-            raise ValidationError(
-                "bundle factors must satisfy 1 <= small <= medium <= large, got "
-                f"{self.bundle_small!r}, {self.bundle_medium!r}, {self.bundle_large!r}"
-            )
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs, grouped by module."""
-
-    state: StateSpaceConfig = field(default_factory=StateSpaceConfig)
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    latency_floor: float = 1e-3
-    quality_desired: float = 0.9
-    agent: HyperParams = field(default_factory=HyperParams)
-    link: LinkParams = field(default_factory=LinkParams)
-    sim: SimParams = field(default_factory=SimParams)
-    scenario: Scenario | None = None
-
-    def validate(self) -> None:
-        self.state.validate()
-        self.weights.validate()
-        self.agent.validate()
-        self.link.validate()
-        self.sim.validate()
-        if not (math.isfinite(self.latency_floor) and self.latency_floor > 0.0):
-            raise ValidationError(f"latency_floor must be positive, got {self.latency_floor!r}")
-        if not (0.0 <= self.quality_desired <= 1.0):
-            raise ValidationError(f"quality_desired={self.quality_desired!r} outside [0, 1]")
-        if self.scenario is not None:
-            self.scenario.validate()
-
-
 @dataclass(slots=True)
 class Task:
     """One offloadable job and its running lifecycle bookkeeping."""
@@ -255,9 +138,7 @@ class Task:
     bundle: float = 1.0
     proc_planned: float = 0.0
     upload_planned: float = 0.0
-    upload: float = 0.0
     wait: float = 0.0
-    proc: float = 0.0
     upload_done_time: float = 0.0
     mem_alloc: float = 0.0
     disk_alloc: float = 0.0
@@ -385,18 +266,6 @@ class NodeState:
                 "or not finite)"
             )
         return new
-
-
-# An event record is one flat tuple, (kind, time, task_id, node_id, episode,
-# *detail), with the detail values of its kind in the sorted order of their
-# keys in the event log (see write_event_log):
-#   VehicleEnter, VehicleExit     vehicle
-#   TaskArrival                   deadline, demand_mips, size_bits, vehicle
-#   UploadDone                    tier ("fog" or "cloud")
-#   ExecutionDone, TaskDropped    arrival, components (a 4-tuple),
-#                                 decision_node, local, proc, reward,
-#                                 serviced, tier, upload, wait
-EventRecord = tuple
 
 
 @dataclass
@@ -559,15 +428,7 @@ def build_scheduler(
             raise ValidationError(
                 "qlearn evaluation needs a trained checkpoint (q-tables missing)"
             )
-        n = cfg.sim.fog_nodes
-        for node_id in tables:
-            if node_id not in range(n):
-                raise ValidationError(f"node {node_id!r}: q-table given, but the grid has "
-                                      f"fog nodes 0..{n - 1} only")
-        for node_id in range(n):
-            if node_id not in tables:
-                raise ValidationError(f"node {node_id}: no q-table")
-            _check_table_shape(tables[node_id], f"node {node_id}")
+        check_tables(tables, cfg.sim.fog_nodes)
         bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
         return QLearningScheduler(tables, random.Random(0), bundles, epsilon)
     raise ValidationError(f"unknown scheduler {name!r}")
@@ -635,7 +496,7 @@ class _Episode:
 
     def log(self, kind: str, time: float, task_id: int, node_id: int, *detail) -> None:
         """Append the record (kind, time, task_id, node_id, episode, *detail),
-        the detail values in the order EventRecord lists for the kind;
+        the detail values in the order the eventlog module lists for the kind;
         callers check self.events first so that nothing is built when
         logging is off."""
         self.events.append((kind, time, task_id, node_id, self.episode_index, *detail))
@@ -865,7 +726,7 @@ class _Episode:
                 return
             veh.busy_until = completion
             task.wait = start - now
-            task.proc = proc
+            task.proc_planned = proc
             task.stage = _EXECUTING
             # the expiry is pushed only for a task still outstanding, just
             # before its next event, so every other event keeps its order
@@ -903,7 +764,6 @@ class _Episode:
             return
         node = self.nodes[task.exec_node]
         node.release_bw(task.bw_alloc)
-        task.upload = task.upload_planned
         task.upload_done_time = now
         if self.events is not None:
             self.log("UploadDone", now, task.task_id, task.exec_node,
@@ -914,7 +774,6 @@ class _Episode:
             if completion > task.bound:
                 self.drop(task, now)
                 return
-            task.proc = task.proc_planned
             task.wait = 0.0
             task.stage = _EXECUTING
             self.push(completion, EventKind.EXECUTION_DONE, task)
@@ -937,7 +796,6 @@ class _Episode:
     def start_execution(self, node: NodeState, task: Task, now: float) -> None:
         node.commit_cpu(task.cpu_share)
         task.wait = now - task.upload_done_time
-        task.proc = task.proc_planned
         task.stage = _EXECUTING
         self.push(now + task.proc_planned, EventKind.EXECUTION_DONE, task)
 
@@ -990,8 +848,8 @@ class _Episode:
                 stats_node.reliability(),
             ),
             weights,
-            self.cfg.latency_floor,
-            self.cfg.quality_desired,
+            weights.latency_floor,
+            weights.quality_desired,
         )
         reward = total_reward(wastage, utilization, response, qos, weights)
         self.finish(task, now, True, reward, (wastage, utilization, response, qos))
@@ -1006,11 +864,11 @@ class _Episode:
             # falls exactly on the bound this expiry event dispatches
             # first (lower sequence number), so verify and stand down
             if task.tier == _LOCAL:
-                completion = task.arrival + task.wait + task.proc
+                completion = task.arrival + task.wait + task.proc_planned
             elif task.tier == _FOG:
-                completion = task.upload_done_time + task.wait + task.proc
+                completion = task.upload_done_time + task.wait + task.proc_planned
             else:
-                completion = task.upload_done_time + task.proc
+                completion = task.upload_done_time + task.proc_planned
             if completion > task.bound + 1e-9:
                 raise RuntimeError(f"task {task.task_id} executing past its bound")
             return
@@ -1067,9 +925,9 @@ class _Episode:
         record = TaskRecord(
             task.task_id,
             task.arrival,
-            task.upload if serviced else 0.0,
+            task.upload_planned if serviced else 0.0,
             task.wait if serviced else 0.0,
-            task.proc if serviced else 0.0,
+            task.proc_planned if serviced else 0.0,
             now,  # completion
             serviced,
             task.tier,
@@ -1226,92 +1084,3 @@ def run_evaluation(
             events.extend(result.events)
     report = build_report(ledger, aggregates, edge_log, cfg.sim.fog_nodes)
     return EvalResult(report, ledger, aggregates, edge_log, events)
-
-
-def save_tables(tables: dict[int, QTable], directory: str | Path) -> None:
-    """Write one qtable_node{k}.tsv per table and remove any other node's
-    table, so the directory holds exactly this grid's checkpoint."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = set()
-    for node_id, table in sorted(tables.items()):
-        name = f"qtable_node{node_id}.tsv"
-        table.save(directory / name)
-        names.add(name)
-    for path in directory.glob("qtable_node*.tsv"):
-        if path.name not in names:
-            path.unlink()
-
-
-def _check_table_shape(table: QTable, owner: str) -> None:
-    if (table.num_states, table.num_actions) != (NUM_STATES, NUM_ACTIONS):
-        raise ValidationError(
-            f"{owner}: q-table is {table.num_states} x {table.num_actions}, "
-            f"expected num_states={NUM_STATES} num_actions={NUM_ACTIONS}"
-        )
-
-
-def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
-    """The tables qtable_node0..num_nodes-1.tsv in `directory`; a directory
-    that also holds a table of another node is not this grid's checkpoint."""
-    directory = Path(directory)
-    names = [f"qtable_node{node_id}.tsv" for node_id in range(num_nodes)]
-    expected = set(names)
-    for path in sorted(directory.glob("qtable_node*.tsv")):
-        if path.name not in expected:
-            raise ValidationError(
-                f"{path}: not a table of this {num_nodes}-node grid, "
-                f"whose tables are qtable_node0..{num_nodes - 1}.tsv"
-            )
-    tables: dict[int, QTable] = {}
-    for node_id, name in enumerate(names):
-        path = directory / name
-        if not path.exists():
-            raise ValidationError(f"checkpoint incomplete: missing {path}")
-        table = QTable.load(path)
-        _check_table_shape(table, str(path))
-        tables[node_id] = table
-    return tables
-
-
-_JSON_BOOL = ("false", "true")
-
-
-def _format_event(e: EventRecord) -> str:
-    """One event-log line, byte-identical to json.dumps of the nested event
-    dict with sort_keys=True and separators (",", ":"): the outer keys are
-    detail, kind, node_id, task_id, time, and episode sorts among the
-    detail keys. Finite floats and ints print as their repr, as in json."""
-    kind = e[0]
-    if kind == "TaskArrival":
-        _, t, task_id, node_id, ep, deadline, demand, size, vehicle = e
-        detail = (f'"deadline":{deadline!r},"demand_mips":{demand!r},"episode":{ep!r},'
-                  f'"size_bits":{size!r},"vehicle":{vehicle!r}')
-    elif kind == "UploadDone":
-        _, t, task_id, node_id, ep, tier = e
-        detail = f'"episode":{ep!r},"tier":"{tier}"'
-    elif kind == "ExecutionDone" or kind == "TaskDropped":
-        (_, t, task_id, node_id, ep, arrival, (c0, c1, c2, c3), decision_node, local,
-         proc, reward, serviced, tier, upload, wait) = e
-        detail = (f'"arrival":{arrival!r},"components":[{c0!r},{c1!r},{c2!r},{c3!r}],'
-                  f'"decision_node":{decision_node!r},"episode":{ep!r},'
-                  f'"local":{_JSON_BOOL[local]},"proc":{proc!r},"reward":{reward!r},'
-                  f'"serviced":{_JSON_BOOL[serviced]},"tier":{tier!r},'
-                  f'"upload":{upload!r},"wait":{wait!r}')
-    else:  # VehicleEnter, VehicleExit
-        _, t, task_id, node_id, ep, vehicle = e
-        detail = f'"episode":{ep!r},"vehicle":{vehicle!r}'
-    line = (f'{{"detail":{{{detail}}},"kind":"{kind}","node_id":{node_id!r},'
-            f'"task_id":{task_id!r},"time":{t!r}}}\n')
-    if "inf" in line or "nan" in line:
-        # repr spells non-finite floats inf, -inf and nan where json writes
-        # Infinity, -Infinity and NaN; no key, kind or tier contains either
-        line = line.replace("inf", "Infinity").replace("nan", "NaN")
-    return line
-
-
-def write_event_log(events: list[EventRecord], path: str | Path) -> None:
-    """Newline-delimited JSON, one event per line, stable key order."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.writelines(map(_format_event, events))

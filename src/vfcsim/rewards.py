@@ -31,7 +31,8 @@ class RewardWeights:
     w1..w4 weight wastage/utilization/response/qos and must sum to 1;
     w21..w23 mix CPU/memory/bandwidth usage inside utilization; w31..w33
     mix latency/throughput/reliability inside the quality score. Each
-    group sums to 1 within 1e-9.
+    group sums to 1 within 1e-9. latency_floor and quality_desired are
+    the floor and target that qos_reward scores the quality against.
     """
 
     w1: float = 0.3
@@ -44,6 +45,8 @@ class RewardWeights:
     w31: float = 1.0 / 3.0
     w32: float = 1.0 / 3.0
     w33: float = 1.0 / 3.0
+    latency_floor: float = DEFAULT_LATENCY_FLOOR
+    quality_desired: float = DEFAULT_QUALITY_DESIRED
 
     def validate(self) -> None:
         groups = {
@@ -58,6 +61,10 @@ class RewardWeights:
             total = math.fsum(values)
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(f"weights {name} must sum to 1, got {total!r}")
+        if not (math.isfinite(self.latency_floor) and self.latency_floor > 0.0):
+            raise ValidationError(f"latency_floor must be positive, got {self.latency_floor!r}")
+        if not (0.0 <= self.quality_desired <= 1.0):
+            raise ValidationError(f"quality_desired={self.quality_desired!r} outside [0, 1]")
 
 
 @dataclass(slots=True)

@@ -75,6 +75,19 @@ def _fits_somewhere(nodes: list[NodeView]) -> bool:
     return any(nv.req_share <= nv.max_share for nv in nodes)
 
 
+def _first_fit(nodes: list[NodeView]) -> NodeView:
+    """The first node with the task's share free now, else the first that
+    could ever grant it, where the task queues. The caller has checked
+    _fits_somewhere, so the second scan always finds one."""
+    for nv in nodes:
+        if nv.req_share <= nv.free_share:
+            return nv
+    for nv in nodes:
+        if nv.req_share <= nv.max_share:
+            return nv
+    raise RuntimeError("first fit found no node that can ever run the task")
+
+
 def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placement | None:
     relay = _nearest_reachable(ctx.nodes)
     if relay is None:
@@ -115,13 +128,7 @@ class FcfsScheduler(Scheduler):
     def select(self, ctx: DecisionContext) -> Placement | None:
         if not _fits_somewhere(ctx.nodes):
             return _cloud_placement(ctx)
-        for nv in ctx.nodes:
-            if nv.req_share <= nv.free_share:
-                return _fog_placement(nv)
-        for nv in ctx.nodes:
-            if nv.req_share <= nv.max_share:
-                return _fog_placement(nv)
-        return None
+        return _fog_placement(_first_fit(ctx.nodes))
 
 
 class RoundRobinScheduler(Scheduler):
@@ -151,18 +158,11 @@ class RoundRobinScheduler(Scheduler):
         start = 0
         while start < n and nodes[start].node_id < self.cursor:
             start += 1
-        order = nodes[start:] + nodes[:start]
-        for nv in order:
-            if nv.req_share <= nv.free_share:
-                self.cursor = (nv.node_id + 1) % self.num_nodes
-                return _fog_placement(nv)
-        # Full cycle without free capacity: queue at the first runnable
-        # node from the cursor, still advancing the rotation.
-        for nv in order:
-            if nv.req_share <= nv.max_share:
-                self.cursor = (nv.node_id + 1) % self.num_nodes
-                return _fog_placement(nv)
-        return None
+        # without free capacity anywhere the task queues at the first
+        # runnable node from the cursor, still advancing the rotation
+        nv = _first_fit(nodes[start:] + nodes[:start])
+        self.cursor = (nv.node_id + 1) % self.num_nodes
+        return _fog_placement(nv)
 
 
 class WfqScheduler(Scheduler):

@@ -8,7 +8,8 @@ import pytest
 
 from vfcsim.cli import main
 from vfcsim.config import load_config, parse_config_text
-from vfcsim.engine import run_evaluation, write_event_log
+from vfcsim.engine import run_evaluation
+from vfcsim.eventlog import write_event_log
 from vfcsim.traffic import load_trace_csv
 
 TINY = ["--scenario", "NO.4", "--set", "scenario.duration=20"]
@@ -340,3 +341,65 @@ def test_repeated_list_entry_exits_2(tmp_path, capsys, args, named):
     assert code == 2
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# -- flags as config keys ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, output", [
+    (["eval", "--scheduler", "fcfs", "--seed", "3", "--arrival-prob", "0.7", "--episodes", "2"],
+     "metrics.csv"),
+    (["compare", "--schedulers", "fcfs,rr", "--scenarios", "NO.4", "--arrival-prob", "0.7",
+      "--episodes", "2"], "runs.csv"),
+    (["train", "--arrival-prob", "0.5", "--episodes", "2"], "learning_curve.csv"),
+], ids=["eval", "compare", "train"])
+def test_echo_reproduces_a_run_with_flags(tmp_path, args, output):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run([*args, *TINY], first) == 0
+    echo = parse_config_text((first / "config_echo.cfg").read_text(), "echo")
+    assert echo["sim.arrival_prob"] == args[args.index("--arrival-prob") + 1]
+    episodes_key = "agent.episodes" if args[0] == "train" else "sim.eval_episodes"
+    assert echo[episodes_key] == "2"
+    # the same command without the flags, from the echo alone
+    rerun = args[:args.index("--arrival-prob")] + ["--config", str(first / "config_echo.cfg")]
+    assert run(rerun, again) == 0
+    assert (again / output).read_bytes() == (first / output).read_bytes()
+    assert (again / "config_echo.cfg").read_bytes() == (first / "config_echo.cfg").read_bytes()
+
+
+def test_flags_win_over_set(tmp_path):
+    args = ["eval", *TINY, "--scheduler", "fcfs", "--set", "sim.arrival_prob=0.2",
+            "--arrival-prob", "0.6", "--set", "sim.eval_episodes=3", "--episodes", "2"]
+    assert run(args, tmp_path) == 0
+    echo = parse_config_text((tmp_path / "config_echo.cfg").read_text(), "echo")
+    assert (echo["sim.arrival_prob"], echo["sim.eval_episodes"]) == ("0.6", "2")
+    assert read_csv(tmp_path / "metrics.csv")[1][3] == "0.6"
+
+
+@pytest.mark.parametrize("args, named", [
+    (["eval", "--scheduler", "fcfs", "--episodes", "0"], "eval_episodes=0 must be >= 1"),
+    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4", "--episodes", "0"],
+     "eval_episodes=0 must be >= 1"),
+    (["sweep", "--schedulers", "fcfs", "--probs", "0.3", "--episodes", "0"],
+     "eval_episodes=0 must be >= 1"),
+    (["train", "--episodes", "0"], "episodes=0 must be >= 1"),
+    (["eval", "--scheduler", "fcfs", "--arrival-prob", "1.5"], "arrival_prob=1.5 outside [0, 1]"),
+    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4", "--arrival-prob", "-0.1"],
+     "arrival_prob=-0.1 outside [0, 1]"),
+    (["train", "--arrival-prob", "nan"], "sim.arrival_prob must be finite"),
+], ids=["eval-episodes", "compare-episodes", "sweep-episodes", "train-episodes",
+        "eval-prob", "compare-prob", "train-prob"])
+def test_bad_flag_value_exits_2(tmp_path, capsys, args, named):
+    code = run([*args, *TINY], tmp_path)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "failures.csv").exists()
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_has_no_arrival_prob_flag(tmp_path):
+    # sweep's probabilities come from --probs; a second source was ignored
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", *TINY, "--schedulers", "fcfs", "--probs", "0.3", "--arrival-prob", "0.9"],
+            tmp_path)
+    assert exc.value.code == 2

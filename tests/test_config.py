@@ -17,7 +17,7 @@ from vfcsim.config import (
     parse_config_text,
 )
 from vfcsim.errors import ConfigError, ValidationError
-from vfcsim.traffic import Scenario
+from vfcsim.traffic import SCENARIOS, Scenario
 
 
 def test_defaults_cover_reference_setup():
@@ -166,6 +166,47 @@ def test_dump_bytes_pinned(overrides, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of dump_config for each built-in scenario, recorded while
+# reward.latency_floor and reward.quality_desired were RunConfig fields
+SCENARIO_ECHO_SHA256 = {
+    "NO.1": "c66a795f84b214df6b76ff6f1af939ded280e366b6e07d58df4559674ed903e4",
+    "NO.2": "ad5a6b1d9d58ba344226d0322b9e74bbbfa491a8fd9280765856050df51d3ad9",
+    "NO.3": "727ef5eef098f4cf30c245e80be20c1bd25113c6d8c40b140938fa8967b72158",
+    "NO.4": "135e7c975395261f183b78dc974450cabad40333997c760f6e71da5ea69f45df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_ECHO_SHA256))
+def test_builtin_scenario_echo_pinned(name):
+    assert sorted(SCENARIO_ECHO_SHA256) == sorted(SCENARIOS)
+    text = dump_config(build_config({"scenario.name": name}))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_ECHO_SHA256[name]
+    assert [line.partition(" = ")[0] for line in text.splitlines()] == known_keys()
+
+
+def test_every_key_is_a_section_field():
+    # one rule maps keys to fields: no key is a RunConfig field of its own
+    cfg = build_config({})
+    assert {f.name for f in dataclasses.fields(cfg)} == {
+        attr for attr, _ in config._SECTIONS.values()
+    }
+    assert cfg.weights.latency_floor == 1e-3
+    assert cfg.weights.quality_desired == 0.9
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("reward.latency_floor", "0", "latency_floor must be positive"),
+    ("reward.latency_floor", "-1e-3", "latency_floor must be positive"),
+    ("reward.quality_desired", "1.5", "quality_desired=1.5 outside [0, 1]"),
+])
+def test_reward_floor_and_target_checked_by_their_section(key, value, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        build_config({key: value})
+    weights = dataclasses.replace(build_config({}).weights, **{key.partition(".")[2]: float(value)})
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        weights.validate()
+
+
 def test_known_keys_pinned():
     keys = known_keys()
     assert len(keys) == 71
@@ -200,8 +241,6 @@ def test_removed_key_is_unknown(key):
 def _value(cfg, key):
     """Read a key's value straight from the RunConfig fields."""
     prefix, _, name = key.partition(".")
-    if key in ("reward.latency_floor", "reward.quality_desired"):
-        return getattr(cfg, name)
     sections = {
         "state": cfg.state,
         "reward": cfg.weights,

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from oracles import discretize, event_dict, snapshot_from_node, state_index
-from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values
+from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values, load_tables, save_tables
 from vfcsim.engine import (
     EventKind,
     NodeState,
@@ -20,15 +20,13 @@ from vfcsim.engine import (
     build_nodes,
     build_scheduler,
     derive_seed,
-    load_tables,
     run_episode,
     run_evaluation,
     run_training,
-    save_tables,
-    write_event_log,
 )
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
+from vfcsim.eventlog import write_event_log
 from vfcsim.schedulers import Scheduler, _cloud_placement
 from vfcsim.state_space import NUM_STATES, SlaLevel, state_from_index
 from vfcsim.traffic import VehicleSpec

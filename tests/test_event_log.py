@@ -10,7 +10,8 @@ import pytest
 
 from oracles import event_dict
 from vfcsim.config import build_config
-from vfcsim.engine import _format_event, run_evaluation, run_training, write_event_log
+from vfcsim.engine import run_evaluation, run_training
+from vfcsim.eventlog import _format_event, write_event_log
 
 
 def json_line(record) -> str:

@@ -6,6 +6,9 @@ would silently stop a per-layer metric. The names are listed by hand on
 purpose: the tests do not import bench/.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import vfcsim
@@ -115,3 +118,28 @@ def test_collected_events_count_the_written_lines(tiny_cfg, tmp_path):
     path = tmp_path / "events.ndjson"
     engine.write_event_log(result.events, path)
     assert len(path.read_bytes().splitlines()) == count
+
+
+@pytest.mark.parametrize("module", [config, vfcsim.agent, vfcsim.eventlog],
+                         ids=lambda m: m.__name__)
+def test_engine_sits_above_config_agent_and_eventlog(module):
+    # engine imports these three; none of them may reach back into it
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name == "engine" or name.endswith(".engine") or ".engine." in name
+                   for name in imported), sorted(imported)
+
+
+def test_engine_keeps_only_the_looked_up_reexports():
+    # the checkpoint and event-log functions live in agent and eventlog;
+    # engine holds the two that tooling looks up on it, and no others
+    assert engine.load_tables is vfcsim.agent.load_tables
+    assert engine.write_event_log is vfcsim.eventlog.write_event_log
+    for name in ("_format_event", "_JSON_BOOL", "_check_table_shape"):
+        assert not hasattr(engine, name), name

@@ -116,6 +116,21 @@ def test_rr_queue_fallback_keeps_rotating():
     assert (first.node_id, second.node_id) == (0, 1)
 
 
+def test_rr_from_cursor_zero_places_as_fcfs():
+    # both walk the same first-fit scan; RR only rotates where it starts
+    rng = random.Random(7)
+    for _ in range(200):
+        nodes = [view(i, free=rng.choice([0.0, 0.3, 0.8]), req=rng.choice([0.2, 0.5, 0.9]))
+                 for i in sorted(rng.sample(range(6), rng.randint(1, 6)))]
+        rr = RoundRobinScheduler(6)
+        expected = FcfsScheduler().select(make_ctx(nodes))
+        assert rr.select(make_ctx(nodes)) == expected
+        if expected.tier is Tier.FOG:
+            assert rr.cursor == (expected.node_id + 1) % 6
+        else:
+            assert rr.cursor == 0
+
+
 def test_rr_reset_on_episode_start():
     rr = RoundRobinScheduler(3)
     rr.select(make_ctx([view(0), view(1), view(2)]))
