@@ -1,9 +1,13 @@
 """Command line front end: train, eval, compare, sweep.
 
 All commands echo the fully resolved configuration into the output
-directory so results can be reproduced from the artifacts alone. Runs are
-deterministic for a given (config, scheduler, seed), and output files are
-written in a fixed order so identical invocations produce identical bytes.
+directory so results can be reproduced from the artifacts alone, with two
+exceptions: the sweep echo holds the base config, not the swept
+sim.arrival_prob values, and a multi-scenario compare echoes only the
+first scenario's scenario.* lines, so rerunning those also needs the same
+--probs or --scenarios. Runs are deterministic for a given (config,
+scheduler, seed), and output files are written in a fixed order so
+identical invocations produce identical bytes.
 
 --arrival-prob and --episodes set config keys (sim.arrival_prob, and
 agent.episodes for train or sim.eval_episodes otherwise) over --set, so

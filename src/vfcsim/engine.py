@@ -45,12 +45,12 @@ from .errors import ValidationError
 from .eventlog import EventRecord
 from .link import BITS_PER_MB, shannon_rate, snr_at_distance
 from .metrics import (
-    EdgeRewardLog,
     EpisodeAggregate,
     MetricsReport,
     TaskLedger,
     TaskRecord,
     build_report,
+    episode_aggregate,
 )
 from .rewards import (
     QualitySample,
@@ -272,7 +272,6 @@ class NodeState:
 class EpisodeResult:
     ledger: TaskLedger
     aggregate: EpisodeAggregate
-    edge_log: EdgeRewardLog
     events: list[EventRecord] | None
 
 
@@ -287,7 +286,6 @@ class EvalResult:
     report: MetricsReport
     ledger: TaskLedger
     aggregates: list[EpisodeAggregate]
-    edge_log: EdgeRewardLog
     events: list[EventRecord] | None
 
 
@@ -478,12 +476,8 @@ class _Episode:
         self.seq = 0
         self.active: dict[int, VehicleState] = {}
         self.ledger = TaskLedger()
-        self.edge_log = EdgeRewardLog()
         self.events: list[EventRecord] | None = [] if collect_events else None
         self.task_counter = 0
-        self.resolved = 0
-        self.comp_sums = [0.0, 0.0, 0.0, 0.0]
-        self.reward_sum = 0.0
         scheduler.on_episode_start()
         if scheduler.uses_state:
             scheduler.rng = self.rng
@@ -568,25 +562,13 @@ class _Episode:
         while heap:
             time, _seq, kind, payload = pop(heap)
             handlers[kind](time, payload)
-        if self.resolved != self.task_counter:
+        resolved = self.ledger.k_total
+        if resolved != self.task_counter:
             raise RuntimeError(
-                f"task conservation violated: {self.resolved} resolved of {self.task_counter}"
+                f"task conservation violated: {resolved} resolved of {self.task_counter}"
             )
         self.check_resources_released()
-        tasks = self.ledger.k_total
-        if tasks:
-            agg = EpisodeAggregate(
-                wastage=self.comp_sums[0] / tasks,
-                utilization=self.comp_sums[1] / tasks,
-                response=self.comp_sums[2] / tasks,
-                qos=self.comp_sums[3] / tasks,
-                reward_sum=self.reward_sum,
-                tasks=tasks,
-                serviced=self.ledger.k_serviced,
-            )
-        else:
-            agg = EpisodeAggregate(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-        return EpisodeResult(self.ledger, agg, self.edge_log, self.events)
+        return EpisodeResult(self.ledger, episode_aggregate(self.ledger), self.events)
 
     def check_resources_released(self) -> None:
         """Every task has resolved, so every commit is back where it began."""
@@ -705,12 +687,11 @@ class _Episode:
             scheduler.decision_node = decision.node_id
 
         placement = scheduler.select(ctx)
+        if scheduler.uses_state:
+            task.action_ordinal = scheduler.last_action_ordinal
         if placement is None:
-            if scheduler.uses_state:
-                task.action_ordinal = scheduler.last_action_ordinal
             self.drop(task, now)
             return
-        task.action_ordinal = placement.action_ordinal
         self.place(task, placement, views, now)
 
     def place(self, task: Task, placement: Placement, views: list[NodeView], now: float) -> None:
@@ -914,14 +895,6 @@ class _Episode:
         components: tuple[float, float, float, float],
     ) -> None:
         task.stage = _DONE
-        self.resolved += 1
-        cs = self.comp_sums
-        cs[0] += components[0]
-        cs[1] += components[1]
-        cs[2] += components[2]
-        cs[3] += components[3]
-        self.reward_sum += reward
-        self.edge_log.add(task.decision_node, int(now), reward)
         record = TaskRecord(
             task.task_id,
             task.arrival,
@@ -932,27 +905,14 @@ class _Episode:
             serviced,
             task.tier,
             task.exec_node,  # node_id
+            task.decision_node,
             reward,
             components,
         )
         self.ledger.append(record)
         if self.events is not None:
-            self.log(
-                "ExecutionDone" if serviced else "TaskDropped",
-                now,
-                task.task_id,
-                task.exec_node,
-                task.arrival,
-                components,
-                task.decision_node,
-                task.tier == _LOCAL,
-                record.proc,
-                reward,
-                serviced,
-                task.tier,
-                record.upload,
-                record.wait,
-            )
+            self.log("ExecutionDone" if serviced else "TaskDropped", now, task.task_id,
+                     task.exec_node, record)
         if self.train and task.action_ordinal >= 0:
             veh = task.vehicle
             t = now if now < veh.exit_time else veh.exit_time
@@ -1064,7 +1024,6 @@ def run_evaluation(
         raise ValidationError(f"episodes={n_episodes!r} must be >= 1")
     scheduler = build_scheduler(cfg, scheduler_name, tables)
     ledger = TaskLedger()
-    edge_log = EdgeRewardLog()
     aggregates: list[EpisodeAggregate] = []
     events: list[EventRecord] | None = [] if collect_events else None
     for episode in range(n_episodes):
@@ -1078,9 +1037,8 @@ def run_evaluation(
             episode_index=episode,
         )
         ledger.records.extend(result.ledger.records)
-        edge_log.merge(result.edge_log)
         aggregates.append(result.aggregate)
         if events is not None and result.events is not None:
             events.extend(result.events)
-    report = build_report(ledger, aggregates, edge_log, cfg.sim.fog_nodes)
-    return EvalResult(report, ledger, aggregates, edge_log, events)
+    report = build_report(ledger, aggregates, cfg.sim.fog_nodes)
+    return EvalResult(report, ledger, aggregates, events)

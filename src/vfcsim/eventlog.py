@@ -6,9 +6,11 @@ keys in the log:
   VehicleEnter, VehicleExit     vehicle
   TaskArrival                   deadline, demand_mips, size_bits, vehicle
   UploadDone                    tier ("fog" or "cloud")
-  ExecutionDone, TaskDropped    arrival, components (a 4-tuple),
-                                decision_node, local, proc, reward,
-                                serviced, tier, upload, wait
+  ExecutionDone, TaskDropped    the task's TaskRecord, the one record of
+                                its outcome; the log writes from it the
+                                keys arrival, components, decision_node,
+                                local (tier is Tier.LOCAL), proc, reward,
+                                serviced, tier, upload and wait
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ def _format_event(e: EventRecord) -> str:
         _, t, task_id, node_id, ep, tier = e
         detail = f'"episode":{ep!r},"tier":"{tier}"'
     elif kind == "ExecutionDone" or kind == "TaskDropped":
-        (_, t, task_id, node_id, ep, arrival, (c0, c1, c2, c3), decision_node, local,
-         proc, reward, serviced, tier, upload, wait) = e
-        detail = (f'"arrival":{arrival!r},"components":[{c0!r},{c1!r},{c2!r},{c3!r}],'
-                  f'"decision_node":{decision_node!r},"episode":{ep!r},'
-                  f'"local":{_JSON_BOOL[local]},"proc":{proc!r},"reward":{reward!r},'
-                  f'"serviced":{_JSON_BOOL[serviced]},"tier":{tier!r},'
-                  f'"upload":{upload!r},"wait":{wait!r}')
+        _, t, task_id, node_id, ep, r = e
+        c0, c1, c2, c3 = r.components
+        detail = (f'"arrival":{r.arrival!r},"components":[{c0!r},{c1!r},{c2!r},{c3!r}],'
+                  f'"decision_node":{r.decision_node!r},"episode":{ep!r},'
+                  f'"local":{_JSON_BOOL[r.tier == 0]},"proc":{r.proc!r},'
+                  f'"reward":{r.reward!r},"serviced":{_JSON_BOOL[r.serviced]},'
+                  f'"tier":{r.tier!r},"upload":{r.upload!r},"wait":{r.wait!r}')
     else:  # VehicleEnter, VehicleExit
         _, t, task_id, node_id, ep, vehicle = e
         detail = f'"episode":{ep!r},"vehicle":{vehicle!r}'

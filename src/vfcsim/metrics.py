@@ -22,7 +22,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(slots=True)
 class TaskRecord:
-    """Final accounting of one task's lifecycle."""
+    """Final accounting of one task's lifecycle: the one record of its
+    outcome, from which the episode aggregates, AAP and the log's finish
+    event are all derived."""
 
     task_id: int
     arrival: float
@@ -33,6 +35,7 @@ class TaskRecord:
     serviced: bool
     tier: int                 # a Tier ordinal; -1 for a task dropped before placement
     node_id: int
+    decision_node: int        # the node whose agent decided the task
     reward: float
     components: tuple[float, float, float, float]
 
@@ -64,24 +67,6 @@ class TaskLedger:
         return sum(1 for r in self.records if not r.serviced)
 
 
-@dataclass
-class EdgeRewardLog:
-    """Reward mass accumulated per (edge node, time period)."""
-
-    rewards: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def add(self, node_id: int, period: int, reward: float) -> None:
-        key = (node_id, period)
-        self.rewards[key] = self.rewards.get(key, 0.0) + reward
-
-    def merge(self, other: "EdgeRewardLog") -> None:
-        for key, r in other.rewards.items():
-            self.rewards[key] = self.rewards.get(key, 0.0) + r
-
-    def total(self) -> float:
-        return sum(self.rewards.values())
-
-
 @dataclass(slots=True)
 class EpisodeAggregate:
     """Per-episode means of the four reward criteria plus totals."""
@@ -107,6 +92,26 @@ class MetricsReport:
     k_local: int
     k_dropped: int
     flags: tuple[str, ...] = ()
+
+
+def episode_aggregate(ledger: TaskLedger) -> EpisodeAggregate:
+    """Means of the four reward criteria and the reward total of one
+    episode's ledger, each summed in record order."""
+    wastage = utilization = response = qos = reward_sum = 0.0
+    serviced = 0
+    for r in ledger.records:
+        c0, c1, c2, c3 = r.components
+        wastage += c0
+        utilization += c1
+        response += c2
+        qos += c3
+        reward_sum += r.reward
+        serviced += r.serviced
+    tasks = len(ledger.records)
+    if not tasks:
+        return EpisodeAggregate(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    return EpisodeAggregate(wastage / tasks, utilization / tasks, response / tasks,
+                            qos / tasks, reward_sum, tasks, serviced)
 
 
 def apt(ledger: TaskLedger) -> float:
@@ -180,17 +185,39 @@ def cumulative_reward(episodes: list[EpisodeAggregate]) -> tuple[float, tuple[st
     return cr, tuple(flags)
 
 
-def aap(edge_log: EdgeRewardLog, num_edges: int) -> float:
-    """Mean accumulated reward per edge node."""
+def aap(ledger: TaskLedger, episodes: list[EpisodeAggregate], num_edges: int) -> float:
+    """Mean accumulated reward per edge node.
+
+    Episode i's records are the next episodes[i].tasks of the ledger. Each
+    episode sums its rewards by (decision node, int(completion)); those
+    subtotals add into one map, episode by episode, and the map's values,
+    summed in first-seen key order, are the total. The grouping sets the
+    rounding: a plain sum of the rewards can differ in the last bits.
+    """
     if num_edges < 1:
         raise ValidationError(f"num_edges={num_edges!r} must be >= 1")
-    return edge_log.total() / num_edges
+    records = ledger.records
+    counts = [e.tasks for e in episodes]
+    if sum(counts) != len(records):
+        raise ValidationError(
+            f"episodes hold {sum(counts)} tasks, the ledger {len(records)}"
+        )
+    merged: dict[tuple[int, int], float] = {}
+    start = 0
+    for count in counts:
+        subtotals: dict[tuple[int, int], float] = {}
+        for r in records[start:start + count]:
+            key = (r.decision_node, int(r.completion))
+            subtotals[key] = subtotals.get(key, 0.0) + r.reward
+        start += count
+        for key, subtotal in subtotals.items():
+            merged[key] = merged.get(key, 0.0) + subtotal
+    return sum(merged.values()) / num_edges
 
 
 def build_report(
     ledger: TaskLedger,
     episodes: list[EpisodeAggregate],
-    edge_log: EdgeRewardLog,
     num_edges: int,
 ) -> MetricsReport:
     # k_serviced and k_dropped each pass over every record: read them once
@@ -211,7 +238,7 @@ def build_report(
         ast=ast(ledger),
         asr=asr(ledger),
         cr=cr,
-        aap=aap(edge_log, num_edges),
+        aap=aap(ledger, episodes, num_edges),
         k_total=total,
         k_serviced=serviced,
         k_local=ledger.k_local,

@@ -59,7 +59,6 @@ class Placement:
     node_id: int              # fog execution node, or cloud relay; -1 for local
     cpu_share: float          # share on the fog node; 0 for local/cloud
     bundle_factor: float
-    action_ordinal: int = -1  # set by the learned policy
 
 
 def _nearest_reachable(nodes: list[NodeView]) -> NodeView | None:
@@ -228,21 +227,17 @@ class QLearningScheduler(Scheduler):
         self.bundle_factors = bundle_factors
         self.epsilon = epsilon
         self.decision_node = -1       # set by the engine before each select()
-        self.last_action_ordinal = -1  # survives a failed resolution for the drop update
+        self.last_action_ordinal = -1  # the action of the latest select(), placed or not
 
     def select(self, ctx: DecisionContext) -> Placement | None:
         table = self.tables[self.decision_node]
         action = select_action(table, ctx.state_ordinal, self.epsilon, self.rng)
         self.last_action_ordinal = action.ordinal
-        factor = self.bundle_factors[action.bundle]
-        placement = self._resolve(ctx, action, factor)
-        if placement is not None:
-            placement.action_ordinal = action.ordinal
-        return placement
+        return self._resolve(ctx, action, self.bundle_factors[action.bundle])
 
     def _resolve(self, ctx: DecisionContext, action: Action, factor: float) -> Placement | None:
         if action.tier == _LOCAL:
-            return Placement(_LOCAL, -1, 0.0, 1.0, action.ordinal)
+            return Placement(_LOCAL, -1, 0.0, 1.0)
         if action.tier == _CLOUD:
             return _cloud_placement(ctx, factor)
         # least-loaded viable node; iteration order makes ties go to the

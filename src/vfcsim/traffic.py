@@ -95,11 +95,9 @@ def sample_speed(scenario: Scenario, rng: random.Random) -> float:
             return s
 
 
-def sample_entry_times(
-    scenario: Scenario, rng: random.Random, duration: float | None = None
-) -> list[float]:
-    """Poisson entry process at rate ANV/ADT over [0, duration)."""
-    horizon = scenario.duration if duration is None else duration
+def sample_entry_times(scenario: Scenario, rng: random.Random) -> list[float]:
+    """Poisson entry process at rate ANV/ADT over [0, scenario.duration)."""
+    horizon = scenario.duration
     rate = scenario.entry_rate
     times: list[float] = []
     t = rng.expovariate(rate)
@@ -115,27 +113,13 @@ def sample_vehicles(
     area_m: float,
     cpu_min_hz: float,
     cpu_max_hz: float,
-    count: int | None = None,
     min_dwell: float = 1.0,
 ) -> list[VehicleSpec]:
-    """Draw a full vehicle population for one episode.
-
-    With count given, exactly that many vehicles are drawn with entry
-    times from the same Poisson process extended as far as needed (used
-    for statistics checks); otherwise entries fill the scenario window.
-    """
+    """Draw a full vehicle population for one episode, its entries filling
+    the scenario window."""
     scenario.validate()
-    if count is None:
-        entries = sample_entry_times(scenario, rng)
-    else:
-        rate = scenario.entry_rate
-        entries = []
-        t = 0.0
-        for _ in range(count):
-            t += rng.expovariate(rate)
-            entries.append(t)
     vehicles = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(sample_entry_times(scenario, rng)):
         vehicles.append(
             VehicleSpec(
                 vehicle_id=i,

@@ -98,7 +98,8 @@ class DictQTable:
 
 
 # detail keys of each event kind, in the order the engine's flat event
-# record carries their values after (kind, time, task_id, node_id, episode)
+# record carries their values after (kind, time, task_id, node_id, episode);
+# a finish event carries one TaskRecord instead, read as these values
 _FINISH_KEYS = ("arrival", "components", "decision_node", "local", "proc", "reward",
                 "serviced", "tier", "upload", "wait")
 EVENT_DETAIL_KEYS = {
@@ -116,6 +117,10 @@ def event_dict(record: tuple) -> dict:
     time, kind, task_id, node_id and detail, with episode among the detail
     keys and components as a list, as the event log spells them."""
     kind, time, task_id, node_id, episode, *values = record
+    if kind in ("ExecutionDone", "TaskDropped"):
+        (r,) = values
+        values = (r.arrival, r.components, r.decision_node, r.tier == 0, r.proc, r.reward,
+                  r.serviced, r.tier, r.upload, r.wait)
     detail = dict(zip(EVENT_DETAIL_KEYS[kind], values, strict=True))
     detail["episode"] = episode
     if "components" in detail:

@@ -5,6 +5,7 @@ runs keep the SHA-256 they had when the log was written through json.dumps."""
 import hashlib
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from oracles import event_dict
 from vfcsim.config import build_config
 from vfcsim.engine import run_evaluation, run_training
 from vfcsim.eventlog import _format_event, write_event_log
+from vfcsim.metrics import TaskRecord
 
 
 def json_line(record) -> str:
@@ -43,9 +45,8 @@ def test_every_line_equals_json_dumps(scenario, scheduler, trained_tables):
     if (scenario, scheduler) == ("NO.1", "qlearn"):
         # this run places on every tier, so the check above sees the local
         # flag both ways and both UploadDone tiers
-        finishes = [e for e in result.events if e[0] in ("ExecutionDone", "TaskDropped")]
-        assert {e[12] for e in finishes} == {-1, 0, 1, 2}
-        assert {e[8] for e in finishes} == {False, True}
+        finishes = [e[5] for e in result.events if e[0] in ("ExecutionDone", "TaskDropped")]
+        assert {r.tier for r in finishes} == {-1, 0, 1, 2}
         assert {e[5] for e in result.events if e[0] == "UploadDone"} == {"fog", "cloud"}
 
 
@@ -78,24 +79,33 @@ SAMPLES = [
     ("TaskArrival", 13.0, 42, 3, 0, 1.75, 812.3, 24000000.0, 7),
     ("UploadDone", 14.1, 42, 3, 0, "fog"),
     ("UploadDone", 14.1, 42, 3, 0, "cloud"),
-    ("ExecutionDone", 16.9, 42, 3, 0, 13.0, (0.1, 0.6, 0.8, 0.9), 3, False, 2.5, 0.41,
-     True, 1, 1.1, 0.3),
-    ("ExecutionDone", 16.9, 44, 2, 1, 13.0, (0.2, 0.5, 0.7, 1.0), 2, True, 1.5, 0.63,
-     True, 0, 0.0, 0.25),
-    ("TaskDropped", 15.0, 43, -1, 0, 13.0, (1.0, 0.0, 0.0, 0.0), 3, False, 0.0, -1.0,
-     False, -1, 0.0, 0.0),
+    # TaskRecord(task_id, arrival, upload, wait, proc, completion, serviced,
+    # tier, node_id, decision_node, reward, components)
+    ("ExecutionDone", 16.9, 42, 3, 0,
+     TaskRecord(42, 13.0, 1.1, 0.3, 2.5, 16.9, True, 1, 3, 3, 0.41, (0.1, 0.6, 0.8, 0.9))),
+    ("ExecutionDone", 16.9, 44, -1, 1,
+     TaskRecord(44, 13.0, 0.0, 0.25, 1.5, 16.9, True, 0, -1, 2, 0.63, (0.2, 0.5, 0.7, 1.0))),
+    ("TaskDropped", 15.0, 43, -1, 0,
+     TaskRecord(43, 13.0, 0.0, 0.0, 0.0, 15.0, False, -1, -1, 3, -1.0, (1.0, 0.0, 0.0, 0.0))),
 ]
 
 
 def float_slots(record):
-    """Paths (index, or index and component index) of every float in a record."""
+    """Paths of every float in an event: (index,) for a float in the tuple,
+    (index, field) or (index, field, component index) for one in a
+    finish event's TaskRecord."""
     for i, value in enumerate(record):
         if isinstance(value, float):
             yield (i,)
-        elif isinstance(value, tuple):
-            for j, inner in enumerate(value):
+        elif isinstance(value, TaskRecord):
+            for f in fields(value):
+                inner = getattr(value, f.name)
                 if isinstance(inner, float):
-                    yield (i, j)
+                    yield (i, f.name)
+                elif isinstance(inner, tuple):
+                    for j, component in enumerate(inner):
+                        if isinstance(component, float):
+                            yield (i, f.name, j)
 
 
 def with_value(record, slot, value):
@@ -103,9 +113,12 @@ def with_value(record, slot, value):
     if len(slot) == 1:
         items[slot[0]] = value
     else:
-        inner = list(items[slot[0]])
-        inner[slot[1]] = value
-        items[slot[0]] = tuple(inner)
+        rec = items[slot[0]]
+        if len(slot) == 3:
+            components = list(getattr(rec, slot[1]))
+            components[slot[2]] = value
+            value = tuple(components)
+        items[slot[0]] = replace(rec, **{slot[1]: value})
     return tuple(items)
 
 

@@ -7,7 +7,6 @@ import pytest
 from vfcsim.errors import ValidationError
 from vfcsim.metrics import (
     RUN_CSV_COLUMNS,
-    EdgeRewardLog,
     EpisodeAggregate,
     TaskLedger,
     TaskRecord,
@@ -17,14 +16,17 @@ from vfcsim.metrics import (
     ast,
     build_report,
     cumulative_reward,
+    episode_aggregate,
     mean_std,
     run_csv_row,
 )
 
 
 def record(task_id=0, proc=1.0, upload=0.0, wait=0.0, serviced=True, local=False,
-           reward=0.1, arrival=0.0):
-    completion = arrival + upload + wait + proc if serviced else arrival
+           reward=0.1, arrival=0.0, decision_node=0, completion=None,
+           components=(0.0, 0.5, 0.5, 0.5)):
+    if completion is None:
+        completion = arrival + upload + wait + proc if serviced else arrival
     return TaskRecord(
         task_id=task_id,
         arrival=arrival,
@@ -35,8 +37,9 @@ def record(task_id=0, proc=1.0, upload=0.0, wait=0.0, serviced=True, local=False
         serviced=serviced,
         tier=0 if local else 1,
         node_id=-1 if local else 0,
+        decision_node=decision_node,
         reward=reward,
-        components=(0.0, 0.5, 0.5, 0.5),
+        components=components,
     )
 
 
@@ -156,57 +159,86 @@ def test_cr_interpolates_middle_episode():
     assert cr == pytest.approx(9.0 + 1.5, abs=1e-12)
 
 
+# -- episode aggregates ---------------------------------------------------------------
+
+def test_episode_aggregate_means_and_totals():
+    led = ledger_of(record(0, reward=0.5, components=(0.0, 0.2, 0.4, 0.6)),
+                    record(1, reward=-1.0, serviced=False, components=(1.0, 0.0, 0.0, 0.0)))
+    assert episode_aggregate(led) == EpisodeAggregate(0.5, 0.1, 0.2, 0.3, -0.5, 2, 1)
+
+
+def test_episode_aggregate_empty():
+    assert episode_aggregate(TaskLedger()) == EpisodeAggregate(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+
+
 # -- edge rewards -------------------------------------------------------------------
 
+def one_episode(*records):
+    """A ledger of one episode and that episode's aggregate."""
+    led = ledger_of(*records)
+    return led, [episode_aggregate(led)]
+
+
 def test_aap_worked_example():
-    log = EdgeRewardLog()
-    log.add(0, 0, 1.0)
-    log.add(0, 1, 2.0)
-    log.add(0, 2, 3.0)
-    assert aap(log, 1) == 6.0
+    led, episodes = one_episode(record(0, reward=1.0, completion=0.5),
+                                record(1, reward=2.0, completion=1.5),
+                                record(2, reward=3.0, completion=2.5))
+    assert aap(led, episodes, 1) == 6.0
 
 
 def test_aap_mean_over_edges():
-    log = EdgeRewardLog()
-    log.add(0, 0, 1.0)
-    log.add(1, 0, 1.0)
-    assert aap(log, 2) == 1.0
+    led, episodes = one_episode(record(0, reward=1.0, decision_node=0),
+                                record(1, reward=1.0, decision_node=1))
+    assert aap(led, episodes, 2) == 1.0
 
 
-def test_aap_same_period_accumulates():
-    log = EdgeRewardLog()
-    log.add(0, 5, 0.25)
-    log.add(0, 5, 0.25)
-    assert log.rewards[(0, 5)] == 0.5
+def test_aap_same_node_and_second_accumulates_first():
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit: the
+    # first two share (node 0, second 5), so their subtotal is formed first
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    led, episodes = one_episode(record(0, reward=0.1, completion=5.2),
+                                record(1, reward=0.2, completion=5.9),
+                                record(2, reward=0.3, completion=6.0))
+    assert aap(led, episodes, 1) == (0.1 + 0.2) + 0.3
+    led, episodes = one_episode(record(0, reward=0.1, completion=4.9),
+                                record(1, reward=0.2, completion=5.2),
+                                record(2, reward=0.3, completion=5.9))
+    assert aap(led, episodes, 1) == 0.1 + (0.2 + 0.3)
+
+
+def test_aap_groups_by_episode():
+    # the same key in two episodes: each episode's subtotal is formed
+    # before the subtotals add, so 0.1 + (0.2 + 0.3), not (0.1 + 0.2) + 0.3
+    led = ledger_of(record(0, reward=0.1), record(1, reward=0.2), record(2, reward=0.3))
+    first = episode_aggregate(ledger_of(led.records[0]))
+    second = episode_aggregate(ledger_of(*led.records[1:]))
+    assert aap(led, [first, second], 1) == 0.1 + (0.2 + 0.3)
+    assert aap(led, [episode_aggregate(led)], 1) == (0.1 + 0.2) + 0.3
 
 
 def test_aap_can_be_negative():
-    log = EdgeRewardLog()
-    log.add(0, 0, -0.3)
-    assert aap(log, 3) == pytest.approx(-0.1, abs=1e-12)
+    led, episodes = one_episode(record(0, reward=-0.3, serviced=False))
+    assert aap(led, episodes, 3) == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_aap_requires_edges():
-    with pytest.raises(ValidationError):
-        aap(EdgeRewardLog(), 0)
+    with pytest.raises(ValidationError, match="num_edges"):
+        aap(TaskLedger(), [], 0)
 
 
-def test_edge_log_merge_adds_subtotals():
-    a = EdgeRewardLog()
-    a.add(0, 0, 1.0)
-    b = EdgeRewardLog()
-    b.add(0, 0, 2.0)
-    b.add(1, 4, 5.0)
-    a.merge(b)
-    assert a.rewards == {(0, 0): 3.0, (1, 4): 5.0}
-    assert a.total() == 8.0
+@pytest.mark.parametrize("tasks", [[1], [2, 2], []])
+def test_aap_rejects_episodes_not_covering_the_ledger(tasks):
+    led = ledger_of(record(0), record(1), record(2))
+    episodes = [aggregate(tasks=n, serviced=n) for n in tasks]
+    with pytest.raises(ValidationError, match="episodes hold"):
+        aap(led, episodes, 9)
 
 
 # -- report assembly ------------------------------------------------------------------
 
 def test_build_report_counts_and_flags():
     led = ledger_of(record(0, local=True), record(1, serviced=False))
-    report = build_report(led, [aggregate()], EdgeRewardLog(), 9)
+    report = build_report(led, [episode_aggregate(led)], 9)
     assert report.k_total == 2
     assert report.k_serviced == 1
     assert report.k_local == 1
@@ -215,7 +247,7 @@ def test_build_report_counts_and_flags():
 
 
 def test_build_report_empty_run():
-    report = build_report(TaskLedger(), [], EdgeRewardLog(), 9)
+    report = build_report(TaskLedger(), [], 9)
     assert report.apt == 0.0
     assert report.ast == 0.0
     assert report.asr == 0.0
@@ -227,13 +259,13 @@ def test_build_report_empty_run():
 
 def test_build_report_no_serviced_flag():
     led = ledger_of(record(0, serviced=False))
-    report = build_report(led, [aggregate()], EdgeRewardLog(), 9)
+    report = build_report(led, [episode_aggregate(led)], 9)
     assert "no-serviced-tasks" in report.flags
 
 
 def test_run_csv_row_shape():
     led = ledger_of(record(0, proc=2.0))
-    report = build_report(led, [aggregate()], EdgeRewardLog(), 9)
+    report = build_report(led, [episode_aggregate(led)], 9)
     row = run_csv_row(report, "fcfs", "NO.1", 7, 0.05)
     assert len(row) == len(RUN_CSV_COLUMNS) == 13
     assert row[0] == "fcfs"

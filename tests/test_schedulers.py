@@ -221,7 +221,7 @@ def test_qlearn_local_action():
     assert p.node_id == -1
     assert p.cpu_share == 0.0
     assert p.bundle_factor == 1.0
-    assert p.action_ordinal == 0
+    assert sched.last_action_ordinal == 0
 
 
 def test_qlearn_fog_action_picks_least_loaded():
@@ -233,7 +233,7 @@ def test_qlearn_fog_action_picks_least_loaded():
     assert p.bundle_factor == 1.5
     assert p.cpu_share == pytest.approx(0.1 * 1.5)
     assert p.cpu_share <= ctx.nodes[1].max_share
-    assert p.action_ordinal == 4
+    assert sched.last_action_ordinal == 4
 
 
 def test_qlearn_fog_tie_breaks_to_lowest_id():
@@ -257,7 +257,7 @@ def test_qlearn_cloud_action_uses_nearest_relay():
     assert p.node_id == 1
     assert p.bundle_factor == 2.0
     assert p.cpu_share == 0.0
-    assert p.action_ordinal == 8
+    assert sched.last_action_ordinal == 8
 
 
 def test_qlearn_failed_fog_resolution_reports_action():

@@ -74,13 +74,14 @@ def test_entry_times_sorted_within_horizon():
     assert abs(len(times) - expected) < 0.35 * expected
 
 
-def test_sample_vehicles_count_override():
+def test_sample_vehicles_field_ranges():
     scenario = SCENARIOS["NO.3"]
-    vehicles = sample_vehicles(scenario, random.Random(5), 3000.0, 1.0e9, 2.0e9, count=500)
-    assert len(vehicles) == 500
-    assert [v.vehicle_id for v in vehicles] == list(range(500))
+    vehicles = sample_vehicles(scenario, random.Random(5), 3000.0, 1.0e9, 2.0e9)
+    assert len(vehicles) > 500
+    assert [v.vehicle_id for v in vehicles] == list(range(len(vehicles)))
     entries = [v.entry_time for v in vehicles]
     assert entries == sorted(entries)
+    assert 0.0 < entries[0] and entries[-1] < scenario.duration
     for v in vehicles:
         assert 0.0 <= v.x <= 3000.0
         assert 0.0 <= v.y <= 3000.0
