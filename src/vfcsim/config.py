@@ -118,6 +118,8 @@ class SimParams:
             raise ValidationError(f"demand_ema_alpha={self.demand_ema_alpha!r} outside (0, 1]")
         if self.eval_episodes < 1:
             raise ValidationError(f"eval_episodes={self.eval_episodes!r} must be >= 1")
+        if self.topology_seed < 0:  # random.Random(-s) would build the nodes of s
+            raise ValidationError(f"topology_seed={self.topology_seed!r} must be >= 0")
         # bundle_small was checked finite above and bundle_medium sits between
         if not math.isfinite(self.bundle_large):
             raise ValidationError(f"bundle_large must be finite, got {self.bundle_large!r}")

@@ -53,10 +53,6 @@ from .metrics import (
     episode_aggregate,
 )
 from .rewards import (
-    QualitySample,
-    ResponseSample,
-    UtilizationSample,
-    WastageSample,
     qos_reward,
     resource_utilization,
     resource_wastage,
@@ -412,7 +408,6 @@ def build_scheduler(
     cfg: RunConfig,
     name: str,
     tables: dict[int, QTable] | None = None,
-    epsilon: float = 0.0,
 ) -> Scheduler:
     if name == "fcfs":
         return FcfsScheduler()
@@ -428,7 +423,7 @@ def build_scheduler(
             )
         check_tables(tables, cfg.sim.fog_nodes)
         bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
-        return QLearningScheduler(tables, random.Random(0), bundles, epsilon)
+        return QLearningScheduler(tables, random.Random(0), bundles)
     raise ValidationError(f"unknown scheduler {name!r}")
 
 
@@ -440,7 +435,6 @@ class _Episode:
         cfg: RunConfig,
         scheduler: Scheduler,
         seed: int,
-        arrival_prob: float,
         train: bool,
         collect_events: bool,
         vehicles: list[VehicleSpec] | None,
@@ -471,7 +465,6 @@ class _Episode:
                 min_dwell=self.sim.min_dwell_s,
             )
         self.vehicle_specs = vehicles
-        self.arrival_prob = arrival_prob
         self.heap: list[tuple[float, int, int, object]] = []
         self.seq = 0
         self.active: dict[int, VehicleState] = {}
@@ -599,7 +592,7 @@ class _Episode:
             self.log("VehicleExit", now, -1, -1, vehicle_id)
 
     def on_snapshot(self, now: float, _payload: None) -> None:
-        p = self.arrival_prob
+        p = self.sim.arrival_prob
         if p <= 0.0:
             return
         draw = self.rng.random
@@ -619,10 +612,9 @@ class _Episode:
             bound = now + deadline
             if veh.exit_time < bound:
                 bound = veh.exit_time
-            # The per-task dataclasses (Task, NodeView, DecisionContext,
-            # TaskRecord and the reward samples) are built positionally, in
-            # field order: on CPython 3.11 a keyword call to a slots
-            # dataclass costs 2-3x the positional one (Task 1.70 vs 0.55 us).
+            # Task, NodeView, DecisionContext and TaskRecord are built
+            # positionally, in field order: on CPython 3.11 a keyword call to a
+            # slots dataclass costs 2-3x the positional one (Task 1.70 vs 0.55 us).
             tasks.append(Task(
                 self.task_counter,  # task_id
                 veh,
@@ -789,11 +781,9 @@ class _Episode:
             node = None
             stats_node = self.nodes[task.decision_node]
 
-        util = UtilizationSample(
-            _clamp01(stats_node.cpu_commit),  # ncu
-            _clamp01(stats_node.mem_commit),  # nmu
-            _clamp01(stats_node.bw_commit),  # nnbu
-        )
+        ncu = _clamp01(stats_node.cpu_commit)
+        nmu = _clamp01(stats_node.mem_commit)
+        nnbu = _clamp01(stats_node.bw_commit)
         if node is not None:
             node.release_cpu(task.cpu_share)
             node.release_resident(task.mem_alloc, task.disk_alloc)
@@ -808,29 +798,21 @@ class _Episode:
         else:
             actual_cpu = task.cpu_share if tier == _FOG else _clamp01(task.eff_cpu * task.bundle)
             wastage = resource_wastage(
-                [
-                    WastageSample(
-                        _clamp01(actual_cpu),
-                        _clamp01(task.eff_cpu),
-                        _clamp01(task.mem_frac * task.bundle),  # actual_mem
-                        task.mem_frac,  # efficient_mem
-                        _clamp01(task.bw_frac * task.bundle),  # actual_bw
-                        task.bw_frac,  # efficient_bw
-                    )
-                ]
+                _clamp01(actual_cpu),
+                _clamp01(task.eff_cpu),
+                _clamp01(task.mem_frac * task.bundle),  # actual_mem
+                task.mem_frac,  # efficient_mem
+                _clamp01(task.bw_frac * task.bundle),  # actual_bw
+                task.bw_frac,  # efficient_bw
             )
-        utilization = resource_utilization(util, weights)
-        response = response_time_reward(ResponseSample(t_current, task.deadline))
+        utilization = resource_utilization(ncu, nmu, nnbu, weights)
+        response = response_time_reward(t_current, task.deadline)
         throughput = (task.size_bits / t_current) / self.link.wired_rate_bps if t_current > 0.0 else 1.0
         qos = qos_reward(
-            QualitySample(
-                t_current,  # latency
-                throughput if throughput <= 1.0 else 1.0,
-                stats_node.reliability(),
-            ),
+            t_current,  # latency
+            throughput if throughput <= 1.0 else 1.0,
+            stats_node.reliability(),
             weights,
-            weights.latency_floor,
-            weights.quality_desired,
         )
         reward = total_reward(wastage, utilization, response, qos, weights)
         self.finish(task, now, True, reward, (wastage, utilization, response, qos))
@@ -941,7 +923,6 @@ def run_episode(
     cfg: RunConfig,
     scheduler: Scheduler,
     seed: int,
-    arrival_prob: float | None = None,
     *,
     train: bool = False,
     collect_events: bool = False,
@@ -949,17 +930,12 @@ def run_episode(
     episode_index: int = 0,
 ) -> EpisodeResult:
     """Simulate one traffic episode under the given scheduler."""
-    prob = cfg.sim.arrival_prob if arrival_prob is None else arrival_prob
-    if not (0.0 <= prob <= 1.0):
-        raise ValidationError(f"arrival_prob={prob!r} outside [0, 1]")
-    episode = _Episode(cfg, scheduler, seed, prob, train, collect_events, vehicles, episode_index)
-    return episode.run()
+    return _Episode(cfg, scheduler, seed, train, collect_events, vehicles, episode_index).run()
 
 
 def run_training(
     cfg: RunConfig,
     master_seed: int,
-    arrival_prob: float | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> TrainingResult:
     """Train per-node Q agents for cfg.agent.episodes episodes.
@@ -971,8 +947,7 @@ def run_training(
     cfg.validate()
     _check_master_seed(master_seed)
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
-    bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
-    scheduler = QLearningScheduler(tables, random.Random(0), bundles)
+    scheduler = build_scheduler(cfg, "qlearn", tables)
     curve: list[dict] = []
     for episode in range(cfg.agent.episodes):
         scheduler.epsilon = epsilon_at(episode, cfg.agent)
@@ -980,7 +955,6 @@ def run_training(
             cfg,
             scheduler,
             derive_seed(master_seed, episode),
-            arrival_prob,
             train=True,
             episode_index=episode,
         )
@@ -1007,31 +981,25 @@ def run_evaluation(
     scheduler_name: str,
     seed: int,
     tables: dict[int, QTable] | None = None,
-    arrival_prob: float | None = None,
-    episodes: int | None = None,
     collect_events: bool = False,
     vehicles: list[VehicleSpec] | None = None,
 ) -> EvalResult:
-    """Evaluate a scheduler over one or more greedy episodes.
+    """Evaluate a scheduler over cfg.sim.eval_episodes greedy episodes.
 
     Episode e runs with seed derive_seed(seed, e). `vehicles`, when given,
     replaces the sampled traffic in every episode (a recorded trace).
     """
     cfg.validate()
     _check_master_seed(seed)
-    n_episodes = cfg.sim.eval_episodes if episodes is None else episodes
-    if n_episodes < 1:
-        raise ValidationError(f"episodes={n_episodes!r} must be >= 1")
     scheduler = build_scheduler(cfg, scheduler_name, tables)
     ledger = TaskLedger()
     aggregates: list[EpisodeAggregate] = []
     events: list[EventRecord] | None = [] if collect_events else None
-    for episode in range(n_episodes):
+    for episode in range(cfg.sim.eval_episodes):
         result = run_episode(
             cfg,
             scheduler,
             derive_seed(seed, episode),
-            arrival_prob,
             collect_events=collect_events,
             vehicles=vehicles,
             episode_index=episode,

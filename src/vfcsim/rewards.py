@@ -11,17 +11,10 @@ wastage = 1 and the other components 0, i.e. exactly -w1.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ValidationError
-
-logger = logging.getLogger(__name__)
-
-DEFAULT_LATENCY_FLOOR = 1e-3
-DEFAULT_QUALITY_DESIRED = 0.9
 
 
 @dataclass
@@ -45,8 +38,8 @@ class RewardWeights:
     w31: float = 1.0 / 3.0
     w32: float = 1.0 / 3.0
     w33: float = 1.0 / 3.0
-    latency_floor: float = DEFAULT_LATENCY_FLOOR
-    quality_desired: float = DEFAULT_QUALITY_DESIRED
+    latency_floor: float = 1e-3
+    quality_desired: float = 0.9
 
     def validate(self) -> None:
         groups = {
@@ -67,44 +60,6 @@ class RewardWeights:
             raise ValidationError(f"quality_desired={self.quality_desired!r} outside [0, 1]")
 
 
-@dataclass(slots=True)
-class WastageSample:
-    """Actual vs efficient usage fractions for one allocation."""
-
-    actual_cpu: float
-    efficient_cpu: float
-    actual_mem: float
-    efficient_mem: float
-    actual_bw: float
-    efficient_bw: float
-
-
-@dataclass(slots=True)
-class UtilizationSample:
-    """Normalized CPU/memory/bandwidth usage of the serving node."""
-
-    ncu: float
-    nmu: float
-    nnbu: float
-
-
-@dataclass(slots=True)
-class ResponseSample:
-    """Observed completion latency against the task's tolerance."""
-
-    t_current: float
-    t_max: float
-
-
-@dataclass(slots=True)
-class QualitySample:
-    """Observed latency (s), normalized throughput and reliability."""
-
-    latency: float
-    throughput: float
-    reliability: float
-
-
 def _check_unit(name: str, value: float) -> None:
     if value.__class__ is float and 0.0 <= value <= 1.0:  # False for NaN
         return
@@ -123,86 +78,78 @@ def _check_pair(name: str, actual: float, efficient: float) -> None:
         )
 
 
-def resource_wastage(samples: Iterable[WastageSample]) -> float:
-    """Mean over-allocation across tasks, normalized into [0, 1].
-
-    Sums the (actual - efficient) gaps over all three resources of every
-    sample and divides by 3n. An empty batch scores 0 (and logs a note),
-    so idle periods are not rewarded for wasting nothing.
-    """
-    total = 0.0
-    n = 0
-    for s in samples:
-        for name, actual, efficient in (
-            ("cpu", s.actual_cpu, s.efficient_cpu),
-            ("mem", s.actual_mem, s.efficient_mem),
-            ("bw", s.actual_bw, s.efficient_bw),
-        ):
-            if not (
-                actual.__class__ is efficient.__class__ is float
-                and 0.0 <= efficient <= actual <= 1.0
-            ):
-                _check_pair(name, actual, efficient)
-            total += actual - efficient
-        n += 1
-    if n == 0:
-        logger.info("resource_wastage: empty sample batch scored as 0")
-        return 0.0
-    return total / (3.0 * n)
-
-
-def resource_utilization(sample: UtilizationSample, weights: RewardWeights) -> float:
-    """Weighted mix of the node's normalized usage readings."""
-    _check_unit("ncu", sample.ncu)
-    _check_unit("nmu", sample.nmu)
-    _check_unit("nnbu", sample.nnbu)
-    return weights.w21 * sample.ncu + weights.w22 * sample.nmu + weights.w23 * sample.nnbu
-
-
-def response_time_reward(sample: ResponseSample) -> float:
-    """(t_max - min(t_current, t_max)) / t_max; 1 is instantaneous, 0 is at or past t_max."""
-    if not (math.isfinite(sample.t_max) and sample.t_max > 0.0):
-        raise ValidationError(f"t_max must be positive, got {sample.t_max!r}")
-    if not (math.isfinite(sample.t_current) and sample.t_current >= 0.0):
-        raise ValidationError(f"t_current must be >= 0, got {sample.t_current!r}")
-    t = sample.t_current if sample.t_current < sample.t_max else sample.t_max
-    return (sample.t_max - t) / sample.t_max
-
-
-def quality(
-    sample: QualitySample,
-    weights: RewardWeights,
-    latency_floor: float = DEFAULT_LATENCY_FLOOR,
+def resource_wastage(
+    actual_cpu: float,
+    efficient_cpu: float,
+    actual_mem: float,
+    efficient_mem: float,
+    actual_bw: float,
+    efficient_bw: float,
 ) -> float:
-    """Achieved service quality in [0, 1].
+    """Mean over-allocation of one task, in [0, 1]: the (actual - efficient)
+    gaps of cpu, mem and bw, summed in that order, divided by 3."""
+    total = 0.0
+    for name, actual, efficient in (
+        ("cpu", actual_cpu, efficient_cpu),
+        ("mem", actual_mem, efficient_mem),
+        ("bw", actual_bw, efficient_bw),
+    ):
+        if not (
+            actual.__class__ is efficient.__class__ is float
+            and 0.0 <= efficient <= actual <= 1.0
+        ):
+            _check_pair(name, actual, efficient)
+        total += actual - efficient
+    return total / 3.0
 
-    The latency term is latency_floor / max(latency, latency_floor), so a
+
+def resource_utilization(ncu: float, nmu: float, nnbu: float, weights: RewardWeights) -> float:
+    """Weighted mix of the node's normalized CPU, memory and bandwidth usage."""
+    _check_unit("ncu", ncu)
+    _check_unit("nmu", nmu)
+    _check_unit("nnbu", nnbu)
+    return weights.w21 * ncu + weights.w22 * nmu + weights.w23 * nnbu
+
+
+def response_time_reward(t_current: float, t_max: float) -> float:
+    """(t_max - min(t_current, t_max)) / t_max; 1 is instantaneous, 0 is at or past t_max."""
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValidationError(f"t_max must be positive, got {t_max!r}")
+    if not (math.isfinite(t_current) and t_current >= 0.0):
+        raise ValidationError(f"t_current must be >= 0, got {t_current!r}")
+    t = t_current if t_current < t_max else t_max
+    return (t_max - t) / t_max
+
+
+def quality(latency: float, throughput: float, reliability: float, weights: RewardWeights) -> float:
+    """Achieved service quality in [0, 1] of an observed latency (s) and a
+    normalized throughput and reliability.
+
+    The latency term is weights.latency_floor / max(latency, floor), so a
     latency at or below the floor scores 1 and the term decays toward 0;
     throughput and reliability enter as already-normalized fractions.
     """
+    latency_floor = weights.latency_floor
     if not (math.isfinite(latency_floor) and latency_floor > 0.0):
         raise ValidationError(f"latency_floor must be positive, got {latency_floor!r}")
-    if not (math.isfinite(sample.latency) and sample.latency >= 0.0):
-        raise ValidationError(f"latency must be >= 0, got {sample.latency!r}")
-    _check_unit("throughput", sample.throughput)
-    _check_unit("reliability", sample.reliability)
-    lat = sample.latency if sample.latency > latency_floor else latency_floor
+    if not (math.isfinite(latency) and latency >= 0.0):
+        raise ValidationError(f"latency must be >= 0, got {latency!r}")
+    _check_unit("throughput", throughput)
+    _check_unit("reliability", reliability)
+    lat = latency if latency > latency_floor else latency_floor
     return (
         weights.w31 * (latency_floor / lat)
-        + weights.w32 * sample.throughput
-        + weights.w33 * sample.reliability
+        + weights.w32 * throughput
+        + weights.w33 * reliability
     )
 
 
-def qos_reward(
-    sample: QualitySample,
-    weights: RewardWeights,
-    latency_floor: float = DEFAULT_LATENCY_FLOOR,
-    quality_desired: float = DEFAULT_QUALITY_DESIRED,
-) -> float:
-    """min(1, exp(-(quality_desired - quality))): 1 once the target is met."""
+def qos_reward(latency: float, throughput: float, reliability: float, weights: RewardWeights) -> float:
+    """min(1, exp(-(weights.quality_desired - quality))): 1 once the target is met."""
+    quality_desired = weights.quality_desired
     _check_unit("quality_desired", quality_desired)
-    q = quality(sample, weights, latency_floor)
+    # a module-global lookup, so a wrapper set on rewards.quality sees it
+    q = quality(latency, throughput, reliability, weights)
     raw = math.exp(-(quality_desired - q))
     return raw if raw < 1.0 else 1.0
 

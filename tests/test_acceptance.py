@@ -18,11 +18,7 @@ from vfcsim.engine import NodeState, build_scheduler, run_episode, run_evaluatio
 from vfcsim.link import processing_time, shannon_rate, upload_time
 from vfcsim.metrics import mean_std
 from vfcsim.rewards import (
-    QualitySample,
-    ResponseSample,
     RewardWeights,
-    UtilizationSample,
-    WastageSample,
     qos_reward,
     resource_utilization,
     resource_wastage,
@@ -68,10 +64,10 @@ def test_criterion_02_reward_worked_examples_exact():
     best = total_reward(0.0, 1.0, 1.0, 1.0, w)
     drop = total_reward(1.0, 0.0, 0.0, 0.0, w)
     # quality lands at 0 a full unit below the target, so qos = e^-1
-    ew = RewardWeights(w31=0.0, w32=0.5, w33=0.5)
-    e_inv = qos_reward(QualitySample(5.0, 0.0, 0.0), ew, quality_desired=1.0)
-    resp = response_time_reward(ResponseSample(4.0, 10.0))
-    util = resource_utilization(UtilizationSample(1.0, 0.0, 0.0), w)
+    ew = RewardWeights(w31=0.0, w32=0.5, w33=0.5, quality_desired=1.0)
+    e_inv = qos_reward(5.0, 0.0, 0.0, ew)
+    resp = response_time_reward(4.0, 10.0)
+    util = resource_utilization(1.0, 0.0, 0.0, w)
     checks = [
         (best, 0.7),
         (drop, -0.3),
@@ -95,9 +91,9 @@ def test_criterion_03_link_worked_examples_exact():
 
 
 def test_criterion_04_metrics_equal_event_log_replay(tmp_path):
-    cfg = build_config({"scenario.name": "NO.4"})
+    cfg = build_config({"scenario.name": "NO.4", "sim.eval_episodes": "2"})
     start = time.perf_counter()
-    result = run_evaluation(cfg, "fcfs", 11, episodes=2, collect_events=True)
+    result = run_evaluation(cfg, "fcfs", 11, collect_events=True)
     path = tmp_path / "events.ndjson"
     write_event_log(result.events, path)
     events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -202,15 +198,15 @@ def test_criterion_08_traffic_sample_means_track_table():
 
 def test_criterion_09_service_ratio_degrades_with_load(trained_no1):
     _, tables, _ = trained_no1
-    cfg = build_config({"scenario.name": "NO.4"})
     drops = {}
     violations = []
     for name in ("qlearn", "fcfs", "rr", "wfq"):
         t = tables if name == "qlearn" else None
         by_prob = {}
         for prob in (0.3, 0.7):
+            cfg = build_config({"scenario.name": "NO.4", "sim.arrival_prob": repr(prob)})
             asrs = [
-                run_evaluation(cfg, name, seed, tables=t, arrival_prob=prob).report.asr
+                run_evaluation(cfg, name, seed, tables=t).report.asr
                 for seed in range(10)
             ]
             by_prob[prob] = mean_std(asrs)[0]
@@ -259,9 +255,10 @@ def test_criterion_10_invariant_suites():
 
     NodeState.commit_cpu = probe
     try:
-        cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "120"})
+        cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "120",
+                            "sim.arrival_prob": "0.7"})
         for name in ("fcfs", "wfq"):
-            run_episode(cfg, build_scheduler(cfg, name), 17, arrival_prob=0.7)
+            run_episode(cfg, build_scheduler(cfg, name), 17)
     finally:
         NodeState.commit_cpu = original
     if not observed or max(observed) > 1.0 + 1e-9:
@@ -269,7 +266,7 @@ def test_criterion_10_invariant_suites():
 
     # wastage rejects out-of-range fractions; conservation holds on a real run
     try:
-        resource_wastage([WastageSample(1.2, 0.1, 0.1, 0.1, 0.1, 0.1)])
+        resource_wastage(1.2, 0.1, 0.1, 0.1, 0.1, 0.1)
         failures.append("wastage accepted actual_cpu=1.2")
     except Exception:
         pass

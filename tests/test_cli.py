@@ -178,11 +178,12 @@ def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
 
     # the same bytes as evaluating the trace directly: episode e runs on
     # derive_seed(3, e), and the trace's CPU draws come from the first seed
-    cfg = load_config(None, {"scenario.duration": "20", "sim.arrival_prob": "0.5"}, "NO.4")
+    cfg = load_config(None, {"scenario.duration": "20", "sim.arrival_prob": "0.5",
+                             "sim.eval_episodes": "2"}, "NO.4")
     vehicles = load_trace_csv(
         trace, random.Random(3), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
     )
-    expected = run_evaluation(cfg, "rr", 3, episodes=2, collect_events=True, vehicles=vehicles)
+    expected = run_evaluation(cfg, "rr", 3, collect_events=True, vehicles=vehicles)
     write_event_log(expected.events, tmp_path / "expected.ndjson")
     assert log.read_bytes() == (tmp_path / "expected.ndjson").read_bytes()
     rows = read_csv(out / "metrics.csv")

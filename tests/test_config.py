@@ -195,16 +195,21 @@ def test_every_key_is_a_section_field():
 
 
 @pytest.mark.parametrize("key, value, named", [
-    ("reward.latency_floor", "0", "latency_floor must be positive"),
-    ("reward.latency_floor", "-1e-3", "latency_floor must be positive"),
-    ("reward.quality_desired", "1.5", "quality_desired=1.5 outside [0, 1]"),
+    ("reward.latency_floor", 0.0, "latency_floor must be positive"),
+    ("reward.latency_floor", -1e-3, "latency_floor must be positive"),
+    ("reward.quality_desired", 1.5, "quality_desired=1.5 outside [0, 1]"),
+    # random.Random(-s) is random.Random(s): the default's negative would
+    # silently build the default node CPUs
+    ("sim.topology_seed", -20231, "topology_seed=-20231 must be >= 0"),
 ])
-def test_reward_floor_and_target_checked_by_their_section(key, value, named):
+def test_bad_value_checked_by_its_section(key, value, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
-        build_config({key: value})
-    weights = dataclasses.replace(build_config({}).weights, **{key.partition(".")[2]: float(value)})
+        build_config({key: repr(value)})
+    prefix, _, name = key.partition(".")
+    attr = config._SECTIONS[prefix][0]
+    section = dataclasses.replace(getattr(build_config({}), attr), **{name: value})
     with pytest.raises(ValidationError, match=re.escape(named)):
-        weights.validate()
+        section.validate()
 
 
 def test_known_keys_pinned():

@@ -1,5 +1,6 @@
 """End-to-end engine behavior: worked examples, invariants, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -362,6 +363,24 @@ def test_completion_identity_on_serviced_records():
                 )
 
 
+@pytest.mark.parametrize("key, value, moved", [
+    # a higher target lowers each QoS score below 1
+    ("reward.quality_desired", "1.0", -1),
+    # a higher floor raises the latency term, and so each score below 1
+    ("reward.latency_floor", "0.002", 1),
+])
+def test_reward_floor_and_target_reach_the_engine(key, value, moved):
+    _, base = run_short(collect=False)
+    _, changed = run_short(collect=False, **{key: value})
+    pairs = [(a, b) for a, b in zip(base.ledger.records, changed.ledger.records) if a.serviced]
+    assert len(pairs) > 50
+    # the reward does not steer fcfs, so only the QoS component moves
+    assert [(a.task_id, a.tier, a.components[:3]) for a, _ in pairs] == [
+        (b.task_id, b.tier, b.components[:3]) for _, b in pairs
+    ]
+    assert all((b.components[3] - a.components[3]) * moved > 0.0 for a, b in pairs)
+
+
 def test_heavy_load_respects_capacity_guards():
     # the commit guards turn any overflow into a RuntimeError, so a clean
     # run is the assertion
@@ -373,7 +392,7 @@ def test_heavy_load_respects_capacity_guards():
 def test_episode_end_guard_checks_every_resource(tiny_cfg):
     for leak in (1e-6, math.nan):
         for attr in ("cpu_commit", "mem_commit", "disk_commit", "bw_commit"):
-            episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
+            episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1,
                                False, False, None, 0)
             episode.check_resources_released()
             node = episode.nodes[3]
@@ -408,7 +427,8 @@ def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
                         "sim.arrival_prob": "0.7"})
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
-    sched = build_scheduler(cfg, name, tables, epsilon=1.0)
+    sched = build_scheduler(cfg, name, tables)
+    sched.epsilon = 1.0
     records = run_episode(cfg, sched, 7).ledger.records
     # a task dropped at its decision resolves at its arrival time, before
     # any event of its own; every other task has exactly one expiry
@@ -424,7 +444,7 @@ def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
 ])
 def test_state_sla_flag_at_the_deadline(tiny_cfg, samples, sla):
     # a response window whose sum equals its deadline sum fulfils the SLA
-    episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, 0.05,
+    episode = _Episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1,
                        False, False, None, 0)
     node = episode.nodes[0]
     for response, deadline in samples:
@@ -589,11 +609,12 @@ def test_certain_arrivals_generate_one_task_per_tick():
 
 
 def test_arrival_prob_validation(tiny_cfg):
+    # a config changed after it was built is checked again by the episode
     sched = build_scheduler(tiny_cfg, "fcfs")
-    with pytest.raises(ValidationError, match="arrival_prob"):
-        run_episode(tiny_cfg, sched, 1, arrival_prob=1.5)
-    with pytest.raises(ValidationError, match="arrival_prob"):
-        run_episode(tiny_cfg, sched, 1, arrival_prob=-0.1)
+    for prob in (1.5, -0.1):
+        cfg = dataclasses.replace(tiny_cfg, sim=dataclasses.replace(tiny_cfg.sim, arrival_prob=prob))
+        with pytest.raises(ValidationError, match=re.escape(f"arrival_prob={prob!r} outside [0, 1]")):
+            run_episode(cfg, sched, 1)
 
 
 # -- training and evaluation drivers ---------------------------------------------------
@@ -683,7 +704,9 @@ def test_load_tables_missing_file(tmp_path):
 
 
 def test_evaluation_merges_episodes(tiny_cfg):
-    result = run_evaluation(tiny_cfg, "fcfs", 3, episodes=2)
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "40",
+                        "sim.eval_episodes": "2"})
+    result = run_evaluation(cfg, "fcfs", 3)
     assert len(result.aggregates) == 2
     assert result.report.k_total == sum(a.tasks for a in result.aggregates)
     single = run_evaluation(tiny_cfg, "fcfs", 3)

@@ -34,9 +34,9 @@ def trained_tables():
 @pytest.mark.parametrize("scheduler", ["fcfs", "rr", "wfq", "qlearn"])
 @pytest.mark.parametrize("scenario", ["NO.1", "NO.4"])
 def test_every_line_equals_json_dumps(scenario, scheduler, trained_tables):
-    cfg = build_config({"scenario.name": scenario})
+    cfg = build_config({"scenario.name": scenario, "sim.eval_episodes": "2"})
     tables = trained_tables[scenario] if scheduler == "qlearn" else None
-    result = run_evaluation(cfg, scheduler, 5, tables=tables, episodes=2, collect_events=True)
+    result = run_evaluation(cfg, scheduler, 5, tables=tables, collect_events=True)
     kinds = {e[0] for e in result.events}
     assert {"VehicleEnter", "VehicleExit", "TaskArrival", "TaskDropped"} <= kinds
     assert {e[4] for e in result.events} == {0, 1}
@@ -64,9 +64,10 @@ PINNED_LOGS = [
 
 @pytest.mark.parametrize("scenario,scheduler,seed,prob,episodes,count,digest", PINNED_LOGS)
 def test_event_log_bytes_pinned(tmp_path, scenario, scheduler, seed, prob, episodes, count, digest):
-    cfg = build_config({"scenario.name": scenario})
-    result = run_evaluation(cfg, scheduler, seed, arrival_prob=prob, episodes=episodes,
-                            collect_events=True)
+    overrides = {"scenario.name": scenario, "sim.eval_episodes": str(episodes)}
+    if prob is not None:
+        overrides["sim.arrival_prob"] = repr(prob)
+    result = run_evaluation(build_config(overrides), scheduler, seed, collect_events=True)
     path = tmp_path / "events.ndjson"
     write_event_log(result.events, path)
     assert len(result.events) == count

@@ -7,6 +7,7 @@ purpose: the tests do not import bench/.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -109,10 +110,77 @@ def test_training_calls_the_patched_q_functions(monkeypatch):
     assert counts["select"] == counts["decisions"] == tasks
 
 
-def test_collected_events_count_the_written_lines(tiny_cfg, tmp_path):
+REWARD_NAMES = ("resource_wastage", "resource_utilization", "response_time_reward",
+                "qos_reward", "total_reward")
+
+
+def test_training_calls_the_patched_reward_functions(monkeypatch):
+    # the benchmark's rewards.calls and rewards.self_s count calls to the
+    # five reward names on engine and to rewards.quality, which qos_reward
+    # must look up as a module global for the wrapper to see it
+    counts = dict.fromkeys(REWARD_NAMES + ("quality",), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in REWARD_NAMES:
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    monkeypatch.setattr(rewards, "quality", counted("quality", rewards.quality))
+    ledgers = []
+    run_episode = engine.run_episode
+
+    def recorded(*args, **kwargs):
+        result = run_episode(*args, **kwargs)
+        ledgers.append(result.ledger)
+        return result
+
+    monkeypatch.setattr(engine, "run_episode", recorded)
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "agent.episodes": "1"})
+    engine.run_training(cfg, 1)
+    serviced = [r for ledger in ledgers for r in ledger.records if r.serviced]
+    offloaded = [r for r in serviced if r.tier != vfcsim.Tier.LOCAL]
+    # exploration services tasks on the vehicle too, which score no wastage
+    assert 0 < len(offloaded) < len(serviced)
+    assert counts == {
+        "resource_wastage": len(offloaded),
+        "resource_utilization": len(serviced),
+        "response_time_reward": len(serviced),
+        "qos_reward": len(serviced),
+        "total_reward": len(serviced),
+        "quality": len(serviced),
+    }
+
+
+def test_entry_points_take_run_settings_from_the_config():
+    # sim.arrival_prob and sim.eval_episodes are read from the config only,
+    # and a learned scheduler's epsilon is set on the scheduler
+    for name in ("run_episode", "run_training", "run_evaluation"):
+        params = inspect.signature(getattr(engine, name)).parameters
+        assert not {"arrival_prob", "episodes"} & set(params), name
+    assert "epsilon" not in inspect.signature(engine.build_scheduler).parameters
+
+
+def test_reward_components_take_plain_numbers():
+    # components take floats; the QoS floor and target live in RewardWeights only
+    for name in ("WastageSample", "UtilizationSample", "ResponseSample", "QualitySample",
+                 "DEFAULT_LATENCY_FLOOR", "DEFAULT_QUALITY_DESIRED"):
+        assert not hasattr(rewards, name), name
+    assert not [name for name in vfcsim.__all__ if name.endswith("Sample")]
+    for fn in (rewards.quality, rewards.qos_reward):
+        params = inspect.signature(fn).parameters
+        assert not {"latency_floor", "quality_desired"} & set(params), fn.__name__
+
+
+def test_collected_events_count_the_written_lines(tmp_path):
     # the benchmark reports len(result.events) as engine.events_logged next
     # to the size of the file write_event_log(result.events, path) writes
-    result = engine.run_evaluation(tiny_cfg, "fcfs", 3, episodes=2, collect_events=True)
+    cfg = config.build_config({"scenario.name": "NO.4", "scenario.duration": "40",
+                               "sim.eval_episodes": "2"})
+    result = engine.run_evaluation(cfg, "fcfs", 3, collect_events=True)
     count = len(result.events)
     assert count > 0
     path = tmp_path / "events.ndjson"

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from vfcsim.errors import ValidationError
 from vfcsim.rewards import (
-    DEFAULT_LATENCY_FLOOR,
-    QualitySample,
-    ResponseSample,
     RewardWeights,
-    UtilizationSample,
-    WastageSample,
     qos_reward,
     quality,
     resource_utilization,
@@ -26,45 +21,26 @@ from vfcsim.rewards import (
 W = RewardWeights()
 
 
-def wsample(ac, ec, am, em, ab, eb):
-    return WastageSample(
-        actual_cpu=ac, efficient_cpu=ec,
-        actual_mem=am, efficient_mem=em,
-        actual_bw=ab, efficient_bw=eb,
-    )
-
-
 # -- wastage ---------------------------------------------------------------
 
 def test_wastage_zero_when_allocation_exact():
-    assert resource_wastage([wsample(0.5, 0.5, 0.2, 0.2, 0.1, 0.1)]) == 0.0
-
-
-def test_wastage_empty_batch_scores_zero():
-    assert resource_wastage([]) == 0.0
+    assert resource_wastage(0.5, 0.5, 0.2, 0.2, 0.1, 0.1) == 0.0
 
 
 def test_wastage_worked_example():
     # gaps 0.3, 0.0, 0.1 over three resources of one task
-    value = resource_wastage([wsample(0.8, 0.5, 0.6, 0.6, 0.4, 0.3)])
+    value = resource_wastage(0.8, 0.5, 0.6, 0.6, 0.4, 0.3)
     assert value == pytest.approx(0.4 / 3.0, abs=1e-12)
-
-
-def test_wastage_duplication_invariance():
-    s = wsample(0.8, 0.5, 0.6, 0.6, 0.4, 0.3)
-    one = resource_wastage([s])
-    many = resource_wastage([s] * 7)
-    assert many == pytest.approx(one, rel=1e-12)
 
 
 def test_wastage_rejects_negative_gap():
     with pytest.raises(ValidationError, match="efficient_cpu"):
-        resource_wastage([wsample(0.4, 0.5, 0.0, 0.0, 0.0, 0.0)])
+        resource_wastage(0.4, 0.5, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_wastage_rejects_out_of_range():
     with pytest.raises(ValidationError, match="actual_mem"):
-        resource_wastage([wsample(0.4, 0.2, 1.5, 0.0, 0.0, 0.0)])
+        resource_wastage(0.4, 0.2, 1.5, 0.0, 0.0, 0.0)
 
 
 def test_wastage_bounded():
@@ -72,50 +48,50 @@ def test_wastage_bounded():
     for _ in range(500):
         effs = [rng.random() for _ in range(3)]
         acts = [e + rng.random() * (1.0 - e) for e in effs]
-        v = resource_wastage([wsample(acts[0], effs[0], acts[1], effs[1], acts[2], effs[2])])
+        v = resource_wastage(acts[0], effs[0], acts[1], effs[1], acts[2], effs[2])
         assert 0.0 <= v <= 1.0
 
 
 # -- utilization -------------------------------------------------------------
 
 def test_utilization_full_is_one():
-    assert resource_utilization(UtilizationSample(1.0, 1.0, 1.0), W) == pytest.approx(1.0, abs=1e-12)
+    assert resource_utilization(1.0, 1.0, 1.0, W) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_utilization_half_everywhere():
-    assert resource_utilization(UtilizationSample(0.5, 0.5, 0.5), W) == pytest.approx(0.5, abs=1e-12)
+    assert resource_utilization(0.5, 0.5, 0.5, W) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_utilization_cpu_only_weight():
-    assert resource_utilization(UtilizationSample(1.0, 0.0, 0.0), W) == pytest.approx(0.4, abs=1e-12)
+    assert resource_utilization(1.0, 0.0, 0.0, W) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_utilization_rejects_out_of_range():
     with pytest.raises(ValidationError, match="nmu"):
-        resource_utilization(UtilizationSample(0.0, -0.1, 0.0), W)
+        resource_utilization(0.0, -0.1, 0.0, W)
 
 
 # -- response ----------------------------------------------------------------
 
 def test_response_at_deadline_scores_zero():
-    assert response_time_reward(ResponseSample(10.0, 10.0)) == 0.0
+    assert response_time_reward(10.0, 10.0) == 0.0
 
 
 def test_response_instantaneous_scores_one():
-    assert response_time_reward(ResponseSample(0.0, 10.0)) == 1.0
+    assert response_time_reward(0.0, 10.0) == 1.0
 
 
 def test_response_worked_example():
-    assert response_time_reward(ResponseSample(4.0, 10.0)) == pytest.approx(0.6, abs=1e-12)
+    assert response_time_reward(4.0, 10.0) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_response_clamps_past_deadline():
-    assert response_time_reward(ResponseSample(25.0, 10.0)) == 0.0
+    assert response_time_reward(25.0, 10.0) == 0.0
 
 
 def test_response_requires_positive_t_max():
     with pytest.raises(ValidationError, match="t_max"):
-        response_time_reward(ResponseSample(1.0, 0.0))
+        response_time_reward(1.0, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,7 +100,7 @@ def test_response_requires_positive_t_max():
     t_max=st.floats(min_value=1e-6, max_value=100.0),
 )
 def test_response_identity(t, t_max):
-    r = response_time_reward(ResponseSample(t, t_max))
+    r = response_time_reward(t, t_max)
     assert 0.0 <= r <= 1.0
     if t <= t_max:
         assert r + t / t_max == pytest.approx(1.0, abs=1e-9)
@@ -133,43 +109,51 @@ def test_response_identity(t, t_max):
 # -- quality and qos -----------------------------------------------------------
 
 def test_quality_perfect_sample():
-    s = QualitySample(latency=DEFAULT_LATENCY_FLOOR, throughput=1.0, reliability=1.0)
-    assert quality(s, W) == pytest.approx(1.0, abs=1e-12)
+    assert quality(W.latency_floor, 1.0, 1.0, W) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quality_worked_example():
-    s = QualitySample(latency=2.0 * DEFAULT_LATENCY_FLOOR, throughput=0.5, reliability=0.5)
-    assert quality(s, W) == pytest.approx(0.5, abs=1e-12)
+    assert quality(2.0 * W.latency_floor, 0.5, 0.5, W) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quality_latency_below_floor_clamps():
-    s = QualitySample(latency=0.0, throughput=0.0, reliability=0.0)
-    assert quality(s, W) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert quality(0.0, 0.0, 0.0, W) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_quality_reads_the_floor_from_weights():
+    # 2 ms is twice the default floor, and exactly a 2 ms floor
+    weights = RewardWeights(w31=1.0, w32=0.0, w33=0.0, latency_floor=0.002)
+    assert quality(0.002, 0.0, 0.0, weights) == 1.0
+    assert quality(0.002, 0.0, 0.0, RewardWeights(w31=1.0, w32=0.0, w33=0.0)) == 0.5
+    with pytest.raises(ValidationError, match="latency_floor"):
+        quality(0.002, 0.0, 0.0, RewardWeights(latency_floor=0.0))
 
 
 def test_qos_one_once_target_met():
-    weights = RewardWeights(w31=0.0, w32=1.0, w33=0.0)
-    s = QualitySample(latency=1.0, throughput=0.9, reliability=0.0)
-    assert qos_reward(s, weights, quality_desired=0.9) == 1.0
+    weights = RewardWeights(w31=0.0, w32=1.0, w33=0.0, quality_desired=0.9)
+    assert qos_reward(1.0, 0.9, 0.0, weights) == 1.0
 
 
 def test_qos_clamps_above_target():
-    weights = RewardWeights(w31=0.0, w32=1.0, w33=0.0)
-    s = QualitySample(latency=1.0, throughput=1.0, reliability=0.0)
-    assert qos_reward(s, weights, quality_desired=0.5) == 1.0
+    weights = RewardWeights(w31=0.0, w32=1.0, w33=0.0, quality_desired=0.5)
+    assert qos_reward(1.0, 1.0, 0.0, weights) == 1.0
 
 
 def test_qos_unit_gap_gives_inverse_e():
     # quality pinned to exactly 0 against a desired level of 1
-    weights = RewardWeights(w31=0.0, w32=0.5, w33=0.5)
-    s = QualitySample(latency=1.0, throughput=0.0, reliability=0.0)
-    assert qos_reward(s, weights, quality_desired=1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    weights = RewardWeights(w31=0.0, w32=0.5, w33=0.5, quality_desired=1.0)
+    assert qos_reward(1.0, 0.0, 0.0, weights) == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+
+def test_qos_rejects_target_outside_unit():
+    with pytest.raises(ValidationError, match="quality_desired"):
+        qos_reward(1.0, 0.0, 0.0, RewardWeights(quality_desired=1.5))
 
 
 def test_qos_monotone_in_quality():
     prev = -1.0
     for thr in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = qos_reward(QualitySample(1.0, thr, 0.0), W)
+        v = qos_reward(1.0, thr, 0.0, W)
         assert v >= prev
         prev = v
 
@@ -200,17 +184,17 @@ def test_unit_checks_name_the_field(bad):
     with pytest.raises(ValidationError, match="utilization"):
         total_reward(0.0, bad, 0.0, 0.0, W)
     with pytest.raises(ValidationError, match="nnbu"):
-        resource_utilization(UtilizationSample(0.0, 0.0, bad), W)
+        resource_utilization(0.0, 0.0, bad, W)
     with pytest.raises(ValidationError, match="actual_mem"):
-        resource_wastage([wsample(0.5, 0.5, bad, 0.0, 0.5, 0.5)])
+        resource_wastage(0.5, 0.5, bad, 0.0, 0.5, 0.5)
     with pytest.raises(ValidationError, match="efficient_bw"):
-        resource_wastage([wsample(0.5, 0.5, 0.5, 0.5, 1.0, bad)])
+        resource_wastage(0.5, 0.5, 0.5, 0.5, 1.0, bad)
 
 
 def test_integer_fractions_accepted():
     # ints skip the float-only fast checks and pass the full ones
     assert total_reward(0, 1, 1, 1, W) == pytest.approx(0.7, abs=1e-12)
-    assert resource_wastage([wsample(1, 0, 1, 1, 0, 0)]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert resource_wastage(1, 0, 1, 1, 0, 0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_total_bounds_over_random_tuples():
