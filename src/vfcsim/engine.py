@@ -9,25 +9,27 @@ serviced or dropped no later than min(arrival + deadline, vehicle exit),
 enforced by an internal expiry event for every task still outstanding
 after its decision, so ledgers always conserve tasks.
 
-Events dispatch in (time, sequence) order from a single heap, each popped
-entry going to the handler in a table of bound methods that its kind, one
-of EventKind's plain int values 0-6, indexes. A decision tick's new tasks
-travel as one TASK_ARRIVAL entry, pushed by the tick's snapshot, whose
-handler decides them one by one in creation order. Nothing can come
-between them: everything due at the tick that was pushed before the
-snapshot ran dispatches first (lower sequence), and everything the
-decisions push is later in time or sequence. Randomness flows through one
-seeded generator per episode, which makes runs bit-reproducible for a
-given configuration, scheduler and seed.
+Events dispatch in (time, sequence) order from a single heap, each entry
+numbered by the episode's one push counter and each popped entry going to
+the handler in a table of bound methods that its kind, one of EventKind's
+plain int values 0-6, indexes. A decision tick's new tasks travel as one
+TASK_ARRIVAL entry, pushed by the tick's snapshot, whose handler decides
+them one by one in creation order. Nothing can come between them:
+everything due at the tick that was pushed before the snapshot ran
+dispatches first (lower sequence), and everything the decisions push is
+later in time or sequence. Randomness flows through one seeded generator
+per episode, which makes runs bit-reproducible for a given
+configuration, scheduler and seed.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from pathlib import Path
 
 from .agent import (
@@ -380,19 +382,22 @@ class CellIndex:
                     if r * k + c < n
                 ))
 
-    def scan(self, x: float, y: float) -> tuple[NodeState, list[tuple[NodeState, float]]]:
-        """The nearest node to (x, y), ties to the lowest id, and the nodes
-        within V2I range with their squared distances, in node-id order."""
+    def _cell_nodes(self, x: float, y: float) -> tuple[NodeState, ...]:
+        """The kept nodes of the cell that holds (x, y)."""
         k = self.k
         row = int(y / self.cell)
         col = int(x / self.cell)
         # _reflect can return exactly area_m, one past the last cell
-        index = (row if row < k else k - 1) * k + (col if col < k else k - 1)
+        return self.lists[(row if row < k else k - 1) * k + (col if col < k else k - 1)]
+
+    def scan(self, x: float, y: float) -> tuple[NodeState, list[tuple[NodeState, float]]]:
+        """The nearest node to (x, y), ties to the lowest id, and the nodes
+        within V2I range with their squared distances, in node-id order."""
         range_sq = self.range_sq
         nearest = None
         nearest_d2 = math.inf
         reachable = []
-        for node in self.lists[index]:
+        for node in self._cell_nodes(x, y):
             dx = node.x - x
             dy = node.y - y
             d2 = dx * dx + dy * dy
@@ -402,6 +407,18 @@ class CellIndex:
             if d2 <= range_sq:
                 reachable.append((node, d2))
         return nearest, reachable
+
+    def count(self, x: float, y: float) -> int:
+        """len(scan(x, y)[1]): the number of nodes within V2I range, by the
+        same distance test, without building the list."""
+        range_sq = self.range_sq
+        n = 0
+        for node in self._cell_nodes(x, y):
+            dx = node.x - x
+            dy = node.y - y
+            if dx * dx + dy * dy <= range_sq:
+                n += 1
+        return n
 
 
 def build_scheduler(
@@ -423,7 +440,8 @@ def build_scheduler(
             )
         check_tables(tables, cfg.sim.fog_nodes)
         bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
-        return QLearningScheduler(tables, random.Random(0), bundles)
+        # greedy; run_training sets each training episode's epsilon
+        return QLearningScheduler(tables, random.Random(0), bundles, 0.0)
     raise ValidationError(f"unknown scheduler {name!r}")
 
 
@@ -465,8 +483,10 @@ class _Episode:
                 min_dwell=self.sim.min_dwell_s,
             )
         self.vehicle_specs = vehicles
+        # heap entries are (time, sequence, kind, payload); next(self.seq)
+        # numbers every push in push order, so ties pop first-in first-out
         self.heap: list[tuple[float, int, int, object]] = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.active: dict[int, VehicleState] = {}
         self.ledger = TaskLedger()
         self.events: list[EventRecord] | None = [] if collect_events else None
@@ -475,31 +495,25 @@ class _Episode:
         if scheduler.uses_state:
             scheduler.rng = self.rng
 
-    # -- plumbing ---------------------------------------------------------
-
-    def push(self, time: float, kind: int, payload: object) -> None:
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
-
-    def log(self, kind: str, time: float, task_id: int, node_id: int, *detail) -> None:
-        """Append the record (kind, time, task_id, node_id, episode, *detail),
-        the detail values in the order the eventlog module lists for the kind;
-        callers check self.events first so that nothing is built when
-        logging is off."""
-        self.events.append((kind, time, task_id, node_id, self.episode_index, *detail))
+    # Event records are appended straight to self.events as the flat tuple
+    # (kind, time, task_id, node_id, episode, *detail), the detail values in
+    # the order the eventlog module lists for the kind; each site checks
+    # self.events first so that nothing is built when logging is off.
 
     # -- setup ------------------------------------------------------------
 
     def schedule_all(self) -> None:
+        heap = self.heap
+        seq = self.seq
         for spec in self.vehicle_specs:
-            self.push(spec.entry_time, EventKind.VEHICLE_ENTER, spec)
+            heappush(heap, (spec.entry_time, next(seq), EventKind.VEHICLE_ENTER, spec))
         scenario = self.cfg.scenario
         interval = self.sim.decision_interval_s
         ticks = int(scenario.duration / interval)
         if ticks > self.cfg.agent.max_time_steps:
             ticks = self.cfg.agent.max_time_steps
         for i in range(ticks):
-            self.push(i * interval, EventKind.SNAPSHOT, None)
+            heappush(heap, (i * interval, next(seq), EventKind.SNAPSHOT, None))
 
     # -- telemetry --------------------------------------------------------
 
@@ -551,9 +565,8 @@ class _Episode:
             self.on_task_expire,
         )
         heap = self.heap
-        pop = heapq.heappop
         while heap:
-            time, _seq, kind, payload = pop(heap)
+            time, _seq, kind, payload = heappop(heap)
             handlers[kind](time, payload)
         resolved = self.ledger.k_total
         if resolved != self.task_counter:
@@ -582,14 +595,17 @@ class _Episode:
     def on_vehicle_enter(self, now: float, spec: VehicleSpec) -> None:
         veh = VehicleState(spec)
         self.active[spec.vehicle_id] = veh
-        self.push(veh.exit_time, EventKind.VEHICLE_EXIT, spec.vehicle_id)
+        heappush(self.heap, (veh.exit_time, next(self.seq), EventKind.VEHICLE_EXIT,
+                             spec.vehicle_id))
         if self.events is not None:
-            self.log("VehicleEnter", now, -1, -1, spec.vehicle_id)
+            self.events.append(
+                ("VehicleEnter", now, -1, -1, self.episode_index, spec.vehicle_id)
+            )
 
     def on_vehicle_exit(self, now: float, vehicle_id: int) -> None:
         self.active.pop(vehicle_id, None)
         if self.events is not None:
-            self.log("VehicleExit", now, -1, -1, vehicle_id)
+            self.events.append(("VehicleExit", now, -1, -1, self.episode_index, vehicle_id))
 
     def on_snapshot(self, now: float, _payload: None) -> None:
         p = self.sim.arrival_prob
@@ -599,6 +615,8 @@ class _Episode:
         uniform = self.rng.uniform
         sim = self.sim
         mb = BITS_PER_MB
+        cycles_per_bit = self.link.cycles_per_bit
+        wired_rate = self.link.wired_rate_bps
         tasks: list[Task] = []
         for veh in self.active.values():
             if veh.exit_time <= now:
@@ -612,6 +630,12 @@ class _Episode:
             bound = now + deadline
             if veh.exit_time < bound:
                 bound = veh.exit_time
+            # Fractions are clamped into [0, 1] inline here and on the other
+            # per-task paths, comparing `< 0.0` first and then `> 1.0`, so a
+            # NaN passes through unchanged.
+            mem = size_mb / sim.node_mem_mb
+            disk = size_mb / sim.node_storage_mb
+            bw = (size_bits / deadline) / wired_rate
             # Task, NodeView, DecisionContext and TaskRecord are built
             # positionally, in field order: on CPython 3.11 a keyword call to a
             # slots dataclass costs 2-3x the positional one (Task 1.70 vs 0.55 us).
@@ -623,14 +647,14 @@ class _Episode:
                 deadline,
                 now,  # arrival
                 bound,
-                size_bits * self.link.cycles_per_bit,  # cycles
-                _clamp01(size_mb / sim.node_mem_mb),  # mem_frac
-                _clamp01(size_mb / sim.node_storage_mb),  # disk_frac
-                _clamp01((size_bits / deadline) / self.link.wired_rate_bps),  # bw_frac
+                size_bits * cycles_per_bit,  # cycles
+                0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),  # mem_frac
+                0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk),  # disk_frac
+                0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),  # bw_frac
             ))
             self.task_counter += 1
         if tasks:
-            self.push(now, EventKind.TASK_ARRIVAL, tasks)
+            heappush(self.heap, (now, next(self.seq), EventKind.TASK_ARRIVAL, tasks))
 
     def on_tick_arrivals(self, now: float, tasks: list[Task]) -> None:
         arrive = self.on_task_arrival
@@ -666,10 +690,10 @@ class _Episode:
         task.decision_node = decision.node_id
         decision.record_arrival(now, self.sim.rate_window_s, self.sim.demand_ema_alpha)
         if self.events is not None:
-            self.log(
-                "TaskArrival", now, task.task_id, decision.node_id,
+            self.events.append((
+                "TaskArrival", now, task.task_id, decision.node_id, self.episode_index,
                 task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
-            )
+            ))
 
         ctx = DecisionContext((task.cycles / slack) / 1e6, views)  # cpu_mips, nodes
         scheduler = self.scheduler
@@ -703,8 +727,9 @@ class _Episode:
             task.stage = _EXECUTING
             # the expiry is pushed only for a task still outstanding, just
             # before its next event, so every other event keeps its order
-            self.push(task.bound, EventKind.TASK_EXPIRE, task)
-            self.push(completion, EventKind.EXECUTION_DONE, task)
+            heap = self.heap
+            heappush(heap, (task.bound, next(self.seq), EventKind.TASK_EXPIRE, task))
+            heappush(heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
             return
 
         for view in views:
@@ -717,20 +742,23 @@ class _Episode:
             )
         node = self.nodes[placement.node_id]
         task.exec_node = placement.node_id
-        task.bw_alloc = _clamp01(task.bw_frac * placement.bundle_factor)
+        bw = task.bw_frac * placement.bundle_factor
+        task.bw_alloc = 0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw)
         node.bw_commit += task.bw_alloc
         task.stage = _UPLOADING
         if placement.tier == _CLOUD:
             task.upload_planned = view.upload_s + task.size_bits / self.link.wired_rate_bps
-            task.eff_cpu = _clamp01((task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz)
+            cpu = (task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz
+            task.eff_cpu = 0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu)
             task.proc_planned = task.cycles / self.sim.cloud_cpu_hz
         else:
             task.upload_planned = view.upload_s
             task.cpu_share = placement.cpu_share
             task.eff_cpu = view.req_share if view.req_share <= view.max_share else view.max_share
             task.proc_planned = task.cycles / (placement.cpu_share * node.cpu_freq)
-        self.push(task.bound, EventKind.TASK_EXPIRE, task)
-        self.push(now + task.upload_planned, EventKind.UPLOAD_DONE, task)
+        heap = self.heap
+        heappush(heap, (task.bound, next(self.seq), EventKind.TASK_EXPIRE, task))
+        heappush(heap, (now + task.upload_planned, next(self.seq), EventKind.UPLOAD_DONE, task))
 
     def on_upload_done(self, now: float, task: Task) -> None:
         if task.stage != _UPLOADING:
@@ -739,8 +767,8 @@ class _Episode:
         node.release_bw(task.bw_alloc)
         task.upload_done_time = now
         if self.events is not None:
-            self.log("UploadDone", now, task.task_id, task.exec_node,
-                     "cloud" if task.tier == _CLOUD else "fog")
+            self.events.append(("UploadDone", now, task.task_id, task.exec_node,
+                                self.episode_index, "cloud" if task.tier == _CLOUD else "fog"))
 
         if task.tier == _CLOUD:
             completion = now + task.proc_planned
@@ -749,15 +777,17 @@ class _Episode:
                 return
             task.wait = 0.0
             task.stage = _EXECUTING
-            self.push(completion, EventKind.EXECUTION_DONE, task)
+            heappush(self.heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
             return
 
         if now + task.proc_planned > task.bound:
             self.drop(task, now)
             return
         # fog: data is resident until the task leaves the node
-        task.mem_alloc = _clamp01(task.mem_frac * task.bundle)
-        task.disk_alloc = _clamp01(task.disk_frac * task.bundle)
+        mem = task.mem_frac * task.bundle
+        disk = task.disk_frac * task.bundle
+        task.mem_alloc = 0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem)
+        task.disk_alloc = 0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk)
         node.mem_commit += task.mem_alloc
         node.disk_commit += task.disk_alloc
         if task.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
@@ -770,7 +800,8 @@ class _Episode:
         node.commit_cpu(task.cpu_share)
         task.wait = now - task.upload_done_time
         task.stage = _EXECUTING
-        self.push(now + task.proc_planned, EventKind.EXECUTION_DONE, task)
+        heappush(self.heap, (now + task.proc_planned, next(self.seq), EventKind.EXECUTION_DONE,
+                             task))
 
     def on_execution_done(self, now: float, task: Task) -> None:
         tier = task.tier
@@ -781,9 +812,10 @@ class _Episode:
             node = None
             stats_node = self.nodes[task.decision_node]
 
-        ncu = _clamp01(stats_node.cpu_commit)
-        nmu = _clamp01(stats_node.mem_commit)
-        nnbu = _clamp01(stats_node.bw_commit)
+        ncu, nmu, nnbu = stats_node.cpu_commit, stats_node.mem_commit, stats_node.bw_commit
+        ncu = 0.0 if ncu < 0.0 else (1.0 if ncu > 1.0 else ncu)
+        nmu = 0.0 if nmu < 0.0 else (1.0 if nmu > 1.0 else nmu)
+        nnbu = 0.0 if nnbu < 0.0 else (1.0 if nnbu > 1.0 else nnbu)
         if node is not None:
             node.release_cpu(task.cpu_share)
             node.release_resident(task.mem_alloc, task.disk_alloc)
@@ -796,13 +828,17 @@ class _Episode:
         if tier == _LOCAL:
             wastage = 0.0
         else:
-            actual_cpu = task.cpu_share if tier == _FOG else _clamp01(task.eff_cpu * task.bundle)
+            bundle = task.bundle
+            eff_cpu = task.eff_cpu
+            cpu = task.cpu_share if tier == _FOG else eff_cpu * bundle
+            mem = task.mem_frac * bundle
+            bw = task.bw_frac * bundle
             wastage = resource_wastage(
-                _clamp01(actual_cpu),
-                _clamp01(task.eff_cpu),
-                _clamp01(task.mem_frac * task.bundle),  # actual_mem
+                0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu),  # actual_cpu
+                0.0 if eff_cpu < 0.0 else (1.0 if eff_cpu > 1.0 else eff_cpu),  # efficient_cpu
+                0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),  # actual_mem
                 task.mem_frac,  # efficient_mem
-                _clamp01(task.bw_frac * task.bundle),  # actual_bw
+                0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),  # actual_bw
                 task.bw_frac,  # efficient_bw
             )
         utilization = resource_utilization(ncu, nmu, nnbu, weights)
@@ -893,14 +929,14 @@ class _Episode:
         )
         self.ledger.append(record)
         if self.events is not None:
-            self.log("ExecutionDone" if serviced else "TaskDropped", now, task.task_id,
-                     task.exec_node, record)
+            self.events.append(("ExecutionDone" if serviced else "TaskDropped", now,
+                                task.task_id, task.exec_node, self.episode_index, record))
         if self.train and task.action_ordinal >= 0:
             veh = task.vehicle
             t = now if now < veh.exit_time else veh.exit_time
             x, y = veh.position_at(t, self.area)
             decision = self.nodes[task.decision_node]
-            next_state = self.state_for(decision, task, len(self.grid.scan(x, y)[1]))
+            next_state = self.state_for(decision, task, self.grid.count(x, y))
             update_q_value(
                 self.scheduler.tables[task.decision_node],
                 task.state_ordinal,
@@ -909,14 +945,6 @@ class _Episode:
                 reward,
                 self.cfg.agent,
             )
-
-
-def _clamp01(v: float) -> float:
-    if v < 0.0:
-        return 0.0
-    if v > 1.0:
-        return 1.0
-    return v
 
 
 def run_episode(

@@ -60,6 +60,16 @@ class RewardWeights:
             raise ValidationError(f"quality_desired={self.quality_desired!r} outside [0, 1]")
 
 
+_INF = math.inf
+
+# Every scorer below validates its inputs with one combined condition on
+# the success path: chained comparisons are False for NaN, `< _INF`
+# rejects +inf, and the class test sends ints and other numbers down the
+# slow path. Only when it fails do the field-by-field checks run, in the
+# order written, so the error names the first offending argument and the
+# slow path accepts exactly what it always did.
+
+
 def _check_unit(name: str, value: float) -> None:
     if value.__class__ is float and 0.0 <= value <= 1.0:  # False for NaN
         return
@@ -88,35 +98,49 @@ def resource_wastage(
 ) -> float:
     """Mean over-allocation of one task, in [0, 1]: the (actual - efficient)
     gaps of cpu, mem and bw, summed in that order, divided by 3."""
-    total = 0.0
-    for name, actual, efficient in (
-        ("cpu", actual_cpu, efficient_cpu),
-        ("mem", actual_mem, efficient_mem),
-        ("bw", actual_bw, efficient_bw),
+    if not (
+        actual_cpu.__class__ is efficient_cpu.__class__ is actual_mem.__class__
+        is efficient_mem.__class__ is actual_bw.__class__ is efficient_bw.__class__
+        is float
+        and 0.0 <= efficient_cpu <= actual_cpu <= 1.0
+        and 0.0 <= efficient_mem <= actual_mem <= 1.0
+        and 0.0 <= efficient_bw <= actual_bw <= 1.0
     ):
-        if not (
-            actual.__class__ is efficient.__class__ is float
-            and 0.0 <= efficient <= actual <= 1.0
-        ):
-            _check_pair(name, actual, efficient)
-        total += actual - efficient
-    return total / 3.0
+        _check_pair("cpu", actual_cpu, efficient_cpu)
+        _check_pair("mem", actual_mem, efficient_mem)
+        _check_pair("bw", actual_bw, efficient_bw)
+    # the leading 0.0 keeps a -0.0 gap from signing the sum
+    return (
+        0.0 + (actual_cpu - efficient_cpu) + (actual_mem - efficient_mem)
+        + (actual_bw - efficient_bw)
+    ) / 3.0
 
 
 def resource_utilization(ncu: float, nmu: float, nnbu: float, weights: RewardWeights) -> float:
     """Weighted mix of the node's normalized CPU, memory and bandwidth usage."""
-    _check_unit("ncu", ncu)
-    _check_unit("nmu", nmu)
-    _check_unit("nnbu", nnbu)
+    if not (
+        ncu.__class__ is nmu.__class__ is nnbu.__class__ is float
+        and 0.0 <= ncu <= 1.0
+        and 0.0 <= nmu <= 1.0
+        and 0.0 <= nnbu <= 1.0
+    ):
+        _check_unit("ncu", ncu)
+        _check_unit("nmu", nmu)
+        _check_unit("nnbu", nnbu)
     return weights.w21 * ncu + weights.w22 * nmu + weights.w23 * nnbu
 
 
 def response_time_reward(t_current: float, t_max: float) -> float:
     """(t_max - min(t_current, t_max)) / t_max; 1 is instantaneous, 0 is at or past t_max."""
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValidationError(f"t_max must be positive, got {t_max!r}")
-    if not (math.isfinite(t_current) and t_current >= 0.0):
-        raise ValidationError(f"t_current must be >= 0, got {t_current!r}")
+    if not (
+        t_current.__class__ is t_max.__class__ is float
+        and 0.0 < t_max < _INF
+        and 0.0 <= t_current < _INF
+    ):
+        if not (math.isfinite(t_max) and t_max > 0.0):
+            raise ValidationError(f"t_max must be positive, got {t_max!r}")
+        if not (math.isfinite(t_current) and t_current >= 0.0):
+            raise ValidationError(f"t_current must be >= 0, got {t_current!r}")
     t = t_current if t_current < t_max else t_max
     return (t_max - t) / t_max
 
@@ -130,12 +154,20 @@ def quality(latency: float, throughput: float, reliability: float, weights: Rewa
     throughput and reliability enter as already-normalized fractions.
     """
     latency_floor = weights.latency_floor
-    if not (math.isfinite(latency_floor) and latency_floor > 0.0):
-        raise ValidationError(f"latency_floor must be positive, got {latency_floor!r}")
-    if not (math.isfinite(latency) and latency >= 0.0):
-        raise ValidationError(f"latency must be >= 0, got {latency!r}")
-    _check_unit("throughput", throughput)
-    _check_unit("reliability", reliability)
+    if not (
+        latency_floor.__class__ is latency.__class__ is throughput.__class__
+        is reliability.__class__ is float
+        and 0.0 < latency_floor < _INF
+        and 0.0 <= latency < _INF
+        and 0.0 <= throughput <= 1.0
+        and 0.0 <= reliability <= 1.0
+    ):
+        if not (math.isfinite(latency_floor) and latency_floor > 0.0):
+            raise ValidationError(f"latency_floor must be positive, got {latency_floor!r}")
+        if not (math.isfinite(latency) and latency >= 0.0):
+            raise ValidationError(f"latency must be >= 0, got {latency!r}")
+        _check_unit("throughput", throughput)
+        _check_unit("reliability", reliability)
     lat = latency if latency > latency_floor else latency_floor
     return (
         weights.w31 * (latency_floor / lat)
@@ -147,7 +179,8 @@ def quality(latency: float, throughput: float, reliability: float, weights: Rewa
 def qos_reward(latency: float, throughput: float, reliability: float, weights: RewardWeights) -> float:
     """min(1, exp(-(weights.quality_desired - quality))): 1 once the target is met."""
     quality_desired = weights.quality_desired
-    _check_unit("quality_desired", quality_desired)
+    if not (quality_desired.__class__ is float and 0.0 <= quality_desired <= 1.0):
+        _check_unit("quality_desired", quality_desired)
     # a module-global lookup, so a wrapper set on rewards.quality sees it
     q = quality(latency, throughput, reliability, weights)
     raw = math.exp(-(quality_desired - q))
@@ -162,10 +195,18 @@ def total_reward(
     weights: RewardWeights,
 ) -> float:
     """Combine the four components; each must already lie in [0, 1]."""
-    _check_unit("wastage", wastage)
-    _check_unit("utilization", utilization)
-    _check_unit("response", response)
-    _check_unit("qos", qos)
+    if not (
+        wastage.__class__ is utilization.__class__ is response.__class__
+        is qos.__class__ is float
+        and 0.0 <= wastage <= 1.0
+        and 0.0 <= utilization <= 1.0
+        and 0.0 <= response <= 1.0
+        and 0.0 <= qos <= 1.0
+    ):
+        _check_unit("wastage", wastage)
+        _check_unit("utilization", utilization)
+        _check_unit("response", response)
+        _check_unit("qos", qos)
     return (
         -weights.w1 * wastage
         + weights.w2 * utilization

@@ -71,7 +71,10 @@ def _nearest_reachable(nodes: list[NodeView]) -> NodeView | None:
 
 def _fits_somewhere(nodes: list[NodeView]) -> bool:
     """True if at least one reachable node could ever grant the requirement."""
-    return any(nv.req_share <= nv.max_share for nv in nodes)
+    for nv in nodes:
+        if nv.req_share <= nv.max_share:
+            return True
+    return False
 
 
 def _first_fit(nodes: list[NodeView]) -> NodeView:
@@ -217,8 +220,8 @@ class QLearningScheduler(Scheduler):
         self,
         tables: dict[int, QTable],
         rng: random.Random,
-        bundle_factors: tuple[float, float, float] = (1.0, 1.5, 2.0),
-        epsilon: float = 0.0,
+        bundle_factors: tuple[float, float, float],
+        epsilon: float,
     ):
         if not tables:
             raise ValidationError("qlearn scheduler needs at least one q-table")

@@ -119,17 +119,19 @@ def sample_vehicles(
     the scenario window."""
     scenario.validate()
     vehicles = []
+    uniform = rng.uniform
+    # built positionally, in field order, which is also the draw order
     for i, entry in enumerate(sample_entry_times(scenario, rng)):
         vehicles.append(
             VehicleSpec(
-                vehicle_id=i,
-                entry_time=entry,
-                dwell=sample_dwell(scenario, rng, min_dwell),
-                speed=sample_speed(scenario, rng),
-                heading=rng.uniform(0.0, 2.0 * math.pi),
-                x=rng.uniform(0.0, area_m),
-                y=rng.uniform(0.0, area_m),
-                local_cpu_hz=rng.uniform(cpu_min_hz, cpu_max_hz),
+                i,  # vehicle_id
+                entry,  # entry_time
+                sample_dwell(scenario, rng, min_dwell),  # dwell
+                sample_speed(scenario, rng),  # speed
+                uniform(0.0, 2.0 * math.pi),  # heading
+                uniform(0.0, area_m),  # x
+                uniform(0.0, area_m),  # y
+                uniform(cpu_min_hz, cpu_max_hz),  # local_cpu_hz
             )
         )
     return vehicles

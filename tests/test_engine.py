@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import math
 import re
@@ -199,7 +200,7 @@ def test_event_kinds_are_plain_ints_indexing_the_handler_table(monkeypatch, tiny
 
     def one_of_each(self):
         for kind, _ in HANDLERS:
-            self.push(0.0, getattr(EventKind, kind), kind)
+            heapq.heappush(self.heap, (0.0, next(self.seq), getattr(EventKind, kind), kind))
 
     monkeypatch.setattr(_Episode, "schedule_all", one_of_each)
     run_episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, vehicles=[])
@@ -416,14 +417,14 @@ def test_leaked_commit_fails_the_episode(monkeypatch):
 @pytest.mark.parametrize("name", ["fcfs", "qlearn"])
 def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
     pushed = []
-    original = _Episode.push
 
-    def counting(self, time, kind, payload):
+    def counting(heap, entry):
+        _time, _seq, kind, payload = entry
         if kind == EventKind.TASK_EXPIRE:
             pushed.append(payload.task_id)
-        original(self, time, kind, payload)
+        heapq.heappush(heap, entry)
 
-    monkeypatch.setattr(_Episode, "push", counting)
+    monkeypatch.setattr("vfcsim.engine.heappush", counting)
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
                         "sim.arrival_prob": "0.7"})
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
@@ -501,9 +502,13 @@ def test_same_seed_reproduces_bit_identical_events():
     assert repr(a.ledger.records) == repr(b.ledger.records)
 
 
-# Ledger SHA-256 of NO.1 seed 1 under overlapping coverage (800 m range)
-# and a non-square grid (10 nodes, where some cells hold no node). The
-# rows are packed as task_id, arrival, upload, wait, proc, completion,
+# Ledger SHA-256 of NO.1 seed 1 under overlapping coverage (800 m range),
+# a non-square grid (10 nodes, where some cells hold no node) and the
+# 144-node grid over 12 km that the eval-grid144 benchmark runs (1 km
+# cells against a 500 m range: an arrival reaches at most one node, two
+# only exactly midway between neighbours, so the three baselines place
+# alike). Each key lists config overrides as key, value pairs. The rows
+# are packed as task_id, arrival, upload, wait, proc, completion,
 # serviced, tier, node_id, reward and the four reward components.
 PINNED_LEDGERS = {
     ("link.v2i_range_m", "800"): {
@@ -515,6 +520,11 @@ PINNED_LEDGERS = {
         "fcfs": "3dd1917037a5aab637457b511f5174f1fdfb25094078160e5401a8c4796b73ab",
         "rr": "9e009ff6d8b566b43283a034fc588c7ed7f8637c51336843475e53b10fde7c6f",
         "wfq": "60dd94199eeefa39c9714b05a35be235ae633fff03c9909bccee2338472d66df",
+    },
+    ("sim.fog_nodes", "144", "sim.area_m", "12000"): {
+        "fcfs": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
+        "rr": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
+        "wfq": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
     },
 }
 
@@ -530,7 +540,7 @@ def ledger_sha256(ledger):
 
 @pytest.mark.parametrize("override", sorted(PINNED_LEDGERS))
 def test_baseline_ledgers_pinned(override):
-    cfg = build_config({"scenario.name": "NO.1", override[0]: override[1]})
+    cfg = build_config({"scenario.name": "NO.1", **dict(zip(override[::2], override[1::2]))})
     digests = {name: ledger_sha256(run_evaluation(cfg, name, 1).ledger)
                for name in ("fcfs", "rr", "wfq")}
     assert digests == PINNED_LEDGERS[override]

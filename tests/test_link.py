@@ -31,6 +31,17 @@ def test_dbm_round_numbers():
     assert dbm_to_mw(-30.0) == pytest.approx(1e-3, rel=1e-12)
 
 
+def test_snr_follows_a_reassigned_noise_floor():
+    params = LinkParams()
+    before = snr_at_distance(params, 100.0)
+    assert before == params.tx_power_mw / 100.0 ** 3 / dbm_to_mw(-114.0)
+    params.noise_power_dbm = -104.0  # 10 dB more noise: a tenth of the SNR
+    after = snr_at_distance(params, 100.0)
+    assert after == params.tx_power_mw / 100.0 ** 3 / dbm_to_mw(-104.0)
+    assert after == pytest.approx(before / 10.0, rel=1e-12)
+    assert snr_at_distance(LinkParams(), 100.0) == before
+
+
 def test_shannon_rate_worked_examples():
     # 20 MHz at snr 3 doubles the bandwidth in bits/s
     assert shannon_rate(2.0e7, 3.0) == pytest.approx(4.0e7, rel=1e-12)

@@ -85,22 +85,24 @@ def test_test_only_helpers_not_exported():
     assert callable(vfcsim.snapshot_ordinal) and callable(vfcsim.state_from_index)
 
 
+def counter(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_training_calls_the_patched_q_functions(monkeypatch):
     # the benchmark's agent.update_q_value and agent.select_action metrics
     # count calls to these two module attributes; training that bypassed
     # them would report zero calls without failing
     counts = {"update": 0, "select": 0, "decisions": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(engine, "update_q_value", counted("update", engine.update_q_value))
-    monkeypatch.setattr(schedulers, "select_action", counted("select", schedulers.select_action))
+    monkeypatch.setattr(engine, "update_q_value",
+                        counter(counts, "update", engine.update_q_value))
+    monkeypatch.setattr(schedulers, "select_action",
+                        counter(counts, "select", schedulers.select_action))
     monkeypatch.setattr(schedulers.QLearningScheduler, "select",
-                        counted("decisions", schedulers.QLearningScheduler.select))
+                        counter(counts, "decisions", schedulers.QLearningScheduler.select))
     cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
                                "agent.episodes": "1"})
     result = engine.run_training(cfg, 1)
@@ -119,16 +121,9 @@ def test_training_calls_the_patched_reward_functions(monkeypatch):
     # five reward names on engine and to rewards.quality, which qos_reward
     # must look up as a module global for the wrapper to see it
     counts = dict.fromkeys(REWARD_NAMES + ("quality",), 0)
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in REWARD_NAMES:
-        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
-    monkeypatch.setattr(rewards, "quality", counted("quality", rewards.quality))
+        monkeypatch.setattr(engine, name, counter(counts, name, getattr(engine, name)))
+    monkeypatch.setattr(rewards, "quality", counter(counts, "quality", rewards.quality))
     ledgers = []
     run_episode = engine.run_episode
 
@@ -153,6 +148,56 @@ def test_training_calls_the_patched_reward_functions(monkeypatch):
         "total_reward": len(serviced),
         "quality": len(serviced),
     }
+
+
+def test_arrivals_call_the_patched_link_functions_per_reachable_node(monkeypatch):
+    # link.calls counts these two engine attributes: one call of each per
+    # node within V2I range of each arriving task (800 m, so ranges overlap)
+    counts = {"snr_at_distance": 0, "shannon_rate": 0, "scans": 0, "reachable": 0}
+    for name in ("snr_at_distance", "shannon_rate"):
+        monkeypatch.setattr(engine, name, counter(counts, name, getattr(engine, name)))
+    scan = engine.CellIndex.scan
+
+    def counted_scan(self, x, y):
+        nearest, reachable = scan(self, x, y)
+        counts["scans"] += 1
+        counts["reachable"] += len(reachable)
+        return nearest, reachable
+
+    monkeypatch.setattr(engine.CellIndex, "scan", counted_scan)
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "link.v2i_range_m": "800"})
+    tasks = len(engine.run_evaluation(cfg, "fcfs", 1).ledger.records)
+    assert counts["scans"] == tasks > 0
+    assert counts["reachable"] > tasks
+    assert counts["snr_at_distance"] == counts["shannon_rate"] == counts["reachable"]
+
+
+def test_every_task_is_appended_through_the_patched_ledger_method(monkeypatch):
+    # metrics.ledger_append.calls counts TaskLedger.append: once per task
+    counts = {"append": 0}
+    monkeypatch.setattr(metrics.TaskLedger, "append",
+                        counter(counts, "append", metrics.TaskLedger.append))
+    cfg = config.build_config({"scenario.name": "NO.4", "scenario.duration": "60",
+                               "sim.arrival_prob": "0.7", "sim.eval_episodes": "2"})
+    tasks = len(engine.run_evaluation(cfg, "fcfs", 1).ledger.records)
+    assert counts["append"] == tasks > 0
+
+
+def test_every_episode_samples_vehicles_through_the_patched_name(monkeypatch):
+    # traffic.sample_vehicles.calls counts this engine attribute: once per
+    # episode that is not given a recorded trace
+    counts = {"sample_vehicles": 0}
+    monkeypatch.setattr(engine, "sample_vehicles",
+                        counter(counts, "sample_vehicles", engine.sample_vehicles))
+    cfg = config.build_config({"scenario.name": "NO.4", "scenario.duration": "20",
+                               "sim.eval_episodes": "3", "agent.episodes": "2"})
+    engine.run_evaluation(cfg, "fcfs", 1)
+    assert counts["sample_vehicles"] == 3
+    engine.run_training(cfg, 1)
+    assert counts["sample_vehicles"] == 5
+    engine.run_evaluation(cfg, "fcfs", 1, vehicles=[])
+    assert counts["sample_vehicles"] == 5
 
 
 def test_entry_points_take_run_settings_from_the_config():

@@ -1,5 +1,6 @@
 """Reward component worked examples, bounds, and validation tests."""
 
+import dataclasses
 import math
 import random
 
@@ -224,3 +225,149 @@ def test_weights_must_sum_to_one():
     with pytest.raises(ValidationError, match="w31..w33"):
         RewardWeights(w31=0.5, w32=0.5, w33=0.5).validate()
     RewardWeights().validate()
+
+
+# -- validation on every argument position ----------------------------------
+#
+# Each scorer is listed with valid float arguments and, per position, the
+# name its messages use and the check it applies: "unit" ([0, 1]),
+# "nonneg" (finite and >= 0) or "positive" (finite and > 0). Arguments
+# carried by RewardWeights are set on a copy of W.
+
+def _with(field, value):
+    return dataclasses.replace(W, **{field: value})
+
+
+SCORERS = {
+    "resource_wastage": (
+        lambda a, w: resource_wastage(*a),
+        (0.5, 0.25, 0.5, 0.25, 0.5, 0.25),
+        (("actual_cpu", "unit"), ("efficient_cpu", "unit"), ("actual_mem", "unit"),
+         ("efficient_mem", "unit"), ("actual_bw", "unit"), ("efficient_bw", "unit")),
+    ),
+    "resource_utilization": (
+        lambda a, w: resource_utilization(*a, w),
+        (0.5, 0.5, 0.5),
+        (("ncu", "unit"), ("nmu", "unit"), ("nnbu", "unit")),
+    ),
+    "response_time_reward": (
+        lambda a, w: response_time_reward(*a),
+        (2.0, 5.0),
+        (("t_current", "nonneg"), ("t_max", "positive")),
+    ),
+    "quality": (
+        lambda a, w: quality(*a, w),
+        (0.01, 0.5, 0.5),
+        (("latency", "nonneg"), ("throughput", "unit"), ("reliability", "unit")),
+    ),
+    "qos_reward": (
+        lambda a, w: qos_reward(*a, w),
+        (0.01, 0.5, 0.5),
+        (("latency", "nonneg"), ("throughput", "unit"), ("reliability", "unit")),
+    ),
+    "total_reward": (
+        lambda a, w: total_reward(*a, w),
+        (0.5, 0.5, 0.5, 0.5),
+        (("wastage", "unit"), ("utilization", "unit"), ("response", "unit"), ("qos", "unit")),
+    ),
+}
+# arguments read from the weights: (scorer, field, check)
+WEIGHT_ARGS = (
+    ("quality", "latency_floor", "positive"),
+    ("qos_reward", "latency_floor", "positive"),
+    ("qos_reward", "quality_desired", "unit"),
+)
+# out-of-range but finite values of each check
+OUT_OF_RANGE = {"unit": (1.5, -0.5), "nonneg": (-0.5,), "positive": (0.0, -1.0)}
+
+
+def expected_message(name, check, value):
+    if check == "unit":
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+        return f"{name}={value!r} outside [0, 1]"
+    if check == "nonneg":
+        return f"{name} must be >= 0, got {value!r}"
+    return f"{name} must be positive, got {value!r}"
+
+
+def bad_cases():
+    for scorer, (_, valid, params) in SCORERS.items():
+        for position, (name, check) in enumerate(params):
+            for value in (math.nan, math.inf, -math.inf, *OUT_OF_RANGE[check]):
+                yield pytest.param(scorer, position, None, name, check, value,
+                                   id=f"{scorer}-{name}-{value!r}")
+    for scorer, field, check in WEIGHT_ARGS:
+        for value in (math.nan, math.inf, -math.inf, *OUT_OF_RANGE[check]):
+            yield pytest.param(scorer, None, field, field, check, value,
+                               id=f"{scorer}-{field}-{value!r}")
+
+
+@pytest.mark.parametrize("scorer, position, field, name, check, value", bad_cases())
+def test_each_argument_rejects_nan_inf_and_out_of_range(scorer, position, field, name,
+                                                        check, value):
+    fn, valid, _ = SCORERS[scorer]
+    args = list(valid)
+    weights = W
+    if field is None:
+        args[position] = value
+    else:
+        weights = _with(field, value)
+    with pytest.raises(ValidationError) as exc:
+        fn(tuple(args), weights)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == expected_message(name, check, value)
+
+
+def int_cases():
+    for scorer, (_, valid, params) in SCORERS.items():
+        for position, (name, _check) in enumerate(params):
+            # an int the check accepts: 1 for every actual_* (above its
+            # efficient value) and t_max, 0 elsewhere
+            value = 1 if name.startswith("actual_") or name == "t_max" else 0
+            yield pytest.param(scorer, position, None, value, id=f"{scorer}-{name}")
+    for scorer, field, _check in WEIGHT_ARGS:
+        yield pytest.param(scorer, None, field, 1, id=f"{scorer}-{field}")
+
+
+@pytest.mark.parametrize("scorer, position, field, value", int_cases())
+def test_each_argument_accepts_an_int_as_its_float(scorer, position, field, value):
+    fn, valid, _ = SCORERS[scorer]
+    as_int, as_float = list(valid), list(valid)
+    if field is None:
+        as_int[position] = value
+        as_float[position] = float(value)
+        assert fn(tuple(as_int), W) == fn(tuple(as_float), W)
+    else:
+        assert fn(valid, _with(field, value)) == fn(valid, _with(field, float(value)))
+
+
+@pytest.mark.parametrize("scorer, first", [
+    ("resource_wastage", "actual_cpu"),
+    ("resource_utilization", "ncu"),
+    ("response_time_reward", "t_max"),  # t_max is checked before t_current
+    ("quality", "latency_floor"),
+    ("qos_reward", "quality_desired"),
+    ("total_reward", "wastage"),
+])
+def test_all_bad_arguments_name_the_first_checked(scorer, first):
+    fn, valid, _ = SCORERS[scorer]
+    weights = _with("latency_floor", math.nan)
+    weights = dataclasses.replace(weights, quality_desired=math.nan)
+    with pytest.raises(ValidationError, match=f"^{first}[ =]"):
+        fn((math.nan,) * len(valid), weights)
+
+
+def test_wastage_gap_checked_after_both_fractions_of_its_pair():
+    with pytest.raises(ValidationError) as exc:
+        resource_wastage(0.5, 0.25, 0.25, 0.5, 0.5, 1.5)
+    assert str(exc.value) == "efficient_mem=0.5 exceeds actual_mem=0.25"
+    with pytest.raises(ValidationError) as exc:
+        resource_wastage(0.5, 0.25, 0.5, 0.25, 0.5, 1.5)
+    assert str(exc.value) == "efficient_bw=1.5 outside [0, 1]"
+
+
+def test_wastage_of_zero_gaps_is_positive_zero():
+    # a running total starting at 0.0 never turned a -0.0 gap into -0.0
+    w = resource_wastage(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
+    assert math.copysign(1.0, w) == 1.0

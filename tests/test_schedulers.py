@@ -5,6 +5,7 @@ import random
 import pytest
 
 from vfcsim.agent import Tier, init_q_values
+from vfcsim.config import SimParams
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import (
     DecisionContext,
@@ -208,7 +209,9 @@ def make_qlearn(table_values=None, epsilon=0.0, num_states=16):
     table = init_q_values(num_states, 9)
     for (s, a), v in (table_values or {}).items():
         table.set(s, a, v)
-    sched = QLearningScheduler({0: table}, random.Random(0), epsilon=epsilon)
+    sim = SimParams()
+    bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
+    sched = QLearningScheduler({0: table}, random.Random(0), bundles, epsilon)
     sched.decision_node = 0
     return sched
 
@@ -269,7 +272,7 @@ def test_qlearn_failed_fog_resolution_reports_action():
 
 def test_qlearn_needs_tables():
     with pytest.raises(ValidationError):
-        QLearningScheduler({}, random.Random(0))
+        QLearningScheduler({}, random.Random(0), (1.0, 1.5, 2.0), 0.0)
 
 
 # -- interface parity -------------------------------------------------------------------
