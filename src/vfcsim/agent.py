@@ -129,10 +129,6 @@ class QTable:
         row = self.rows.get(state)
         return 0 if row is None else row.index(max(row))
 
-    def max_value(self, state: int) -> float:
-        row = self.rows.get(state)
-        return 0.0 if row is None else max(row)
-
     def items(self) -> list[tuple[tuple[int, int], float]]:
         """Written entries as ((state, action), value), in ascending order."""
         out = []

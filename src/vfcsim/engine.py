@@ -170,7 +170,13 @@ def _reflect(p: float, limit: float) -> float:
 
 
 class NodeState:
-    """One fog node: capacity commitments, FIFO queue, rolling telemetry."""
+    """One fog node: capacity commitments, FIFO queue, rolling telemetry.
+
+    The request rate and demand EMA (record_arrival) and the response and
+    deadline windows (record_response) feed the state encoder alone, so the
+    engine records them only for a scheduler that reads state. The outcome
+    window (record_outcome) feeds every task's QoS reward.
+    """
 
     __slots__ = (
         "node_id", "x", "y", "cpu_freq", "baseline", "mem_base", "disk_base",
@@ -612,8 +618,15 @@ class _Episode:
         if p <= 0.0:
             return
         draw = self.rng.random
-        uniform = self.rng.uniform
         sim = self.sim
+        # each value is lo + (hi - lo) * draw(), as random.Random.uniform(lo,
+        # hi) evaluates it, with the spans taken once per tick
+        size_lo = sim.task_size_mb_min
+        size_span = sim.task_size_mb_max - size_lo
+        demand_lo = sim.task_demand_mips_min
+        demand_span = sim.task_demand_mips_max - demand_lo
+        deadline_lo = sim.task_deadline_s_min
+        deadline_span = self.deadline_span
         mb = BITS_PER_MB
         cycles_per_bit = self.link.cycles_per_bit
         wired_rate = self.link.wired_rate_bps
@@ -623,9 +636,9 @@ class _Episode:
                 continue
             if draw() >= p:
                 continue
-            size_mb = uniform(sim.task_size_mb_min, sim.task_size_mb_max)
-            demand = uniform(sim.task_demand_mips_min, sim.task_demand_mips_max)
-            deadline = uniform(sim.task_deadline_s_min, sim.task_deadline_s_max)
+            size_mb = size_lo + size_span * draw()
+            demand = demand_lo + demand_span * draw()
+            deadline = deadline_lo + deadline_span * draw()
             size_bits = size_mb * mb
             bound = now + deadline
             if veh.exit_time < bound:
@@ -657,58 +670,70 @@ class _Episode:
             heappush(self.heap, (now, next(self.seq), EventKind.TASK_ARRIVAL, tasks))
 
     def on_tick_arrivals(self, now: float, tasks: list[Task]) -> None:
-        arrive = self.on_task_arrival
-        for task in tasks:
-            arrive(now, task)
-
-    def on_task_arrival(self, now: float, task: Task) -> None:
-        veh = task.vehicle
-        x, y = veh.position_at(now, self.area)
+        """Decide the tick's tasks one by one, in creation order."""
+        # bound once per tick: a tool that wraps select, scan or state_for by
+        # name does so before the run starts
+        area = self.area
+        scan = self.grid.scan
         link = self.link
-        slack = task.bound - now
-        decision, reachable = self.grid.scan(x, y)
-
-        views: list[NodeView] = []
-        for node, d2 in reachable:
-            dist = math.sqrt(d2)
-            rate = shannon_rate(link.v2i_bandwidth_hz, snr_at_distance(link, dist))
-            up = task.size_bits / rate
-            remaining = slack - up
-            free = 1.0 - node.cpu_commit
-            views.append(
-                NodeView(
-                    node.node_id,
-                    free if free > 0.0 else 0.0,  # free_share
-                    1.0 - node.baseline,  # max_share
-                    dist,  # distance_m
-                    # req_share
-                    (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf,
-                    up,  # upload_s
-                )
-            )
-
-        task.decision_node = decision.node_id
-        decision.record_arrival(now, self.sim.rate_window_s, self.sim.demand_ema_alpha)
-        if self.events is not None:
-            self.events.append((
-                "TaskArrival", now, task.task_id, decision.node_id, self.episode_index,
-                task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
-            ))
-
-        ctx = DecisionContext((task.cycles / slack) / 1e6, views)  # cpu_mips, nodes
+        bandwidth = link.v2i_bandwidth_hz
+        window_s = self.sim.rate_window_s
+        ema_alpha = self.sim.demand_ema_alpha
+        events = self.events
+        episode = self.episode_index
         scheduler = self.scheduler
-        if scheduler.uses_state:
-            task.state_ordinal = self.state_for(decision, task, len(views))
-            ctx.state_ordinal = task.state_ordinal
-            scheduler.decision_node = decision.node_id
+        uses_state = scheduler.uses_state
+        select = scheduler.select
+        place = self.place
+        drop = self.drop
+        state_for = self.state_for
+        for task in tasks:
+            veh = task.vehicle
+            x, y = veh.position_at(now, area)
+            slack = task.bound - now
+            decision, reachable = scan(x, y)
 
-        placement = scheduler.select(ctx)
-        if scheduler.uses_state:
-            task.action_ordinal = scheduler.last_action_ordinal
-        if placement is None:
-            self.drop(task, now)
-            return
-        self.place(task, placement, views, now)
+            views: list[NodeView] = []
+            for node, d2 in reachable:
+                dist = math.sqrt(d2)
+                rate = shannon_rate(bandwidth, snr_at_distance(link, dist))
+                up = task.size_bits / rate
+                remaining = slack - up
+                free = 1.0 - node.cpu_commit
+                views.append(
+                    NodeView(
+                        node.node_id,
+                        free if free > 0.0 else 0.0,  # free_share
+                        1.0 - node.baseline,  # max_share
+                        dist,  # distance_m
+                        # req_share
+                        (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf,
+                        up,  # upload_s
+                    )
+                )
+
+            task.decision_node = decision.node_id
+            if uses_state:
+                decision.record_arrival(now, window_s, ema_alpha)
+            if events is not None:
+                events.append((
+                    "TaskArrival", now, task.task_id, decision.node_id, episode,
+                    task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
+                ))
+
+            ctx = DecisionContext((task.cycles / slack) / 1e6, views)  # cpu_mips, nodes
+            if uses_state:
+                task.state_ordinal = state_for(decision, task, len(views))
+                ctx.state_ordinal = task.state_ordinal
+                scheduler.decision_node = decision.node_id
+
+            placement = select(ctx)
+            if uses_state:
+                task.action_ordinal = scheduler.last_action_ordinal
+            if placement is None:
+                drop(task, now)
+                continue
+            place(task, placement, views, now)
 
     def place(self, task: Task, placement: Placement, views: list[NodeView], now: float) -> None:
         task.tier = int(placement.tier)
@@ -821,7 +846,8 @@ class _Episode:
             node.release_resident(task.mem_alloc, task.disk_alloc)
 
         t_current = now - task.arrival
-        stats_node.record_response(t_current, task.deadline)
+        if self.scheduler.uses_state:
+            stats_node.record_response(t_current, task.deadline)
         stats_node.record_outcome(True)
 
         weights = self.cfg.weights

@@ -43,6 +43,11 @@ def qtable_row(q: QTable, state: int) -> list[float]:
     return [q.get(state, a) for a in range(q.num_actions)]
 
 
+def qtable_max_value(q: QTable, state: int) -> float:
+    """The largest action value of one state, unwritten entries as 0.0."""
+    return max(qtable_row(q, state))
+
+
 def greedy_policy(q: QTable) -> dict[int, Action]:
     """Greedy action for every state with at least one written entry.
 

@@ -14,6 +14,7 @@ from oracles import (
     action_from_ordinal,
     greedy_policy,
     q_learning_on_mdp,
+    qtable_max_value,
     qtable_row,
     value_iteration,
 )
@@ -50,7 +51,7 @@ def test_fresh_table_reads_zero():
     q = init_q_values(100, 9)
     assert len(q) == 0
     assert q.get(42, 3) == 0.0
-    assert q.max_value(42) == 0.0
+    assert qtable_max_value(q, 42) == 0.0
     q.set(42, 3, 1.5)
     q.set(42, 4, -0.5)
     assert len(q) == 2
@@ -270,7 +271,7 @@ def test_row_table_matches_dict_reference(tmp_path_factory, writes):
         # repr tells -0.0 from 0.0, as the saved file does
         assert [repr(q.get(s, a)) for a in range(9)] == [repr(ref.get(s, a)) for a in range(9)]
         assert q.argmax_action(s) == ref.argmax_action(s)
-        assert repr(q.max_value(s)) == repr(ref.max_value(s))
+        assert repr(qtable_max_value(q, s)) == repr(ref.max_value(s))
     assert q.items() == sorted(ref.values.items())
     directory = tmp_path_factory.mktemp("rows")
     q.save(directory / "row.tsv")

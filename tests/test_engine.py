@@ -546,6 +546,18 @@ def test_baseline_ledgers_pinned(override):
     assert digests == PINNED_LEDGERS[override]
 
 
+# Ledger SHA-256 (ledger_sha256) of greedy qlearn on NO.1, seed 1, with the
+# tables of PINNED_TRAINING's run: two episodes on NO.1 under master seed 1
+PINNED_GREEDY_LEDGER = "dc7e203a83ac695106e27349eaeec3f97385ab90a14bd67c179e320b55be2cf7"
+
+
+def test_greedy_qlearn_ledger_pinned():
+    cfg = build_config({"scenario.name": "NO.1", "agent.episodes": "2"})
+    tables = run_training(cfg, 1).tables
+    result = run_evaluation(cfg, "qlearn", 1, tables=tables)
+    assert ledger_sha256(result.ledger) == PINNED_GREEDY_LEDGER
+
+
 # A recorded trace whose entries and exits all fall on decision ticks
 # (interval 1 s), every active vehicle emitting a task at every tick. At
 # t = 7 one vehicle exits, two enter, and the exiting vehicle's tasks

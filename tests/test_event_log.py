@@ -74,6 +74,24 @@ def test_event_log_bytes_pinned(tmp_path, scenario, scheduler, seed, prob, episo
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# event count and SHA-256 of greedy qlearn's log on NO.4 at arrival_prob
+# 0.7, seed 4, one episode, with the NO.4 tables of trained_tables
+PINNED_QLEARN_LOG = (
+    63148, "942f15594bff5d818fd0cbb35c926c6cadf2162cc5524cfd0b2ac3f3965fed2a",
+)
+
+
+def test_greedy_qlearn_event_log_bytes_pinned(tmp_path, trained_tables):
+    cfg = build_config({"scenario.name": "NO.4", "sim.eval_episodes": "1",
+                        "sim.arrival_prob": "0.7"})
+    result = run_evaluation(cfg, "qlearn", 4, tables=trained_tables["NO.4"],
+                            collect_events=True)
+    path = tmp_path / "events.ndjson"
+    write_event_log(result.events, path)
+    assert (len(result.events),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == PINNED_QLEARN_LOG
+
+
 SAMPLES = [
     ("VehicleEnter", 12.5, -1, -1, 0, 7),
     ("VehicleExit", 80.25, -1, -1, 1, 7),

@@ -72,12 +72,13 @@ def test_every_scheduler_defines_select(name):
 
 
 def test_test_only_helpers_not_exported():
-    # greedy_policy, action_from_ordinal, QTable.row, TelemetrySnapshot,
-    # discretize and state_index live in tests/oracles.py
+    # greedy_policy, action_from_ordinal, QTable.row, QTable.max_value,
+    # TelemetrySnapshot, discretize and state_index live in tests/oracles.py
     for name in ("greedy_policy", "action_from_ordinal"):
         assert name not in vfcsim.__all__
         assert not hasattr(vfcsim.agent, name)
-    assert not hasattr(vfcsim.QTable, "row")
+    for name in ("row", "max_value"):
+        assert not hasattr(vfcsim.QTable, name), name
     for name in ("TelemetrySnapshot", "discretize", "state_index"):
         assert name not in vfcsim.__all__
         assert not hasattr(state_space, name)
@@ -198,6 +199,40 @@ def test_every_episode_samples_vehicles_through_the_patched_name(monkeypatch):
     assert counts["sample_vehicles"] == 5
     engine.run_evaluation(cfg, "fcfs", 1, vehicles=[])
     assert counts["sample_vehicles"] == 5
+
+
+def count_node_readings(monkeypatch):
+    # NodeState.record_arrival and record_response keep the rate, EMA and
+    # response windows that only the state encoder reads
+    counts = {"record_arrival": 0, "record_response": 0}
+    for name in counts:
+        monkeypatch.setattr(engine.NodeState, name,
+                            counter(counts, name, getattr(engine.NodeState, name)))
+    return counts
+
+
+@pytest.mark.parametrize("scheduler", ["fcfs", "rr", "wfq"])
+def test_baselines_keep_no_state_only_node_readings(monkeypatch, scheduler):
+    counts = count_node_readings(monkeypatch)
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "link.v2i_range_m": "800"})
+    result = engine.run_evaluation(cfg, scheduler, 1)
+    assert result.report.k_serviced > 0
+    assert counts == {"record_arrival": 0, "record_response": 0}
+
+
+def test_qlearn_keeps_node_readings_per_task_and_serviced_task(monkeypatch):
+    counts = count_node_readings(monkeypatch)
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "agent.episodes": "1"})
+    training = engine.run_training(cfg, 1)
+    row = training.curve[0]
+    assert 0 < row["serviced"] < row["tasks"]
+    assert counts == {"record_arrival": row["tasks"], "record_response": row["serviced"]}
+    counts.update(dict.fromkeys(counts, 0))
+    report = engine.run_evaluation(cfg, "qlearn", 2, tables=training.tables).report
+    assert 0 < report.k_serviced < report.k_total
+    assert counts == {"record_arrival": report.k_total, "record_response": report.k_serviced}
 
 
 def test_entry_points_take_run_settings_from_the_config():
