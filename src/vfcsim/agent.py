@@ -51,9 +51,8 @@ NUM_ACTIONS = len(ACTIONS)
 class HyperParams:
     """Learning-rate, discount and exploration schedule settings.
 
-    Training uses the fixed learning rate alpha. A caller that wants a
-    decaying rate passes it per update as update_q_value(alpha=...), as
-    the criterion-1 convergence oracle does.
+    Every update uses the fixed learning rate alpha; a caller that wants a
+    decaying rate sets alpha before each update.
     """
 
     alpha: float = 0.1
@@ -277,25 +276,22 @@ def update_q_value(
     next_state: int,
     reward: float,
     params: HyperParams,
-    alpha: float | None = None,
 ) -> float:
     """One Bellman backup; returns the updated entry.
 
-    Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)). The optional
-    alpha argument overrides params.alpha: it is how a caller applies a
-    decaying rate, as the criterion-1 convergence oracle does.
+    Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)), with alpha
+    and gamma from params.
     """
     if not math.isfinite(reward):
         raise ValidationError(f"reward must be finite, got {reward!r}")
     if not (0 <= action < q.num_actions):
         raise ValidationError(f"action ordinal {action!r} outside [0, {q.num_actions})")
-    a = params.alpha if alpha is None else alpha
     rows = q.rows
     row = rows.get(state)
     old = 0.0 if row is None else row[action]
     next_row = rows.get(next_state)
     target = reward + params.gamma * (0.0 if next_row is None else max(next_row))
-    new = old + a * (target - old)
+    new = old + params.alpha * (target - old)
     q.set(state, action, new)
     return new
 

@@ -163,7 +163,7 @@ _SECTIONS = {
 
 # What a custom scenario gets for the fields it leaves out; duration keeps
 # its Scenario default, and the other fields without one must be set.
-_CUSTOM_SCENARIO_DEFAULTS = {"trace_count": 0, "vdt": 0.0, "vnv": 0.0, "vsv": 0.0}
+_CUSTOM_SCENARIO_DEFAULTS = {"vdt": 0.0, "vsv": 0.0}
 _SCENARIO_REQUIRED = {f.name for f in dataclasses.fields(Scenario) if f.default is dataclasses.MISSING}
 
 DEFAULT_SCENARIO = "NO.1"

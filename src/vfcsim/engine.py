@@ -45,7 +45,7 @@ from .agent import (
 from .config import RunConfig, SimParams
 from .errors import ValidationError
 from .eventlog import EventRecord
-from .link import BITS_PER_MB, shannon_rate, snr_at_distance
+from .link import BITS_PER_MB, processing_time, shannon_rate, snr_at_distance, upload_time
 from .metrics import (
     EpisodeAggregate,
     MetricsReport,
@@ -414,18 +414,6 @@ class CellIndex:
                 reachable.append((node, d2))
         return nearest, reachable
 
-    def count(self, x: float, y: float) -> int:
-        """len(scan(x, y)[1]): the number of nodes within V2I range, by the
-        same distance test, without building the list."""
-        range_sq = self.range_sq
-        n = 0
-        for node in self._cell_nodes(x, y):
-            dx = node.x - x
-            dy = node.y - y
-            if dx * dx + dy * dy <= range_sq:
-                n += 1
-        return n
-
 
 def build_scheduler(
     cfg: RunConfig,
@@ -472,7 +460,6 @@ class _Episode:
         self.link = cfg.link
         self.scheduler = scheduler
         self.train = train and scheduler.uses_state
-        self.collect_events = collect_events
         self.episode_index = episode_index
         self.rng = random.Random(seed)
         self.deadline_span = self.sim.task_deadline_s_max - self.sim.task_deadline_s_min
@@ -697,7 +684,7 @@ class _Episode:
             for node, d2 in reachable:
                 dist = math.sqrt(d2)
                 rate = shannon_rate(bandwidth, snr_at_distance(link, dist))
-                up = task.size_bits / rate
+                up = upload_time(task.size_bits, rate)
                 remaining = slack - up
                 free = 1.0 - node.cpu_commit
                 views.append(
@@ -725,7 +712,7 @@ class _Episode:
             if uses_state:
                 task.state_ordinal = state_for(decision, task, len(views))
                 ctx.state_ordinal = task.state_ordinal
-                scheduler.decision_node = decision.node_id
+                ctx.decision_node = decision.node_id
 
             placement = select(ctx)
             if uses_state:
@@ -739,9 +726,10 @@ class _Episode:
         task.tier = int(placement.tier)
         task.bundle = placement.bundle_factor
         veh = task.vehicle
+        link = self.link
         if placement.tier == _LOCAL:
             start = veh.busy_until if veh.busy_until > now else now
-            proc = task.cycles / veh.spec.local_cpu_hz
+            proc = processing_time(task.size_bits, link.cycles_per_bit, veh.spec.local_cpu_hz)
             completion = start + proc
             if completion > task.bound:
                 self.drop(task, now)
@@ -772,15 +760,19 @@ class _Episode:
         node.bw_commit += task.bw_alloc
         task.stage = _UPLOADING
         if placement.tier == _CLOUD:
-            task.upload_planned = view.upload_s + task.size_bits / self.link.wired_rate_bps
+            task.upload_planned = view.upload_s + upload_time(task.size_bits, link.wired_rate_bps)
             cpu = (task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz
             task.eff_cpu = 0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu)
-            task.proc_planned = task.cycles / self.sim.cloud_cpu_hz
+            task.proc_planned = processing_time(
+                task.size_bits, link.cycles_per_bit, self.sim.cloud_cpu_hz
+            )
         else:
             task.upload_planned = view.upload_s
             task.cpu_share = placement.cpu_share
             task.eff_cpu = view.req_share if view.req_share <= view.max_share else view.max_share
-            task.proc_planned = task.cycles / (placement.cpu_share * node.cpu_freq)
+            task.proc_planned = processing_time(
+                task.size_bits, link.cycles_per_bit, placement.cpu_share * node.cpu_freq
+            )
         heap = self.heap
         heappush(heap, (task.bound, next(self.seq), EventKind.TASK_EXPIRE, task))
         heappush(heap, (now + task.upload_planned, next(self.seq), EventKind.UPLOAD_DONE, task))
@@ -925,7 +917,6 @@ class _Episode:
         """Resolve a task as dropped: wastage 1, other components 0."""
         weights = self.cfg.weights
         reward = -weights.w1
-        task.stage = _DONE
         stats_node = self.nodes[task.decision_node]
         stats_node.record_outcome(False)
         self.finish(task, now, False, reward, (1.0, 0.0, 0.0, 0.0))
@@ -962,7 +953,7 @@ class _Episode:
             t = now if now < veh.exit_time else veh.exit_time
             x, y = veh.position_at(t, self.area)
             decision = self.nodes[task.decision_node]
-            next_state = self.state_for(decision, task, self.grid.count(x, y))
+            next_state = self.state_for(decision, task, len(self.grid.scan(x, y)[1]))
             update_q_value(
                 self.scheduler.tables[task.decision_node],
                 task.state_ordinal,

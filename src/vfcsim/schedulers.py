@@ -49,6 +49,7 @@ class DecisionContext:
     cpu_mips: float           # compute demand: task cycles / time to its bound, in MIPS
     nodes: list[NodeView]     # reachable nodes only, in ascending node id
     state_ordinal: int = -1   # filled when the scheduler uses telemetry
+    decision_node: int = -1   # the vehicle's nearest node; filled like state_ordinal
 
 
 @dataclass(slots=True)
@@ -198,8 +199,6 @@ class WfqScheduler(Scheduler):
                 continue
             if best is None or vft[nv.node_id] < vft[best.node_id]:
                 best = nv
-        if best is None:
-            return None
         # compute demand in MIPS stands in for the packet length
         vft[best.node_id] += ctx.cpu_mips / self.weights[best.node_id]
         return _fog_placement(best)
@@ -229,11 +228,10 @@ class QLearningScheduler(Scheduler):
         self.rng = rng
         self.bundle_factors = bundle_factors
         self.epsilon = epsilon
-        self.decision_node = -1       # set by the engine before each select()
         self.last_action_ordinal = -1  # the action of the latest select(), placed or not
 
     def select(self, ctx: DecisionContext) -> Placement | None:
-        table = self.tables[self.decision_node]
+        table = self.tables[ctx.decision_node]
         action = select_action(table, ctx.state_ordinal, self.epsilon, self.rng)
         self.last_action_ordinal = action.ordinal
         return self._resolve(ctx, action, self.bundle_factors[action.bundle])

@@ -1,12 +1,18 @@
 """Traffic scenarios and synthetic vehicle generation.
 
-Each scenario is summarized by trace statistics: average/variance of dwell
-time (ADT/VDT), vehicle count (ANV/VNV) and speed (ASV/VSV) over a fixed
-observation window. Synthetic traffic draws vehicle entries as a Poisson
-process at rate ANV/ADT, dwell times from Normal(ADT, VDT) truncated at
-1 s, and speeds from Normal(ASV, VSV) truncated at 0 (variances are
-variances, not standard deviations). Truncation resamples, so the
-moments stay close to the scenario statistics.
+Each scenario is summarized by trace statistics over a fixed observation
+window: average/variance of dwell time (ADT/VDT), average vehicle count
+(ANV) and average/variance of speed (ASV/VSV). Synthetic traffic draws
+vehicle entries as a Poisson process at rate ANV/ADT, dwell times from
+Normal(ADT, VDT) truncated at 1 s, and speeds from Normal(ASV, VSV)
+truncated at 0 (variances are variances, not standard deviations).
+Truncation resamples, so the moments stay close to the scenario
+statistics.
+
+The source tables also give each window's trace count (718, 862, 928 and
+359 for NO.1-NO.4) and vehicle-count variance VNV (11.6, 5.38, 7.76 and
+3.93). Neither is modelled: the entry process alone sets how the vehicle
+count varies, so the two are not scenario fields.
 """
 
 from __future__ import annotations
@@ -25,11 +31,9 @@ class Scenario:
     """Summary statistics of one traffic window."""
 
     name: str
-    trace_count: int
     adt: float
     vdt: float
     anv: float
-    vnv: float
     asv: float
     vsv: float
     duration: float = 300.0
@@ -44,7 +48,7 @@ class Scenario:
         for name, v in positives:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValidationError(f"scenario {name} must be positive, got {v!r}")
-        nonneg = (("vdt", self.vdt), ("vnv", self.vnv), ("vsv", self.vsv))
+        nonneg = (("vdt", self.vdt), ("vsv", self.vsv))
         for name, v in nonneg:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
                 raise ValidationError(f"scenario {name} must be >= 0, got {v!r}")
@@ -56,10 +60,10 @@ class Scenario:
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "NO.1": Scenario("NO.1", 718, adt=198.3, vdt=123.8, anv=474.6, vnv=11.6, asv=5.22, vsv=2.61),
-    "NO.2": Scenario("NO.2", 862, adt=188.5, vdt=125.1, anv=541.6, vnv=5.38, asv=5.59, vsv=2.73),
-    "NO.3": Scenario("NO.3", 928, adt=196.5, vdt=122.5, anv=608.0, vnv=7.76, asv=4.60, vsv=2.40),
-    "NO.4": Scenario("NO.4", 359, adt=173.7, vdt=124.1, anv=207.9, vnv=3.93, asv=7.30, vsv=3.16),
+    "NO.1": Scenario("NO.1", adt=198.3, vdt=123.8, anv=474.6, asv=5.22, vsv=2.61),
+    "NO.2": Scenario("NO.2", adt=188.5, vdt=125.1, anv=541.6, asv=5.59, vsv=2.73),
+    "NO.3": Scenario("NO.3", adt=196.5, vdt=122.5, anv=608.0, asv=4.60, vsv=2.40),
+    "NO.4": Scenario("NO.4", adt=173.7, vdt=124.1, anv=207.9, asv=7.30, vsv=3.16),
 }
 
 

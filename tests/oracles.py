@@ -195,8 +195,8 @@ def q_learning_on_mdp(
             nxt, reward = mdp.step(state, a)
             n = visits.get((state, a), 0) + 1
             visits[(state, a)] = n
-            alpha = (1.0 + n) ** -0.3
-            update_q_value(q, state, a, nxt, reward, params, alpha=alpha)
+            params.alpha = (1.0 + n) ** -0.3
+            update_q_value(q, state, a, nxt, reward, params)
             state = nxt
     return q
 

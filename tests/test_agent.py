@@ -1,5 +1,6 @@
 """Q-table, action selection, update rule, and schedule tests."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_update_uses_next_state_max():
 def test_update_alpha_zero_is_identity():
     q = init_q_values(5, 9)
     q.set(0, 1, 0.25)
-    new = update_q_value(q, 0, 1, 2, 0.7, PARAMS, alpha=0.0)
+    new = update_q_value(q, 0, 1, 2, 0.7, dataclasses.replace(PARAMS, alpha=0.0))
     assert new == 0.25
     assert q.get(0, 1) == 0.25
 

@@ -151,12 +151,12 @@ CUSTOM_SCENARIO = {"scenario.name": "rush-hour", "scenario.adt": "100", "scenari
 # lines of the REMOVED_KEYS below from those echoes; config_echo.cfg must
 # keep its bytes.
 ECHO_SHA256 = (
-    ({}, "c66a795f84b214df6b76ff6f1af939ded280e366b6e07d58df4559674ed903e4"),
+    ({}, "d8c0960b85f4084fcf1c9e93e5e582fa101fcd0a1154b902f64a1267dcea6c57"),
     (
         {"scenario.name": "NO.4", "reward.latency_floor": "0.002"},
-        "42837ef599a91558a459f696677f2577a75fe3c5fb0abe60d18d965f04fc42bb",
+        "18a6a76a596fa672c22e81e06f51e81f088827ff13fbf3bfc6205a90c499de6f",
     ),
-    (CUSTOM_SCENARIO, "e9d1ceafdfad22077cd0a90f32b7eed7fc1b2209338a03c8636c2df13030efff"),
+    (CUSTOM_SCENARIO, "ad27142116d0f39aef4cd7819a678ec7cda4e8cb80edecea535e4639124698a4"),
 )
 
 
@@ -167,12 +167,13 @@ def test_dump_bytes_pinned(overrides, digest):
 
 
 # SHA-256 of dump_config for each built-in scenario, recorded while
-# reward.latency_floor and reward.quality_desired were RunConfig fields
+# reward.latency_floor and reward.quality_desired were RunConfig fields,
+# then re-derived by deleting the lines of the REMOVED_KEYS below
 SCENARIO_ECHO_SHA256 = {
-    "NO.1": "c66a795f84b214df6b76ff6f1af939ded280e366b6e07d58df4559674ed903e4",
-    "NO.2": "ad5a6b1d9d58ba344226d0322b9e74bbbfa491a8fd9280765856050df51d3ad9",
-    "NO.3": "727ef5eef098f4cf30c245e80be20c1bd25113c6d8c40b140938fa8967b72158",
-    "NO.4": "135e7c975395261f183b78dc974450cabad40333997c760f6e71da5ea69f45df",
+    "NO.1": "d8c0960b85f4084fcf1c9e93e5e582fa101fcd0a1154b902f64a1267dcea6c57",
+    "NO.2": "88a9afadca150df028d5aee0422c1e5dfb423698efbac02a406a1a0a7418810c",
+    "NO.3": "4150dc2027a76a2e6d88ba1bde39f11e3dc7b941f0927de29859dba6d26d3025",
+    "NO.4": "ee6b7de3bf9fab3d9d12e6e8348c0d0c2e7277ff85737739bf1d6a2dd0159f3d",
 }
 
 
@@ -214,15 +215,18 @@ def test_bad_value_checked_by_its_section(key, value, named):
 
 def test_known_keys_pinned():
     keys = known_keys()
-    assert len(keys) == 71
+    assert len(keys) == 69
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
-    assert digest == "3b3d2896eb878c0a0a8e6490422430dbd7ab9b140eb74e74752e60ea3630d217"
+    assert digest == "3a48004aad1af2602a9caa7165fe1b35b8efab688b298547928b400c341f6360"
 
 
-# Keys that once selected a second code path: per-field state caps, a
-# harmonic learning-rate schedule and alternative WFQ weights.
+# Keys that once selected a second code path (per-field state caps, a
+# harmonic learning-rate schedule and alternative WFQ weights) or changed
+# nothing at all (the scenario's trace count and vehicle-count variance).
 REMOVED_KEYS = (
     "agent.alpha_schedule",
+    "scenario.trace_count",
+    "scenario.vnv",
     "sim.wfq_weights",
     "state.cap.app_type_weight",
     "state.cap.cpu_usage",

@@ -30,7 +30,7 @@ from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.eventlog import write_event_log
 from vfcsim.schedulers import Scheduler, _cloud_placement
-from vfcsim.state_space import NUM_STATES, SlaLevel, state_from_index
+from vfcsim.state_space import NUM_STATES, Level, ResponseLevel, SlaLevel, state_from_index
 from vfcsim.traffic import VehicleSpec
 
 
@@ -492,6 +492,30 @@ def test_training_state_encoding_matches_snapshot_oracle(monkeypatch):
         curve.update(struct.pack("<qd2qd", row["episode"], row["epsilon"], row["tasks"],
                                  row["serviced"], row["reward_sum"]))
     assert (tables.hexdigest(), curve.hexdigest()) == PINNED_TRAINING
+
+
+def test_which_readings_stay_constant_under_no1_defaults():
+    # The readings each Q-table row was visited with, over three NO.1
+    # training episodes: a 5-10 MB task never lifts a node's mem or disk
+    # commit off Low, so free disk stays High; nodes 1 km apart with a
+    # 500 m range give a vehicle one node at most (two only exactly
+    # midway), and no response window averages response_slow. A
+    # calibration change that wakes one of these readings fails here.
+    cfg = build_config({"scenario.name": "NO.1", "agent.episodes": "3"})
+    tables = run_training(cfg, 1).tables
+    seen = {name: set() for name in ("mu", "dsu", "asd", "ncn", "rt")}
+    for table in tables.values():
+        for state in table.rows:
+            decoded = state_from_index(state)
+            for name, levels in seen.items():
+                levels.add(getattr(decoded, name))
+    assert seen == {
+        "mu": {Level.LOW},
+        "dsu": {Level.LOW},
+        "asd": {Level.HIGH},
+        "ncn": {Level.LOW, Level.MEDIUM},
+        "rt": {ResponseLevel.FAST, ResponseLevel.MEDIUM},
+    }
 
 
 def test_same_seed_reproduces_bit_identical_events():

@@ -84,6 +84,9 @@ def test_test_only_helpers_not_exported():
         assert not hasattr(state_space, name)
     # the one encoder and its inverse stay public
     assert callable(vfcsim.snapshot_ordinal) and callable(vfcsim.state_from_index)
+    # one nodes-in-range scan, and one learning rate: params.alpha
+    assert not hasattr(engine.CellIndex, "count")
+    assert "alpha" not in inspect.signature(vfcsim.agent.update_q_value).parameters
 
 
 def counter(counts, key, fn):
@@ -172,6 +175,39 @@ def test_arrivals_call_the_patched_link_functions_per_reachable_node(monkeypatch
     assert counts["scans"] == tasks > 0
     assert counts["reachable"] > tasks
     assert counts["snr_at_distance"] == counts["shannon_rate"] == counts["reachable"]
+
+
+@pytest.mark.parametrize("scheduler", ["fcfs", "qlearn"])
+def test_engine_times_come_from_the_link_functions(monkeypatch, scheduler):
+    # every upload and processing time the ledger holds is computed by
+    # link.upload_time and link.processing_time: one V2I upload per
+    # reachable node, one wired leg per cloud task and one processing time
+    # per placed task (a local one too, whether or not it fits its bound)
+    names = ("snr_at_distance", "upload_time", "processing_time")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(engine, name, counter(counts, name, getattr(engine, name)))
+    records = []
+    run_episode = engine.run_episode
+
+    def recorded(*args, **kwargs):
+        result = run_episode(*args, **kwargs)
+        records.extend(result.ledger.records)
+        return result
+
+    monkeypatch.setattr(engine, "run_episode", recorded)
+    cfg = config.build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                               "agent.episodes": "1"})
+    if scheduler == "qlearn":
+        engine.run_training(cfg, 1)  # exploration places on every tier
+    else:
+        engine.run_evaluation(cfg, scheduler, 1)
+    tiers = [r.tier for r in records]
+    assert tiers.count(vfcsim.Tier.CLOUD) > 0 and tiers.count(vfcsim.Tier.FOG) > 0
+    if scheduler == "qlearn":
+        assert tiers.count(vfcsim.Tier.LOCAL) > 0
+    assert counts["upload_time"] == counts["snr_at_distance"] + tiers.count(vfcsim.Tier.CLOUD)
+    assert counts["processing_time"] == sum(1 for tier in tiers if tier >= 0)
 
 
 def test_every_task_is_appended_through_the_patched_ledger_method(monkeypatch):

@@ -34,6 +34,7 @@ def make_ctx(nodes, cpu_mips=100.0, state=0):
         cpu_mips=cpu_mips,
         nodes=nodes,
         state_ordinal=state,
+        decision_node=0,
     )
 
 
@@ -194,6 +195,28 @@ def test_wfq_ignores_ineligible_nodes():
     assert p.node_id == 1
 
 
+def test_wfq_places_on_fog_exactly_when_a_node_fits():
+    # a node that could ever grant the share always yields a fog
+    # placement on such a node; otherwise the task goes to the cloud
+    # through the nearest reachable node, or nowhere when none is
+    wfq = WfqScheduler([1.0, 2.0, 3.0, 1.5])
+    wfq.on_episode_start()
+    rng = random.Random(5)
+    for _ in range(400):
+        nodes = [view(i, free=rng.uniform(0.0, 0.8), dist=rng.uniform(1.0, 500.0),
+                      req=rng.uniform(0.0, 1.2))
+                 for i in range(4) if rng.random() < 0.7]
+        fits = [nv.node_id for nv in nodes if nv.req_share <= nv.max_share]
+        p = wfq.select(make_ctx(nodes, cpu_mips=rng.uniform(10, 500)))
+        if fits:
+            assert p.tier is Tier.FOG and p.node_id in fits
+        elif nodes:
+            assert p.tier is Tier.CLOUD
+            assert p.node_id == min(nodes, key=lambda nv: nv.distance_m).node_id
+        else:
+            assert p is None
+
+
 def test_wfq_weight_validation():
     with pytest.raises(ValidationError):
         WfqScheduler([1.0, 0.0])
@@ -211,9 +234,7 @@ def make_qlearn(table_values=None, epsilon=0.0, num_states=16):
         table.set(s, a, v)
     sim = SimParams()
     bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
-    sched = QLearningScheduler({0: table}, random.Random(0), bundles, epsilon)
-    sched.decision_node = 0
-    return sched
+    return QLearningScheduler({0: table}, random.Random(0), bundles, epsilon)
 
 
 def test_qlearn_local_action():
@@ -268,6 +289,24 @@ def test_qlearn_failed_fog_resolution_reports_action():
     ctx = make_ctx([])
     assert sched.select(ctx) is None
     assert sched.last_action_ordinal == 3
+
+
+def test_qlearn_uses_the_table_of_the_context_decision_node():
+    # each node's table prefers a different tier; the context's
+    # decision_node alone picks the table, and the scheduler keeps no
+    # decision node of its own
+    local, cloud = init_q_values(16, 9), init_q_values(16, 9)
+    local.set(0, 1, 1.0)  # Local/Medium
+    cloud.set(0, 7, 1.0)  # Cloud/Medium
+    sim = SimParams()
+    bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
+    sched = QLearningScheduler({0: local, 1: cloud}, random.Random(0), bundles, 0.0)
+    assert not hasattr(sched, "decision_node")
+    nodes = [view(0), view(1, dist=20.0)]
+    for decision_node, tier, ordinal in ((0, Tier.LOCAL, 1), (1, Tier.CLOUD, 7), (0, Tier.LOCAL, 1)):
+        ctx = DecisionContext(100.0, nodes, state_ordinal=0, decision_node=decision_node)
+        assert sched.select(ctx).tier is tier
+        assert sched.last_action_ordinal == ordinal
 
 
 def test_qlearn_needs_tables():

@@ -22,11 +22,11 @@ from vfcsim.traffic import (
 def test_scenario_table_values():
     assert set(SCENARIOS) == {"NO.1", "NO.2", "NO.3", "NO.4"}
     s1 = SCENARIOS["NO.1"]
-    assert (s1.trace_count, s1.adt, s1.vdt) == (718, 198.3, 123.8)
-    assert (s1.anv, s1.vnv, s1.asv, s1.vsv) == (474.6, 11.6, 5.22, 2.61)
+    assert (s1.adt, s1.vdt) == (198.3, 123.8)
+    assert (s1.anv, s1.asv, s1.vsv) == (474.6, 5.22, 2.61)
     s4 = SCENARIOS["NO.4"]
-    assert (s4.trace_count, s4.adt, s4.vdt) == (359, 173.7, 124.1)
-    assert (s4.anv, s4.vnv, s4.asv, s4.vsv) == (207.9, 3.93, 7.30, 3.16)
+    assert (s4.adt, s4.vdt) == (173.7, 124.1)
+    assert (s4.anv, s4.asv, s4.vsv) == (207.9, 7.30, 3.16)
     assert all(s.duration == 300.0 for s in SCENARIOS.values())
 
 
@@ -37,9 +37,9 @@ def test_entry_rate_sustains_mean_population():
 
 def test_scenario_validation():
     with pytest.raises(ValidationError, match="adt"):
-        Scenario("bad", 0, adt=0.0, vdt=1.0, anv=10.0, vnv=1.0, asv=5.0, vsv=1.0).validate()
+        Scenario("bad", adt=0.0, vdt=1.0, anv=10.0, asv=5.0, vsv=1.0).validate()
     with pytest.raises(ValidationError, match="vsv"):
-        Scenario("bad", 0, adt=10.0, vdt=1.0, anv=10.0, vnv=1.0, asv=5.0, vsv=-1.0).validate()
+        Scenario("bad", adt=10.0, vdt=1.0, anv=10.0, asv=5.0, vsv=-1.0).validate()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
