@@ -6,8 +6,10 @@ vehicle may emit a task; the scheduler under test places it on the vehicle
 itself, a fog node, or the cloud. Fog nodes grant CPU shares (the single
 hard capacity constraint) and run FIFO queues; every task resolves to
 serviced or dropped no later than min(arrival + deadline, vehicle exit),
-enforced by an internal expiry event for every task still outstanding
-after its decision, so ledgers always conserve tasks.
+so ledgers always conserve tasks. A task starts only if it can complete by
+that bound; the two waits that can outlast it, an upload that ends at or
+after the bound and a fog queue, are cut short by an internal expiry
+event, pushed only for them.
 
 Events dispatch in (time, sequence) order from a single heap, each entry
 numbered by the episode's one push counter and each popped entry going to
@@ -24,6 +26,7 @@ configuration, scheduler and seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -92,7 +95,7 @@ class EventKind:
     UPLOAD_DONE = 3
     EXECUTION_DONE = 4
     SNAPSHOT = 5
-    # internal bookkeeping kind: resolves tasks that silently outlived
+    # internal bookkeeping kind: drops a task still uploading or queued at
     # min(arrival + deadline, vehicle exit)
     TASK_EXPIRE = 6
 
@@ -141,6 +144,9 @@ class Task:
     mem_alloc: float = 0.0
     disk_alloc: float = 0.0
     bw_alloc: float = 0.0
+    # sequence number drawn at placement for the task's expiry, whose entry
+    # a fog task gets only if it queues at upload-done
+    expire_seq: int = -1
 
 
 class VehicleState:
@@ -321,7 +327,7 @@ def build_nodes(cfg: RunConfig) -> list[NodeState]:
     """
     sim = cfg.sim
     n = sim.fog_nodes
-    k, cell = _grid_shape(sim)
+    k, cell = _grid_shape(n, sim.area_m)
     trng = random.Random(sim.topology_seed)
     freqs = [trng.uniform(sim.node_cpu_min_hz, sim.node_cpu_max_hz) for _ in range(n)]
     nodes = []
@@ -333,68 +339,148 @@ def build_nodes(cfg: RunConfig) -> list[NodeState]:
     return nodes
 
 
-def _grid_shape(sim: SimParams) -> tuple[int, float]:
+def _grid_shape(fog_nodes: int, area_m: float) -> tuple[int, float]:
     """Side k of the k x k fog grid and the width of one cell in metres."""
-    k = math.ceil(math.sqrt(sim.fog_nodes))
-    return k, sim.area_m / k
+    k = math.ceil(math.sqrt(fog_nodes))
+    return k, area_m / k
+
+
+# Sub-cells per cell side in CellIndex: 4 x 4 per cell leaves about two
+# nodes per list on the default density and range.
+SUBCELLS = 4
+
+
+@functools.lru_cache(maxsize=32)
+def _subcell_plan(
+    fog_nodes: int, area_m: float, v2i_range_m: float
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """CellIndex's node lists as node ids: the distinct lists, and for each
+    sub-cell, row-major over the (k * SUBCELLS)^2 grid, the index of its
+    list. The plan depends on the geometry alone, so one serves every
+    episode of a grid.
+
+    A sub-cell keeps the nodes of its cell's ring block (see CellIndex)
+    that come within `limit` of it: the larger of the V2I range and the
+    least, over block nodes, of the distance from the node to its farthest
+    point of the sub-cell. A node left out is out of range of every point
+    of the sub-cell, and farther from each point than that block node, so
+    never its nearest; ties are kept. A margin on the sub-cell's edges and
+    a relative one on `limit` cover the points that the float lookup puts
+    in the sub-cell from just outside it, and the rounding of squared
+    distances. Squared distances are sums of per-axis tables of the near
+    and far gaps between each sub-cell row (column) and node row (column).
+    """
+    k, cell = _grid_shape(fog_nodes, area_m)
+    n = fog_nodes
+    side = k * SUBCELLS
+    sub = cell / SUBCELLS
+    margin = 1e-9 * area_m
+    centres = [(c + 0.5) * cell for c in range(k)]
+    near: list[list[float]] = []
+    far: list[list[float]] = []
+    for a in range(side):
+        lo = a * sub - margin
+        hi = (a + 1) * sub + margin
+        near.append([
+            (lo - c) ** 2 if c < lo else ((c - hi) ** 2 if c > hi else 0.0) for c in centres
+        ])
+        far.append([max(c - lo, hi - c) ** 2 for c in centres])
+    range_sq = v2i_range_m * v2i_range_m
+    reach = math.ceil(v2i_range_m / cell)
+    occupied = [divmod(i, k) for i in range(n)]
+    entries: dict[tuple[int, ...], int] = {}
+    index = [0] * (side * side)
+    for row in range(k):
+        for col in range(k):
+            m = 0 if row * k + col < n else min(
+                max(abs(r - row), abs(c - col)) for r, c in occupied
+            )
+            rings = max(reach, math.floor(math.sqrt(2.0) * (m + 0.5) + 0.5 + 1e-9))
+            r0, r1 = max(row - rings, 0), min(row + rings, k - 1)
+            c0, c1 = max(col - rings, 0), min(col + rings, k - 1)
+            # the block's rows, each with its occupied columns (all but
+            # those of the last row past node n - 1)
+            block = [
+                (r, range(c0, min(c1, n - 1 - r * k) + 1))
+                for r in range(r0, r1 + 1)
+                if r * k + c0 < n
+            ]
+            full = r1 * k + c1 < n
+            # the smallest far gap to a block row (column) from each sub-row
+            # (sub-column) of the cell; summed, the limit of a full block
+            a0 = row * SUBCELLS
+            b0 = col * SUBCELLS
+            far_rows = [min(far[a0 + i][r0:r1 + 1]) for i in range(SUBCELLS)]
+            far_cols = [min(far[b0 + j][c0:c1 + 1]) for j in range(SUBCELLS)]
+            for i in range(SUBCELLS):
+                near_y = near[a0 + i]
+                far_y = far[a0 + i]
+                start = (a0 + i) * side + b0
+                for j in range(SUBCELLS):
+                    near_x = near[b0 + j]
+                    if full:
+                        limit = far_rows[i] + far_cols[j]
+                    else:
+                        far_x = far[b0 + j]
+                        limit = min(far_y[r] + far_x[c] for r, cols in block for c in cols)
+                    if limit < range_sq:
+                        limit = range_sq
+                    limit *= 1.0 + 1e-9
+                    ids = tuple([
+                        r * k + c
+                        for r, cols in block
+                        if near_y[r] <= limit
+                        for c in cols
+                        if near_y[r] + near_x[c] <= limit
+                    ])
+                    index[start + j] = entries.setdefault(ids, len(entries))
+    return tuple(entries), tuple(index)
 
 
 class CellIndex:
     """Cell lists over the fog grid (Allen & Tildesley, Computer Simulation
-    of Liquids): each arrival looks at a handful of nodes, not all of them.
+    of Liquids): each arrival looks at about two nodes, not all of them.
 
     Node i sits at the centre of cell (i // k, i % k) of the k x k grid of
-    build_nodes. Each cell keeps, in node-id order, the nodes of the block
-    of cells within `rings` Chebyshev rings of it. A node j rings away is
-    at least (j - 1/2) cells from every point of the cell, so `rings`
-    covers both
+    build_nodes. Each cell's ring block is the block of cells within
+    `rings` Chebyshev rings of it. A node j rings away is at least
+    (j - 1/2) cells from every point of the cell, so `rings` covers both
     - the V2I range: with ceil(range / cell) rings, every node left out is
       more than range + cell / 2 away, never reachable;
     - the nearest node: when the nearest occupied cell is m rings away
       (m = 0 unless fog_nodes is not a square), a kept node lies within
       sqrt(2) (m + 1/2) cells, and every node left out is farther.
-    Scanning a cell's list therefore finds the same nearest node (strict <,
-    ties to the lowest id) and the same reachable nodes, in the same order,
-    as a scan of every node.
+    Each cell is split into SUBCELLS x SUBCELLS sub-cells, and a sub-cell's
+    list keeps, in node-id order, only the block nodes that can be in range
+    of, or nearest to, one of its points (_subcell_plan). Scanning the list
+    of the sub-cell that holds a point therefore finds the same nearest
+    node (strict <, ties to the lowest id) and the same reachable nodes, in
+    the same order, as a scan of every node.
+
+    The plan of node ids is built once per geometry and cached; an episode
+    only maps it onto its own nodes, one tuple per distinct list.
     """
 
-    __slots__ = ("k", "cell", "range_sq", "lists")
+    __slots__ = ("side", "sub", "range_sq", "lists")
 
     def __init__(self, nodes: list[NodeState], sim: SimParams, v2i_range_m: float):
-        k, cell = _grid_shape(sim)
-        n = len(nodes)
-        self.k = k
-        self.cell = cell
+        k, cell = _grid_shape(len(nodes), sim.area_m)
+        self.side = k * SUBCELLS
+        self.sub = cell / SUBCELLS
         self.range_sq = v2i_range_m * v2i_range_m
-        reach = math.ceil(v2i_range_m / cell)
-        occupied = [divmod(i, k) for i in range(n)]
-        everything = tuple(nodes)
-        self.lists: list[tuple[NodeState, ...]] = []
-        for row in range(k):
-            for col in range(k):
-                m = 0 if row * k + col < n else min(
-                    max(abs(r - row), abs(c - col)) for r, c in occupied
-                )
-                rings = max(reach, math.floor(math.sqrt(2.0) * (m + 0.5) + 0.5 + 1e-9))
-                r0, r1 = max(row - rings, 0), min(row + rings, k - 1)
-                c0, c1 = max(col - rings, 0), min(col + rings, k - 1)
-                if r0 == 0 and c0 == 0 and r1 == k - 1 and c1 == k - 1:
-                    self.lists.append(everything)
-                    continue
-                self.lists.append(tuple(
-                    nodes[r * k + c]
-                    for r in range(r0, r1 + 1)
-                    for c in range(c0, c1 + 1)
-                    if r * k + c < n
-                ))
+        entries, index = _subcell_plan(len(nodes), sim.area_m, v2i_range_m)
+        mapped = [tuple([nodes[i] for i in ids]) for ids in entries]
+        self.lists: list[tuple[NodeState, ...]] = [mapped[j] for j in index]
 
     def _cell_nodes(self, x: float, y: float) -> tuple[NodeState, ...]:
-        """The kept nodes of the cell that holds (x, y)."""
-        k = self.k
-        row = int(y / self.cell)
-        col = int(x / self.cell)
-        # _reflect can return exactly area_m, one past the last cell
-        return self.lists[(row if row < k else k - 1) * k + (col if col < k else k - 1)]
+        """The kept nodes of the sub-cell that holds (x, y)."""
+        side = self.side
+        row = int(y / self.sub)
+        col = int(x / self.sub)
+        # _reflect can return exactly area_m, one past the last sub-cell
+        return self.lists[
+            (row if row < side else side - 1) * side + (col if col < side else side - 1)
+        ]
 
     def scan(self, x: float, y: float) -> tuple[NodeState, list[tuple[NodeState, float]]]:
         """The nearest node to (x, y), ties to the lowest id, and the nodes
@@ -738,11 +824,7 @@ class _Episode:
             task.wait = start - now
             task.proc_planned = proc
             task.stage = _EXECUTING
-            # the expiry is pushed only for a task still outstanding, just
-            # before its next event, so every other event keeps its order
-            heap = self.heap
-            heappush(heap, (task.bound, next(self.seq), EventKind.TASK_EXPIRE, task))
-            heappush(heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
+            heappush(self.heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
             return
 
         for view in views:
@@ -773,13 +855,21 @@ class _Episode:
             task.proc_planned = processing_time(
                 task.size_bits, link.cycles_per_bit, placement.cpu_share * node.cpu_freq
             )
-        heap = self.heap
-        heappush(heap, (task.bound, next(self.seq), EventKind.TASK_EXPIRE, task))
-        heappush(heap, (now + task.upload_planned, next(self.seq), EventKind.UPLOAD_DONE, task))
+        # An expiry is pushed only where it acts. Its sequence number is
+        # drawn here, before the upload's, so that it sorts as it would if
+        # every task had one: an upload that ends at or after the bound is
+        # dropped by its expiry, and its upload-done entry is left out; a
+        # fog task that queues at upload-done gets its expiry then
+        # (on_upload_done). Any other task starts, or drops, by its bound.
+        expire_seq = next(self.seq)
+        upload_end = now + task.upload_planned
+        if upload_end >= task.bound:
+            heappush(self.heap, (task.bound, expire_seq, EventKind.TASK_EXPIRE, task))
+            return
+        task.expire_seq = expire_seq
+        heappush(self.heap, (upload_end, next(self.seq), EventKind.UPLOAD_DONE, task))
 
     def on_upload_done(self, now: float, task: Task) -> None:
-        if task.stage != _UPLOADING:
-            return
         node = self.nodes[task.exec_node]
         node.release_bw(task.bw_alloc)
         task.upload_done_time = now
@@ -812,6 +902,7 @@ class _Episode:
         else:
             task.stage = _QUEUED
             node.run_queue.append(task)
+            heappush(self.heap, (task.bound, task.expire_seq, EventKind.TASK_EXPIRE, task))
 
     def start_execution(self, node: NodeState, task: Task, now: float) -> None:
         node.commit_cpu(task.cpu_share)
@@ -821,6 +912,9 @@ class _Episode:
                              task))
 
     def on_execution_done(self, now: float, task: Task) -> None:
+        # admission only allows completion <= bound
+        if now > task.bound + 1e-9:
+            raise RuntimeError(f"task {task.task_id} executing past its bound")
         tier = task.tier
         if tier == _FOG:
             node = self.nodes[task.exec_node]
@@ -874,25 +968,14 @@ class _Episode:
             self.drain(node, now)
 
     def on_task_expire(self, now: float, task: Task) -> None:
-        if task.stage == _DONE:
-            return
-        if task.stage == _EXECUTING:
-            # admission only allows completion <= bound; when completion
-            # falls exactly on the bound this expiry event dispatches
-            # first (lower sequence number), so verify and stand down
-            if task.tier == _LOCAL:
-                completion = task.arrival + task.wait + task.proc_planned
-            elif task.tier == _FOG:
-                completion = task.upload_done_time + task.wait + task.proc_planned
-            else:
-                completion = task.upload_done_time + task.proc_planned
-            if completion > task.bound + 1e-9:
-                raise RuntimeError(f"task {task.task_id} executing past its bound")
-            return
         if task.stage == _UPLOADING:
             self.nodes[task.exec_node].release_bw(task.bw_alloc)
         elif task.stage == _QUEUED:
             self.nodes[task.exec_node].release_resident(task.mem_alloc, task.disk_alloc)
+        else:
+            # done, or left the queue to complete exactly at the bound (the
+            # expiry's lower sequence number dispatches it first)
+            return
         self.drop(task, now)
 
     def drain(self, node: NodeState, now: float) -> None:
@@ -1037,9 +1120,7 @@ def run_evaluation(
     cfg.validate()
     _check_master_seed(seed)
     scheduler = build_scheduler(cfg, scheduler_name, tables)
-    ledger = TaskLedger()
     aggregates: list[EpisodeAggregate] = []
-    events: list[EventRecord] | None = [] if collect_events else None
     for episode in range(cfg.sim.eval_episodes):
         result = run_episode(
             cfg,
@@ -1049,9 +1130,15 @@ def run_evaluation(
             vehicles=vehicles,
             episode_index=episode,
         )
-        ledger.records.extend(result.ledger.records)
         aggregates.append(result.aggregate)
-        if events is not None and result.events is not None:
+        if episode == 0:
+            # the first episode's ledger and event list are taken over, not
+            # copied; later episodes extend them
+            ledger = result.ledger
+            events = result.events
+            continue
+        ledger.records.extend(result.ledger.records)
+        if events is not None:
             events.extend(result.events)
     report = build_report(ledger, aggregates, cfg.sim.fog_nodes)
     return EvalResult(report, ledger, aggregates, events)

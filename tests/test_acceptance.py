@@ -140,6 +140,7 @@ def test_criterion_05_identical_invocations_identical_bytes(tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_learned_policy_beats_baselines(trained_no1):
     cfg, tables, train_time = trained_no1
     start = time.perf_counter()
@@ -167,6 +168,7 @@ def test_criterion_06_learned_policy_beats_baselines(trained_no1):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_training_reward_improves():
     cfg = build_config({"scenario.name": "NO.4"})
     wins = 0
@@ -196,6 +198,7 @@ def test_criterion_08_traffic_sample_means_track_table():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_service_ratio_degrades_with_load(trained_no1):
     _, tables, _ = trained_no1
     drops = {}

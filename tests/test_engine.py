@@ -17,6 +17,7 @@ from vfcsim.engine import (
     NodeState,
     Task,
     VehicleState,
+    _QUEUED,
     _Episode,
     _reflect,
     build_nodes,
@@ -29,7 +30,7 @@ from vfcsim.engine import (
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.eventlog import write_event_log
-from vfcsim.schedulers import Scheduler, _cloud_placement
+from vfcsim.schedulers import Placement, Scheduler, _cloud_placement
 from vfcsim.state_space import NUM_STATES, Level, ResponseLevel, SlaLevel, state_from_index
 from vfcsim.traffic import VehicleSpec
 
@@ -414,28 +415,104 @@ def test_leaked_commit_fails_the_episode(monkeypatch):
         run_short()
 
 
-@pytest.mark.parametrize("name", ["fcfs", "qlearn"])
-def test_expiry_pushed_only_for_outstanding_tasks(monkeypatch, name):
-    pushed = []
+def spy_on_pushes(monkeypatch):
+    """Record every heap push as (time, sequence, kind, task id or None),
+    every task decided, and every fog task that queues at upload-done."""
+    pushes, tasks, queued = [], [], []
 
-    def counting(heap, entry):
-        _time, _seq, kind, payload = entry
-        if kind == EventKind.TASK_EXPIRE:
-            pushed.append(payload.task_id)
+    def recording(heap, entry):
+        time, seq, kind, payload = entry
+        if kind == EventKind.TASK_ARRIVAL:
+            tasks.extend(payload)
+        task_id = payload.task_id if isinstance(payload, Task) else None
+        pushes.append((time, seq, kind, task_id))
         heapq.heappush(heap, entry)
 
-    monkeypatch.setattr("vfcsim.engine.heappush", counting)
+    original = _Episode.on_upload_done
+
+    def on_upload_done(self, now, task):
+        original(self, now, task)
+        if task.stage == _QUEUED:
+            queued.append(task.task_id)
+
+    monkeypatch.setattr("vfcsim.engine.heappush", recording)
+    monkeypatch.setattr(_Episode, "on_upload_done", on_upload_done)
+    return pushes, tasks, queued
+
+
+def run_loaded(name, seed=7):
+    # deadlines of 1-4 s, so that some uploads outlast their bound
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
-                        "sim.arrival_prob": "0.7"})
+                        "sim.arrival_prob": "0.7", "sim.task_deadline_s_min": "1",
+                        "sim.task_deadline_s_max": "4"})
     tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     sched = build_scheduler(cfg, name, tables)
     sched.epsilon = 1.0
-    records = run_episode(cfg, sched, 7).ledger.records
-    # a task dropped at its decision resolves at its arrival time, before
-    # any event of its own; every other task has exactly one expiry
-    outstanding = sorted(r.task_id for r in records if r.serviced or r.completion > r.arrival)
-    assert len(outstanding) < len(records)
-    assert sorted(pushed) == outstanding
+    return run_episode(cfg, sched, seed)
+
+
+@pytest.mark.parametrize("name", ["fcfs", "qlearn"])
+def test_expiry_pushed_only_where_it_acts(monkeypatch, name):
+    pushes, tasks, queued = spy_on_pushes(monkeypatch)
+    run_loaded(name)
+    expired = sorted(task_id for _t, _s, kind, task_id in pushes
+                     if kind == EventKind.TASK_EXPIRE)
+    # a fog or cloud upload that ends at or after the bound, which has no
+    # upload-done entry, and a fog task that queued at upload-done
+    late = sorted(t.task_id for t in tasks if t.tier in (Tier.FOG, Tier.CLOUD)
+                  and t.arrival + t.upload_planned >= t.bound)
+    assert late and queued
+    assert set(late).isdisjoint(queued)
+    assert expired == sorted(late + queued)
+    uploads = {task_id for _t, _s, kind, task_id in pushes if kind == EventKind.UPLOAD_DONE}
+    assert uploads.isdisjoint(late)
+
+
+def test_queued_expiry_keeps_the_sequence_drawn_at_placement(monkeypatch):
+    pushes, _tasks, queued = spy_on_pushes(monkeypatch)
+    run_loaded("fcfs")
+    expire = {task_id: (i, seq) for i, (_t, seq, kind, task_id) in enumerate(pushes)
+              if kind == EventKind.TASK_EXPIRE}
+    upload = {task_id: (i, seq) for i, (_t, seq, kind, task_id) in enumerate(pushes)
+              if kind == EventKind.UPLOAD_DONE}
+    assert queued
+    for task_id in queued:
+        # pushed after the upload-done entry, numbered before it
+        assert expire[task_id][0] > upload[task_id][0]
+        assert expire[task_id][1] < upload[task_id][1]
+
+
+class TierStub(Scheduler):
+    """Places every task on one tier: the vehicle, fog node 4, or the cloud."""
+
+    name = "stub-tier"
+
+    def __init__(self, tier):
+        self.tier = tier
+
+    def select(self, ctx):
+        if self.tier == Tier.LOCAL:
+            return Placement(Tier.LOCAL, -1, 0.0, 1.0)
+        if self.tier == Tier.FOG:
+            return Placement(Tier.FOG, 4, 0.5, 1.0)
+        return _cloud_placement(ctx)
+
+
+@pytest.mark.parametrize("tier", [Tier.LOCAL, Tier.FOG, Tier.CLOUD], ids=["local", "fog", "cloud"])
+def test_execution_past_the_bound_raises(monkeypatch, tier):
+    cfg = pinned_cfg(**{"sim.task_deadline_s_min": "40", "sim.task_deadline_s_max": "40"})
+    led = run_episode(cfg, TierStub(tier), 3, vehicles=[vehicle()]).ledger
+    assert [(r.serviced, r.tier) for r in led.records] == [(True, tier)]
+
+    def overrun(heap, entry):
+        _time, seq, kind, payload = entry
+        if kind == EventKind.EXECUTION_DONE:
+            entry = (payload.bound + 1.0, seq, kind, payload)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr("vfcsim.engine.heappush", overrun)
+    with pytest.raises(RuntimeError, match="task 0 executing past its bound"):
+        run_episode(cfg, TierStub(tier), 3, vehicles=[vehicle()])
 
 
 @pytest.mark.parametrize("samples, sla", [
