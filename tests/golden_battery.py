@@ -2,8 +2,9 @@
 
 The battery, of 60-second runs, trains on NO.4 for two episodes,
 evaluates fcfs and greedy qlearn on that checkpoint (event logs
-included), compares the four schedulers on NO.1 and NO.4 over two seeds
-and sweeps them over two arrival probabilities, all in-process through
+included), compares the four schedulers on NO.1 and NO.4 over two seeds,
+at the default V2I range and at 800 m, where ranges overlap, and sweeps
+them over two arrival probabilities, all in-process through
 vfcsim.cli.main. Each command's standard output, with the output
 directory written as <out>, is kept as the file stdout.txt next to what
 the command wrote.
@@ -42,6 +43,11 @@ BATTERY = (
                      "--checkpoint", "{checkpoint}"]),
     ("compare", ["compare", *SHORT, "--schedulers", "qlearn,fcfs,rr,wfq",
                  "--scenarios", "NO.1,NO.4", "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
+    # 800 m of V2I range puts several nodes in reach of one vehicle, so the
+    # cloud relay and the decision node can be any of them
+    ("compare-overlap", ["compare", *SHORT, "--set", "link.v2i_range_m=800",
+                         "--schedulers", "qlearn,fcfs,rr,wfq", "--scenarios", "NO.1,NO.4",
+                         "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
     ("sweep", ["sweep", *SHORT, "--schedulers", "qlearn,fcfs,rr,wfq", "--probs", "0.3,0.6",
                "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
 )
