@@ -289,10 +289,7 @@ def load_config(
     if scenario is not None:
         overrides["scenario.name"] = scenario
     if extra_overrides:
-        for key, value in extra_overrides.items():
-            if key not in _TAGS:
-                raise ConfigError(f"unknown key {key!r}")
-            overrides[key] = value
+        overrides.update(extra_overrides)
     return build_config(overrides)
 
 

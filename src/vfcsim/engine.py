@@ -295,7 +295,6 @@ class TrainingResult:
 class EvalResult:
     report: MetricsReport
     ledger: TaskLedger
-    aggregates: list[EpisodeAggregate]
     events: list[EventRecord] | None
 
 
@@ -768,8 +767,7 @@ class _Episode:
 
             views: list[NodeView] = []
             for node, d2 in reachable:
-                dist = math.sqrt(d2)
-                rate = shannon_rate(bandwidth, snr_at_distance(link, dist))
+                rate = shannon_rate(bandwidth, snr_at_distance(link, math.sqrt(d2)))
                 up = upload_time(task.size_bits, rate)
                 remaining = slack - up
                 free = 1.0 - node.cpu_commit
@@ -778,7 +776,6 @@ class _Episode:
                         node.node_id,
                         free if free > 0.0 else 0.0,  # free_share
                         1.0 - node.baseline,  # max_share
-                        dist,  # distance_m
                         # req_share
                         (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf,
                         up,  # upload_s
@@ -794,11 +791,11 @@ class _Episode:
                     task.deadline, task.demand_mips, task.size_bits, veh.spec.vehicle_id,
                 ))
 
-            ctx = DecisionContext((task.cycles / slack) / 1e6, views)  # cpu_mips, nodes
+            # cpu_mips, nodes, decision_node
+            ctx = DecisionContext((task.cycles / slack) / 1e6, views, decision.node_id)
             if uses_state:
                 task.state_ordinal = state_for(decision, task, len(views))
                 ctx.state_ordinal = task.state_ordinal
-                ctx.decision_node = decision.node_id
 
             placement = select(ctx)
             if uses_state:
@@ -1141,4 +1138,4 @@ def run_evaluation(
         if events is not None:
             events.extend(result.events)
     report = build_report(ledger, aggregates, cfg.sim.fog_nodes)
-    return EvalResult(report, ledger, aggregates, events)
+    return EvalResult(report, ledger, events)

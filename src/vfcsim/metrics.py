@@ -4,20 +4,16 @@ Five quantities summarize a run: average processing time (APT) and average
 service time (AST) over serviced tasks, service ratio (ASR), cumulative
 reward (CR) over per-episode normalized criteria, and average accumulated
 reward per edge node (AAP). Degenerate inputs (no tasks served, constant
-criterion series) resolve to defined values and are flagged rather than
-raising.
+criterion series) resolve to defined values.
 """
 
 from __future__ import annotations
 
-import logging
 import statistics
 from dataclasses import dataclass, field
 
 from .agent import Tier
 from .errors import ValidationError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -58,11 +54,6 @@ class TaskLedger:
         return sum(1 for r in self.records if r.serviced)
 
     @property
-    def k_local(self) -> int:
-        local = Tier.LOCAL  # bound once, not read per record
-        return sum(1 for r in self.records if r.serviced and r.tier == local)
-
-    @property
     def k_dropped(self) -> int:
         return sum(1 for r in self.records if not r.serviced)
 
@@ -91,7 +82,6 @@ class MetricsReport:
     k_serviced: int
     k_local: int
     k_dropped: int
-    flags: tuple[str, ...] = ()
 
 
 def episode_aggregate(ledger: TaskLedger) -> EpisodeAggregate:
@@ -114,75 +104,34 @@ def episode_aggregate(ledger: TaskLedger) -> EpisodeAggregate:
                             qos / tasks, reward_sum, tasks, serviced)
 
 
-def apt(ledger: TaskLedger) -> float:
-    """Mean processing time over serviced tasks; 0 when none served."""
-    total = 0.0
-    n = 0
-    for r in ledger.records:
-        if r.serviced:
-            total += r.proc
-            n += 1
-    if n == 0:
-        logger.info("apt: no serviced tasks, reporting 0")
-        return 0.0
-    return total / n
-
-
-def ast(ledger: TaskLedger) -> float:
-    """Mean processing + upload time over serviced tasks; 0 when none served."""
-    total = 0.0
-    n = 0
-    for r in ledger.records:
-        if r.serviced:
-            total += r.proc + r.upload
-            n += 1
-    if n == 0:
-        logger.info("ast: no serviced tasks, reporting 0")
-        return 0.0
-    return total / n
-
-
-def asr(ledger: TaskLedger) -> float:
-    """Fraction of generated tasks that completed; 0 when none generated."""
-    k = ledger.k_total
-    if k == 0:
-        logger.info("asr: no tasks generated, reporting 0")
-        return 0.0
-    return ledger.k_serviced / k
-
-
-def _normalize_series(values: list[float], invert: bool, name: str, flags: list[str]) -> list[float]:
+def _normalize_series(values: list[float], invert: bool) -> list[float]:
     lo = min(values)
     hi = max(values)
     if hi == lo:
-        flags.append(f"cr:{name}-constant")
-        logger.info("cumulative_reward: %s series constant, normalized to 1.0", name)
         return [1.0] * len(values)
     if invert:
         return [(hi - v) / (hi - lo) for v in values]
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def cumulative_reward(episodes: list[EpisodeAggregate]) -> tuple[float, tuple[str, ...]]:
+def cumulative_reward(episodes: list[EpisodeAggregate]) -> float:
     """Sum of min-max normalized criteria accumulated over episodes.
 
     Wastage is inverted (lower is better) before normalization; the other
     criteria enter directly. Each episode then contributes the sum of its
-    four normalized scores. Constant series normalize to 1.0 and are
-    flagged. Returns (cr, flags).
+    four normalized scores. Constant series normalize to 1.0; no episodes
+    give 0.
     """
     if not episodes:
-        logger.info("cumulative_reward: no episodes, reporting 0")
-        return 0.0, ("cr:empty",)
-    flags: list[str] = []
-    nw = _normalize_series([e.wastage for e in episodes], True, "wastage", flags)
-    nu = _normalize_series([e.utilization for e in episodes], False, "utilization", flags)
-    nr = _normalize_series([e.response for e in episodes], False, "response", flags)
-    nq = _normalize_series([e.qos for e in episodes], False, "qos", flags)
+        return 0.0
+    nw = _normalize_series([e.wastage for e in episodes], True)
+    nu = _normalize_series([e.utilization for e in episodes], False)
+    nr = _normalize_series([e.response for e in episodes], False)
+    nq = _normalize_series([e.qos for e in episodes], False)
     cr = 0.0
     for i in range(len(episodes)):
         cr += nw[i] + nu[i] + nr[i] + nq[i]
-    return cr, tuple(flags)
+    return cr
 
 
 def aap(ledger: TaskLedger, episodes: list[EpisodeAggregate], num_edges: int) -> float:
@@ -220,30 +169,30 @@ def build_report(
     episodes: list[EpisodeAggregate],
     num_edges: int,
 ) -> MetricsReport:
-    # k_serviced and k_dropped each pass over every record: read them once
-    total = ledger.k_total
-    serviced = ledger.k_serviced
-    dropped = ledger.k_dropped
-    flags: list[str] = []
-    if total == 0:
-        flags.append("no-tasks")
-    elif serviced == 0:
-        flags.append("no-serviced-tasks")
-    cr, cr_flags = cumulative_reward(episodes)
-    flags.extend(cr_flags)
-    if serviced + dropped != total:
-        raise ValidationError(f"ledger conservation violated: {serviced}+{dropped} != {total}")
+    """The run's report. One pass over the ledger, in record order, counts
+    serviced and local tasks and sums the serviced tasks' processing and
+    service times; APT and AST are 0 when none was serviced, ASR when
+    none was generated. AAP reads the ledger again by episode."""
+    local = Tier.LOCAL
+    serviced = k_local = 0
+    proc_sum = service_sum = 0.0
+    for r in ledger.records:
+        if r.serviced:
+            serviced += 1
+            k_local += r.tier == local
+            proc_sum += r.proc
+            service_sum += r.proc + r.upload
+    total = len(ledger.records)
     return MetricsReport(
-        apt=apt(ledger),
-        ast=ast(ledger),
-        asr=asr(ledger),
-        cr=cr,
+        apt=proc_sum / serviced if serviced else 0.0,
+        ast=service_sum / serviced if serviced else 0.0,
+        asr=serviced / total if total else 0.0,
+        cr=cumulative_reward(episodes),
         aap=aap(ledger, episodes, num_edges),
         k_total=total,
         k_serviced=serviced,
-        k_local=ledger.k_local,
-        k_dropped=dropped,
-        flags=tuple(flags),
+        k_local=k_local,
+        k_dropped=total - serviced,
     )
 
 

@@ -13,7 +13,8 @@ range. Placements on the fog or cloud tier must name one of them.
 
 Shared fallback rule: a task whose CPU requirement exceeds the grantable
 share of every reachable node can never start on the fog tier and is
-routed to the cloud through the nearest reachable node.
+routed to the cloud through the decision node, the vehicle's nearest
+node, which is in range whenever any node is.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class NodeView:
     node_id: int
     free_share: float      # CPU share grantable right now
     max_share: float       # CPU share the node can ever grant
-    distance_m: float
     req_share: float       # this task's CPU-share requirement on this node
     upload_s: float        # V2I upload time of this task to this node
 
@@ -48,8 +48,8 @@ class DecisionContext:
 
     cpu_mips: float           # compute demand: task cycles / time to its bound, in MIPS
     nodes: list[NodeView]     # reachable nodes only, in ascending node id
+    decision_node: int        # the vehicle's nearest node; it decides and relays cloud tasks
     state_ordinal: int = -1   # filled when the scheduler uses telemetry
-    decision_node: int = -1   # the vehicle's nearest node; filled like state_ordinal
 
 
 @dataclass(slots=True)
@@ -60,14 +60,6 @@ class Placement:
     node_id: int              # fog execution node, or cloud relay; -1 for local
     cpu_share: float          # share on the fog node; 0 for local/cloud
     bundle_factor: float
-
-
-def _nearest_reachable(nodes: list[NodeView]) -> NodeView | None:
-    best: NodeView | None = None
-    for nv in nodes:
-        if best is None or nv.distance_m < best.distance_m:
-            best = nv
-    return best
 
 
 def _fits_somewhere(nodes: list[NodeView]) -> bool:
@@ -92,10 +84,9 @@ def _first_fit(nodes: list[NodeView]) -> NodeView:
 
 
 def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placement | None:
-    relay = _nearest_reachable(ctx.nodes)
-    if relay is None:
+    if not ctx.nodes:
         return None
-    return Placement(_CLOUD, relay.node_id, 0.0, bundle_factor)
+    return Placement(_CLOUD, ctx.decision_node, 0.0, bundle_factor)
 
 
 def _fog_placement(node: NodeView, bundle_factor: float = 1.0) -> Placement:
@@ -208,8 +199,9 @@ class QLearningScheduler(Scheduler):
     """Epsilon-greedy policy over per-node Q-tables.
 
     The decision node's table picks a (tier, bundle) action; the fog tier
-    resolves to the least-loaded reachable node and the bundle factor
-    scales the granted resources above the bare requirement.
+    resolves to the least-loaded reachable node, the cloud tier relays
+    through the decision node itself, and the bundle factor scales the
+    granted resources above the bare requirement.
     """
 
     name = "qlearn"

@@ -242,8 +242,8 @@ def test_criterion_10_invariant_suites():
     sched = WfqScheduler([2.0, 1.0])
     counts = [0, 0]
     for task_id in range(300):
-        views = [NodeView(i, 0.8, 0.8, 100.0, 0.1, 1.0) for i in (0, 1)]
-        ctx = DecisionContext(100.0, views)
+        views = [NodeView(i, 0.8, 0.8, 0.1, 1.0) for i in (0, 1)]
+        ctx = DecisionContext(100.0, views, 0)
         counts[sched.select(ctx).node_id] += 1
     if abs(counts[0] / 300 - 2 / 3) > 0.02:
         failures.append(f"wfq split {counts}")

@@ -142,11 +142,13 @@ def test_round_robin_matches_full_list_rule():
                 for _ in range(num_nodes)
             ]
             views = [
-                NodeView(i, free, mx, d, req, 1.0)
-                for i, (r, req, free, mx, d) in enumerate(full)
+                NodeView(i, free, mx, req, 1.0)
+                for i, (r, req, free, mx, _d) in enumerate(full)
                 if r
             ]
-            ctx = DecisionContext(100.0, views)
+            # the decision node is the nearest reachable node, ties to the lowest id
+            reach = [(d, i) for i, (r, _req, _free, _mx, d) in enumerate(full) if r]
+            ctx = DecisionContext(100.0, views, min(reach)[1] if reach else -1)
             placement = rr.select(ctx)
             tier, node_id, cursor = round_robin_full_list(cursor, full)
             if tier is None:

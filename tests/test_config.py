@@ -112,6 +112,11 @@ def test_load_config_missing_file():
         load_config("/nonexistent/path.cfg", {}, None)
 
 
+def test_load_config_unknown_override_key():
+    with pytest.raises(ConfigError, match=r"^unknown key 'agent\.beta'$"):
+        load_config(None, {"agent.beta": "1"})
+
+
 def test_dump_round_trip():
     cfg = build_config({
         "agent.episodes": "12",

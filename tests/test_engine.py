@@ -55,7 +55,7 @@ def pinned_cfg(**sets):
 
 
 class CloudStub(Scheduler):
-    """Forces the cloud tier through the nearest relay."""
+    """Forces the cloud tier through the decision node."""
 
     name = "stub-cloud"
 
@@ -326,6 +326,18 @@ def test_records_carry_the_decision_node_of_their_arrival():
     assert len(set(decided.values())) > 1
     for r in result.ledger.records:
         assert r.decision_node == decided[r.task_id]
+    # at 800 m several nodes are in range of a vehicle: a cloud task still
+    # relays through the node that decided it, under every policy
+    cfg = build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                        "link.v2i_range_m": "800"})
+    untrained = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
+    for name in ("fcfs", "rr", "wfq", "qlearn"):
+        sched = build_scheduler(cfg, name, untrained if name == "qlearn" else None)
+        if name == "qlearn":
+            sched.epsilon = 1.0  # every action drawn at random
+        cloud = [r for r in run_episode(cfg, sched, 7).ledger.records if r.tier == Tier.CLOUD]
+        assert len({r.decision_node for r in cloud}) > 1, name
+        assert all(r.node_id == r.decision_node for r in cloud), name
 
 
 def test_event_times_never_decrease():
@@ -830,25 +842,28 @@ def test_evaluation_merges_episodes(tiny_cfg):
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "40",
                         "sim.eval_episodes": "2"})
     result = run_evaluation(cfg, "fcfs", 3)
-    assert len(result.aggregates) == 2
-    assert result.report.k_total == sum(a.tasks for a in result.aggregates)
+    alone = [
+        run_episode(cfg, build_scheduler(cfg, "fcfs"), derive_seed(3, e), episode_index=e)
+        for e in (0, 1)
+    ]
+    assert result.ledger.k_total == result.report.k_total
+    assert result.ledger.k_total == sum(r.ledger.k_total for r in alone)
     single = run_evaluation(tiny_cfg, "fcfs", 3)
-    assert len(single.aggregates) == 1
-    # one episode cannot rank itself: all four criteria flagged constant
+    # one episode cannot rank itself: all four criteria are constant
     assert single.report.cr == 4.0
-    assert sum(1 for f in single.report.flags if f.endswith("-constant")) == 4
 
 
-# SHA-256 of repr(report) + repr(aggregates) of fcfs on NO.4, seed 11, over
-# three episodes, recorded when each episode kept its own AAP log: AAP's
-# per-episode grouping shows in the report's last bits
-PINNED_REPORT = "4538abc285ecdc357c5dace6600e24f4e81a6d669ce51f2a87e79adfcee595a2"
+# SHA-256 of repr((apt, ast, asr, cr, aap, k_total, k_serviced, k_local,
+# k_dropped)) of fcfs on NO.4, seed 11, over three episodes, recorded when
+# the report read the ledger once per metric: AAP's per-episode grouping and
+# the record-order sums show in the last bits
+PINNED_REPORT = "6d17e874997cdc71277381682b974d1d4125da9d42c01cd373abbaba58ac14bf"
 
 
 def test_three_episode_report_pinned():
     cfg = build_config({"scenario.name": "NO.4", "sim.eval_episodes": "3"})
-    result = run_evaluation(cfg, "fcfs", 11)
-    text = repr(result.report) + repr(result.aggregates)
+    r = run_evaluation(cfg, "fcfs", 11).report
+    text = repr((r.apt, r.ast, r.asr, r.cr, r.aap, r.k_total, r.k_serviced, r.k_local, r.k_dropped))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT
 
 

@@ -11,9 +11,6 @@ from vfcsim.metrics import (
     TaskLedger,
     TaskRecord,
     aap,
-    apt,
-    asr,
-    ast,
     build_report,
     cumulative_reward,
     episode_aggregate,
@@ -57,76 +54,76 @@ def aggregate(wastage=0.1, utilization=0.5, response=0.5, qos=0.5, reward_sum=1.
 
 # -- simple means ------------------------------------------------------------
 
+def report_of(*records):
+    """The report of a one-episode run over these records."""
+    led = ledger_of(*records)
+    return build_report(led, [episode_aggregate(led)], 9)
+
+
 def test_apt_mean_of_serviced_processing():
-    led = ledger_of(record(0, proc=2.0), record(1, proc=4.0))
-    assert apt(led) == 3.0
+    assert report_of(record(0, proc=2.0), record(1, proc=4.0)).apt == 3.0
 
 
 def test_apt_ignores_dropped():
-    led = ledger_of(record(0, proc=2.0), record(1, proc=99.0, serviced=False))
-    assert apt(led) == 2.0
+    assert report_of(record(0, proc=2.0), record(1, proc=99.0, serviced=False)).apt == 2.0
 
 
 def test_apt_empty_is_zero():
-    assert apt(TaskLedger()) == 0.0
-    assert apt(ledger_of(record(0, serviced=False))) == 0.0
+    # no serviced task: both means fall back to 0, the ratio is a true 0
+    report = report_of(record(0, serviced=False))
+    assert (report.apt, report.ast, report.asr) == (0.0, 0.0, 0.0)
+    assert (report.k_total, report.k_serviced, report.k_dropped) == (1, 0, 1)
 
 
 def test_ast_adds_upload_leg():
-    led = ledger_of(record(0, proc=2.0, upload=1.0), record(1, proc=4.0, upload=1.0))
-    assert ast(led) == 4.0
+    report = report_of(record(0, proc=2.0, upload=1.0), record(1, proc=4.0, upload=1.0))
+    assert report.ast == 4.0
 
 
 def test_ast_equals_apt_when_all_local():
-    led = ledger_of(record(0, proc=2.0, local=True), record(1, proc=3.0, local=True))
-    assert ast(led) == apt(led) == 2.5
+    report = report_of(record(0, proc=2.0, local=True), record(1, proc=3.0, local=True))
+    assert report.ast == report.apt == 2.5
 
 
 def test_asr_worked_example():
     records = [record(i) for i in range(78)]
     records += [record(78 + i, serviced=False) for i in range(22)]
-    led = ledger_of(*records)
-    assert asr(led) == pytest.approx(0.78, abs=1e-12)
-    assert led.k_total == 100
-    assert led.k_serviced == 78
-    assert led.k_dropped == 22
+    report = report_of(*records)
+    assert report.asr == pytest.approx(0.78, abs=1e-12)
+    assert report.k_total == 100
+    assert report.k_serviced == 78
+    assert report.k_dropped == 22
 
 
 def test_asr_empty_is_zero():
-    assert asr(TaskLedger()) == 0.0
+    assert build_report(TaskLedger(), [], 9).asr == 0.0
 
 
 def test_metrics_permutation_invariant():
     rng = random.Random(13)
     records = [record(i, proc=rng.uniform(1, 5), upload=rng.uniform(0, 2),
                       serviced=rng.random() < 0.8) for i in range(200)]
-    led = ledger_of(*records)
     shuffled = records[:]
     rng.shuffle(shuffled)
-    led2 = ledger_of(*shuffled)
-    assert apt(led) == pytest.approx(apt(led2), rel=1e-12)
-    assert ast(led) == pytest.approx(ast(led2), rel=1e-12)
-    assert asr(led) == asr(led2)
+    report, report2 = report_of(*records), report_of(*shuffled)
+    assert report.apt == pytest.approx(report2.apt, rel=1e-12)
+    assert report.ast == pytest.approx(report2.ast, rel=1e-12)
+    assert report.asr == report2.asr
 
 
 # -- cumulative reward ----------------------------------------------------------
 
-def test_cr_empty_flags():
-    cr, flags = cumulative_reward([])
-    assert cr == 0.0
-    assert flags == ("cr:empty",)
+def test_cr_empty_is_zero():
+    assert cumulative_reward([]) == 0.0
 
 
 def test_cr_single_episode_all_constant():
-    cr, flags = cumulative_reward([aggregate()])
-    assert cr == 4.0
-    assert len(flags) == 4
-    assert all(f.endswith("-constant") for f in flags)
+    assert cumulative_reward([aggregate()]) == 4.0
 
 
 def test_cr_identical_episodes_double():
-    one, _ = cumulative_reward([aggregate()])
-    two, _ = cumulative_reward([aggregate(), aggregate()])
+    one = cumulative_reward([aggregate()])
+    two = cumulative_reward([aggregate(), aggregate()])
     assert two == 2.0 * one == 8.0
 
 
@@ -134,29 +131,24 @@ def test_cr_two_episode_split():
     # episode B dominates on every criterion (less wastage included)
     a = aggregate(wastage=0.4, utilization=0.2, response=0.3, qos=0.1)
     b = aggregate(wastage=0.1, utilization=0.9, response=0.8, qos=0.7)
-    cr, flags = cumulative_reward([a, b])
     # each criterion normalizes to {0, 1} across the two episodes
-    assert cr == pytest.approx(4.0, abs=1e-12)
-    assert flags == ()
+    assert cumulative_reward([a, b]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_cr_wastage_inverted():
     # only wastage varies: the thriftier episode scores 1
     a = aggregate(wastage=0.5)
     b = aggregate(wastage=0.1)
-    cr, flags = cumulative_reward([a, b])
     # three constant criteria contribute 1.0 to both episodes
-    assert cr == pytest.approx(3.0 + 3.0 + 1.0, abs=1e-12)
-    assert "cr:utilization-constant" in flags
+    assert cumulative_reward([a, b]) == pytest.approx(3.0 + 3.0 + 1.0, abs=1e-12)
 
 
 def test_cr_interpolates_middle_episode():
     mid = aggregate(utilization=0.5, wastage=0.3, response=0.5, qos=0.5)
     lo = aggregate(utilization=0.0, wastage=0.3, response=0.5, qos=0.5)
     hi = aggregate(utilization=1.0, wastage=0.3, response=0.5, qos=0.5)
-    cr, _ = cumulative_reward([lo, mid, hi])
     # utilization contributes 0, 0.5, 1; constants contribute 3 each
-    assert cr == pytest.approx(9.0 + 1.5, abs=1e-12)
+    assert cumulative_reward([lo, mid, hi]) == pytest.approx(9.0 + 1.5, abs=1e-12)
 
 
 # -- episode aggregates ---------------------------------------------------------------
@@ -236,7 +228,7 @@ def test_aap_rejects_episodes_not_covering_the_ledger(tasks):
 
 # -- report assembly ------------------------------------------------------------------
 
-def test_build_report_counts_and_flags():
+def test_build_report_counts():
     led = ledger_of(record(0, local=True), record(1, serviced=False))
     report = build_report(led, [episode_aggregate(led)], 9)
     assert report.k_total == 2
@@ -253,14 +245,27 @@ def test_build_report_empty_run():
     assert report.asr == 0.0
     assert report.cr == 0.0
     assert report.aap == 0.0
-    assert "no-tasks" in report.flags
-    assert "cr:empty" in report.flags
 
 
-def test_build_report_no_serviced_flag():
-    led = ledger_of(record(0, serviced=False))
-    report = build_report(led, [episode_aggregate(led)], 9)
-    assert "no-serviced-tasks" in report.flags
+class IterationCountingList(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_build_report_iterates_the_ledger_once():
+    # the counts and means come from one pass; AAP slices the list by
+    # episode, which does not iterate it
+    led = ledger_of(record(0, local=True), record(1, upload=1.0), record(2, serviced=False))
+    episodes = [episode_aggregate(led)]
+    led.records = IterationCountingList(led.records)
+    report = build_report(led, episodes, 9)
+    assert led.records.iterations == 1
+    assert (report.k_total, report.k_serviced, report.k_local, report.k_dropped) == (3, 2, 1, 1)
 
 
 def test_run_csv_row_shape():

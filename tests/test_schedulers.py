@@ -18,23 +18,22 @@ from vfcsim.schedulers import (
 )
 
 
-def view(node_id, free=0.8, max_share=0.8, dist=100.0, req=0.1):
+def view(node_id, free=0.8, max_share=0.8, req=0.1):
     return NodeView(
         node_id=node_id,
         free_share=free,
         max_share=max_share,
-        distance_m=dist,
         req_share=req,
         upload_s=1.0,
     )
 
 
-def make_ctx(nodes, cpu_mips=100.0, state=0):
+def make_ctx(nodes, cpu_mips=100.0, state=0, decision_node=0):
     return DecisionContext(
         cpu_mips=cpu_mips,
         nodes=nodes,
+        decision_node=decision_node,
         state_ordinal=state,
-        decision_node=0,
     )
 
 
@@ -61,8 +60,9 @@ def test_fcfs_queues_at_first_runnable_when_all_busy():
 
 
 def test_fcfs_oversized_task_goes_to_cloud():
-    # requirement above every node's lifetime capacity: relay via nearest
-    ctx = make_ctx([view(0, req=0.9, dist=300.0), view(1, req=0.9, dist=120.0)])
+    # requirement above every node's lifetime capacity: relay via the
+    # decision node, the nearest one
+    ctx = make_ctx([view(0, req=0.9), view(1, req=0.9)], decision_node=1)
     p = FcfsScheduler().select(ctx)
     assert p.tier is Tier.CLOUD and p.node_id == 1
     assert p.cpu_share == 0.0
@@ -198,21 +198,23 @@ def test_wfq_ignores_ineligible_nodes():
 def test_wfq_places_on_fog_exactly_when_a_node_fits():
     # a node that could ever grant the share always yields a fog
     # placement on such a node; otherwise the task goes to the cloud
-    # through the nearest reachable node, or nowhere when none is
+    # through the decision node, the nearest reachable one, or nowhere
+    # when none is reachable
     wfq = WfqScheduler([1.0, 2.0, 3.0, 1.5])
     wfq.on_episode_start()
     rng = random.Random(5)
     for _ in range(400):
-        nodes = [view(i, free=rng.uniform(0.0, 0.8), dist=rng.uniform(1.0, 500.0),
-                      req=rng.uniform(0.0, 1.2))
+        reach = [(i, rng.uniform(0.0, 0.8), rng.uniform(1.0, 500.0), rng.uniform(0.0, 1.2))
                  for i in range(4) if rng.random() < 0.7]
+        nodes = [view(i, free=free, req=req) for i, free, _d, req in reach]
+        nearest = min(reach, key=lambda t: t[2])[0] if reach else -1
         fits = [nv.node_id for nv in nodes if nv.req_share <= nv.max_share]
-        p = wfq.select(make_ctx(nodes, cpu_mips=rng.uniform(10, 500)))
+        p = wfq.select(make_ctx(nodes, cpu_mips=rng.uniform(10, 500), decision_node=nearest))
         if fits:
             assert p.tier is Tier.FOG and p.node_id in fits
         elif nodes:
             assert p.tier is Tier.CLOUD
-            assert p.node_id == min(nodes, key=lambda nv: nv.distance_m).node_id
+            assert p.node_id == nearest
         else:
             assert p is None
 
@@ -228,13 +230,13 @@ def test_wfq_weight_validation():
 
 # -- learned policy ------------------------------------------------------------------
 
-def make_qlearn(table_values=None, epsilon=0.0, num_states=16):
+def make_qlearn(table_values=None, epsilon=0.0, num_states=16, node=0):
     table = init_q_values(num_states, 9)
     for (s, a), v in (table_values or {}).items():
         table.set(s, a, v)
     sim = SimParams()
     bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
-    return QLearningScheduler({0: table}, random.Random(0), bundles, epsilon)
+    return QLearningScheduler({node: table}, random.Random(0), bundles, epsilon)
 
 
 def test_qlearn_local_action():
@@ -273,9 +275,9 @@ def test_qlearn_fog_share_capped_at_max():
     assert p.cpu_share == pytest.approx(0.8)
 
 
-def test_qlearn_cloud_action_uses_nearest_relay():
-    sched = make_qlearn({(0, 8): 1.0})  # Cloud/Large
-    ctx = make_ctx([view(0, dist=400.0), view(1, dist=50.0)])
+def test_qlearn_cloud_action_relays_through_the_decision_node():
+    sched = make_qlearn({(0, 8): 1.0}, node=1)  # Cloud/Large
+    ctx = make_ctx([view(0), view(1)], decision_node=1)
     p = sched.select(ctx)
     assert p.tier is Tier.CLOUD
     assert p.node_id == 1
@@ -302,9 +304,9 @@ def test_qlearn_uses_the_table_of_the_context_decision_node():
     bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
     sched = QLearningScheduler({0: local, 1: cloud}, random.Random(0), bundles, 0.0)
     assert not hasattr(sched, "decision_node")
-    nodes = [view(0), view(1, dist=20.0)]
+    nodes = [view(0), view(1)]
     for decision_node, tier, ordinal in ((0, Tier.LOCAL, 1), (1, Tier.CLOUD, 7), (0, Tier.LOCAL, 1)):
-        ctx = DecisionContext(100.0, nodes, state_ordinal=0, decision_node=decision_node)
+        ctx = DecisionContext(100.0, nodes, decision_node, state_ordinal=0)
         assert sched.select(ctx).tier is tier
         assert sched.last_action_ordinal == ordinal
 
@@ -332,7 +334,7 @@ def test_parity_allocation_covers_requirement():
         for _ in range(50):
             req_share = rng.uniform(0.01, 0.4)
             nodes = [
-                view(j, free=rng.uniform(0.0, 0.8), req=req_share, dist=rng.uniform(10, 480))
+                view(j, free=rng.uniform(0.0, 0.8), req=req_share)
                 for j in range(3)
             ]
             ctx = make_ctx(nodes, cpu_mips=req_share * 5.0e9 / 1e6)
