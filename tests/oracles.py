@@ -306,17 +306,58 @@ def round_robin_full_list(
     """
     n = len(nodes)
     if not any(r and req <= mx for r, req, _free, mx, _d in nodes):
-        relay = -1
-        for i, (r, _req, _free, _mx, d) in enumerate(nodes):
-            if r and (relay < 0 or d < nodes[relay][4]):
-                relay = i
-        return ("cloud" if relay >= 0 else None), relay, cursor
+        return (*_cloud_via_nearest(nodes), cursor)
     for share in (2, 3):  # free share first, then ever-grantable share
         for step in range(n):
             i = (cursor + step) % n
             if nodes[i][0] and nodes[i][1] <= nodes[i][share]:
                 return "fog", i, (i + 1) % n
     return None, -1, cursor
+
+
+def fcfs_full_list(
+    nodes: list[tuple[bool, float, float, float, float]]
+) -> tuple[str | None, int]:
+    """First-come-first-served over the full node list, described as in
+    round_robin_full_list: the first reachable node (by id) with the share
+    free, else the first that could ever grant it. Returns (tier, node_id)."""
+    if not any(r and req <= mx for r, req, _free, mx, _d in nodes):
+        return _cloud_via_nearest(nodes)
+    for share in (2, 3):
+        for i, node in enumerate(nodes):
+            if node[0] and node[1] <= node[share]:
+                return "fog", i
+    return None, -1
+
+
+def wfq_full_list(
+    vft: list[float],
+    weights: list[float],
+    cpu_mips: float,
+    nodes: list[tuple[bool, float, float, float, float]],
+) -> tuple[str | None, int]:
+    """Weighted fair queuing over the full node list, described as in
+    round_robin_full_list: the reachable node that could ever grant the
+    share with the smallest virtual finish time, ties to the lowest id,
+    whose entry of vft then grows by cpu_mips / its weight, in place.
+    Returns (tier, node_id)."""
+    eligible = [i for i, (r, req, _free, mx, _d) in enumerate(nodes) if r and req <= mx]
+    if not eligible:
+        return _cloud_via_nearest(nodes)
+    best = min(eligible, key=lambda i: (vft[i], i))
+    vft[best] += cpu_mips / weights[best]
+    return "fog", best
+
+
+def _cloud_via_nearest(nodes: list[tuple[bool, float, float, float, float]]) -> tuple[str | None, int]:
+    """The shared fallback: the cloud, relayed through the nearest
+    reachable node (ties to the lowest id), or no placement (node -1)
+    when no node is reachable."""
+    relay = -1
+    for i, (r, _req, _free, _mx, d) in enumerate(nodes):
+        if r and (relay < 0 or d < nodes[relay][4]):
+            relay = i
+    return ("cloud" if relay >= 0 else None), relay
 
 
 @dataclass(slots=True)

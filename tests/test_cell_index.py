@@ -1,8 +1,10 @@
 """The engine's cell-list lookup (scan, whose reachable list also gives
 training's next state its count of nodes in range) against a full scan of
-every fog node, the length and caching of its sub-cell lists, and
-round-robin over reachable-only views against the full-list rule."""
+every fog node, the length, caching and pinned contents of its sub-cell
+lists, and round-robin, FCFS and WFQ over reachable-only views against the
+full-list rules."""
 
+import hashlib
 import math
 import random
 
@@ -10,11 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_and_reachable, round_robin_full_list
+from oracles import fcfs_full_list, nearest_and_reachable, round_robin_full_list, wfq_full_list
 from vfcsim.agent import Tier
 from vfcsim.config import build_config
 from vfcsim.engine import SUBCELLS, CellIndex, _subcell_plan, build_nodes
-from vfcsim.schedulers import DecisionContext, NodeView, RoundRobinScheduler
+from vfcsim.schedulers import (
+    DecisionContext,
+    FcfsScheduler,
+    NodeView,
+    RoundRobinScheduler,
+    WfqScheduler,
+)
 
 NODE_COUNTS = (1, 2, 9, 10, 12, 144)
 AREA = 3000.0
@@ -123,14 +131,16 @@ def test_plan_is_built_once_per_geometry():
     assert len({id(nodes) for nodes in index.lists}) == len(entries)
 
 
-def test_round_robin_matches_full_list_rule():
-    rng = random.Random(41)
-    for trial in range(200):
+def random_decisions(seed=41, trials=200, tasks=30):
+    """Per trial, a node count of 1-12 and the decisions of its tasks: the
+    full node list as the oracles take it, each node reachable with
+    probability 1/2 and with free <= max share, and the context over its
+    reachable nodes."""
+    rng = random.Random(seed)
+    for _trial in range(trials):
         num_nodes = rng.randint(1, 12)
-        rr = RoundRobinScheduler(num_nodes)
-        rr.on_episode_start()
-        cursor = 0
-        for task_id in range(30):
+        decisions = []
+        for _task in range(tasks):
             full = [
                 (
                     rng.random() < 0.5,
@@ -148,12 +158,64 @@ def test_round_robin_matches_full_list_rule():
             ]
             # the decision node is the nearest reachable node, ties to the lowest id
             reach = [(d, i) for i, (r, _req, _free, _mx, d) in enumerate(full) if r]
-            ctx = DecisionContext(100.0, views, min(reach)[1] if reach else -1)
+            decisions.append((full, DecisionContext(100.0, views, min(reach)[1] if reach else -1)))
+        yield num_nodes, decisions
+
+
+def assert_placement(placement, tier, node_id):
+    if tier is None:
+        assert placement is None
+    else:
+        assert placement.tier is (Tier.FOG if tier == "fog" else Tier.CLOUD)
+        assert placement.node_id == node_id
+
+
+def test_round_robin_matches_full_list_rule():
+    for trial, (num_nodes, decisions) in enumerate(random_decisions()):
+        rr = RoundRobinScheduler(num_nodes)
+        rr.on_episode_start()
+        cursor = 0
+        for task_id, (full, ctx) in enumerate(decisions):
             placement = rr.select(ctx)
             tier, node_id, cursor = round_robin_full_list(cursor, full)
-            if tier is None:
-                assert placement is None
-            else:
-                assert placement.tier is (Tier.FOG if tier == "fog" else Tier.CLOUD)
-                assert placement.node_id == node_id
+            assert_placement(placement, tier, node_id)
             assert rr.cursor == cursor, (trial, task_id)
+
+
+@pytest.mark.parametrize("name", ["fcfs", "wfq"])
+def test_fcfs_and_wfq_match_full_list_rule(name):
+    # the same views as round-robin's; WFQ draws its weights and demands
+    # from a stream of its own
+    side = random.Random(43)
+    for num_nodes, decisions in random_decisions():
+        weights = [side.uniform(0.5, 3.0) for _ in range(num_nodes)]
+        vft = [0.0] * num_nodes
+        scheduler = FcfsScheduler() if name == "fcfs" else WfqScheduler(weights)
+        scheduler.on_episode_start()
+        for full, ctx in decisions:
+            if name == "fcfs":
+                tier, node_id = fcfs_full_list(full)
+            else:
+                ctx.cpu_mips = side.uniform(10.0, 1000.0)
+                tier, node_id = wfq_full_list(vft, weights, ctx.cpu_mips, full)
+            assert_placement(scheduler.select(ctx), tier, node_id)
+        if name == "wfq":
+            assert scheduler.virtual_finish == vft
+
+
+# SHA-256 of every plan of the grid below, as node-id lists
+PINNED_PLANS = "5d188a4832c23282cf3beb97ee0cdb900fec84d89de47ffc36967e27fffd8702"
+
+
+def test_plans_pinned():
+    # square and non-square node counts, three areas, and ranges from a
+    # twentieth of a cell to four cells, on both sides of one cell
+    digest = hashlib.sha256()
+    for fog_nodes in (1, 2, 3, 5, 9, 10, 12, 16, 17, 30, 144, 150):
+        k = math.ceil(math.sqrt(fog_nodes))
+        for area in (1000.0, 3000.0, 12000.0):
+            for cells in (0.05, 0.3, 0.5, 0.999, 1.0, 1.3, 2.5, 4.0):
+                range_m = cells * area / k
+                plan = _subcell_plan.__wrapped__(fog_nodes, area, range_m)
+                digest.update(repr((fog_nodes, area, range_m, plan)).encode())
+    assert digest.hexdigest() == PINNED_PLANS
