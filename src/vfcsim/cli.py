@@ -29,13 +29,12 @@ from pathlib import Path
 
 from .agent import load_tables
 from .config import dump_config, load_config
-from .engine import CheckpointError, run_evaluation, run_training
+from .engine import SCHEDULER_NAMES, CheckpointError, run_evaluation, run_training
 from .errors import ConfigError, ValidationError
 from .eventlog import write_event_log
 from .metrics import RUN_CSV_COLUMNS, mean_std, run_csv_row
 from .traffic import load_trace_csv
 
-SCHEDULER_NAMES = ("qlearn", "fcfs", "rr", "wfq")
 
 # Reference result levels reported for the system this simulator models
 # (averages across the four traffic scenarios). They are NOT produced by

@@ -358,19 +358,18 @@ def _subcell_plan(
     list. The plan depends on the geometry alone, so one serves every
     episode of a grid.
 
-    A sub-cell keeps the nodes of its cell's ring block (see CellIndex)
-    that come within `limit` of it: the larger of the V2I range and the
-    least, over block nodes, of the distance from the node to its farthest
-    point of the sub-cell. A node left out is out of range of every point
-    of the sub-cell, and farther from each point than that block node, so
-    never its nearest; ties are kept. A margin on the sub-cell's edges and
-    a relative one on `limit` cover the points that the float lookup puts
-    in the sub-cell from just outside it, and the rounding of squared
-    distances. Squared distances are sums of per-axis tables of the near
-    and far gaps between each sub-cell row (column) and node row (column).
+    A sub-cell keeps every node that comes within `limit` of it: the larger
+    of the V2I range and the least, over every node, of the distance from
+    the node to its farthest point of the sub-cell. A node left out is out
+    of range of every point of the sub-cell, and farther from each point
+    than the node that sets that least distance, so never its nearest; ties
+    are kept. A margin on the sub-cell's edges and a relative one on
+    `limit` cover the points that the float lookup puts in the sub-cell
+    from just outside it, and the rounding of squared distances. Squared
+    distances are sums of per-axis tables of the near and far gaps between
+    each sub-cell row (column) and node row (column).
     """
     k, cell = _grid_shape(fog_nodes, area_m)
-    n = fog_nodes
     side = k * SUBCELLS
     sub = cell / SUBCELLS
     margin = 1e-9 * area_m
@@ -385,54 +384,32 @@ def _subcell_plan(
         ])
         far.append([max(c - lo, hi - c) ** 2 for c in centres])
     range_sq = v2i_range_m * v2i_range_m
-    reach = math.ceil(v2i_range_m / cell)
-    occupied = [divmod(i, k) for i in range(n)]
+    # node rows 0..top-1 are full and row `top` holds `last` nodes, so the
+    # least far distance over every node is a sum of per-axis minima (exact,
+    # as float addition is monotone)
+    top = (fog_nodes - 1) // k
+    last = fog_nodes - top * k
+    far_full = [min(gaps[:top], default=math.inf) for gaps in far]
+    far_all = [min(gaps) for gaps in far]
+    far_last = [min(gaps[:last]) for gaps in far]
     entries: dict[tuple[int, ...], int] = {}
     index = [0] * (side * side)
-    for row in range(k):
-        for col in range(k):
-            m = 0 if row * k + col < n else min(
-                max(abs(r - row), abs(c - col)) for r, c in occupied
-            )
-            rings = max(reach, math.floor(math.sqrt(2.0) * (m + 0.5) + 0.5 + 1e-9))
-            r0, r1 = max(row - rings, 0), min(row + rings, k - 1)
-            c0, c1 = max(col - rings, 0), min(col + rings, k - 1)
-            # the block's rows, each with its occupied columns (all but
-            # those of the last row past node n - 1)
-            block = [
-                (r, range(c0, min(c1, n - 1 - r * k) + 1))
-                for r in range(r0, r1 + 1)
-                if r * k + c0 < n
-            ]
-            full = r1 * k + c1 < n
-            # the smallest far gap to a block row (column) from each sub-row
-            # (sub-column) of the cell; summed, the limit of a full block
-            a0 = row * SUBCELLS
-            b0 = col * SUBCELLS
-            far_rows = [min(far[a0 + i][r0:r1 + 1]) for i in range(SUBCELLS)]
-            far_cols = [min(far[b0 + j][c0:c1 + 1]) for j in range(SUBCELLS)]
-            for i in range(SUBCELLS):
-                near_y = near[a0 + i]
-                far_y = far[a0 + i]
-                start = (a0 + i) * side + b0
-                for j in range(SUBCELLS):
-                    near_x = near[b0 + j]
-                    if full:
-                        limit = far_rows[i] + far_cols[j]
-                    else:
-                        far_x = far[b0 + j]
-                        limit = min(far_y[r] + far_x[c] for r, cols in block for c in cols)
-                    if limit < range_sq:
-                        limit = range_sq
-                    limit *= 1.0 + 1e-9
-                    ids = tuple([
-                        r * k + c
-                        for r, cols in block
-                        if near_y[r] <= limit
-                        for c in cols
-                        if near_y[r] + near_x[c] <= limit
-                    ])
-                    index[start + j] = entries.setdefault(ids, len(entries))
+    # cell by cell, so the distinct lists are numbered as the cells are reached
+    for row, col, i, j in itertools.product(range(k), range(k), range(SUBCELLS), range(SUBCELLS)):
+        a = row * SUBCELLS + i
+        b = col * SUBCELLS + j
+        near_y = near[a]
+        near_x = near[b]
+        limit = min(far_full[a] + far_all[b], far[a][top] + far_last[b])
+        limit = max(limit, range_sq) * (1.0 + 1e-9)
+        ids = tuple([
+            r * k + c
+            for r in range(top + 1)
+            if near_y[r] <= limit
+            for c in range(k if r < top else last)
+            if near_y[r] + near_x[c] <= limit
+        ])
+        index[a * side + b] = entries.setdefault(ids, len(entries))
     return tuple(entries), tuple(index)
 
 
@@ -441,18 +418,10 @@ class CellIndex:
     of Liquids): each arrival looks at about two nodes, not all of them.
 
     Node i sits at the centre of cell (i // k, i % k) of the k x k grid of
-    build_nodes. Each cell's ring block is the block of cells within
-    `rings` Chebyshev rings of it. A node j rings away is at least
-    (j - 1/2) cells from every point of the cell, so `rings` covers both
-    - the V2I range: with ceil(range / cell) rings, every node left out is
-      more than range + cell / 2 away, never reachable;
-    - the nearest node: when the nearest occupied cell is m rings away
-      (m = 0 unless fog_nodes is not a square), a kept node lies within
-      sqrt(2) (m + 1/2) cells, and every node left out is farther.
-    Each cell is split into SUBCELLS x SUBCELLS sub-cells, and a sub-cell's
-    list keeps, in node-id order, only the block nodes that can be in range
-    of, or nearest to, one of its points (_subcell_plan). Scanning the list
-    of the sub-cell that holds a point therefore finds the same nearest
+    build_nodes. Each cell is split into SUBCELLS x SUBCELLS sub-cells, and
+    a sub-cell's list keeps, in node-id order, only the nodes that can be in
+    range of, or nearest to, one of its points (_subcell_plan). Scanning the
+    list of the sub-cell that holds a point therefore finds the same nearest
     node (strict <, ties to the lowest id) and the same reachable nodes, in
     the same order, as a scan of every node.
 
@@ -471,24 +440,20 @@ class CellIndex:
         mapped = [tuple([nodes[i] for i in ids]) for ids in entries]
         self.lists: list[tuple[NodeState, ...]] = [mapped[j] for j in index]
 
-    def _cell_nodes(self, x: float, y: float) -> tuple[NodeState, ...]:
-        """The kept nodes of the sub-cell that holds (x, y)."""
-        side = self.side
-        row = int(y / self.sub)
-        col = int(x / self.sub)
-        # _reflect can return exactly area_m, one past the last sub-cell
-        return self.lists[
-            (row if row < side else side - 1) * side + (col if col < side else side - 1)
-        ]
-
     def scan(self, x: float, y: float) -> tuple[NodeState, list[tuple[NodeState, float]]]:
         """The nearest node to (x, y), ties to the lowest id, and the nodes
         within V2I range with their squared distances, in node-id order."""
+        side = self.side
+        row = int(y / self.sub)
+        col = int(x / self.sub)
         range_sq = self.range_sq
         nearest = None
         nearest_d2 = math.inf
         reachable = []
-        for node in self._cell_nodes(x, y):
+        # _reflect can return exactly area_m, one past the last sub-cell
+        for node in self.lists[
+            (row if row < side else side - 1) * side + (col if col < side else side - 1)
+        ]:
             dx = node.x - x
             dy = node.y - y
             d2 = dx * dx + dy * dy
@@ -498,6 +463,9 @@ class CellIndex:
             if d2 <= range_sq:
                 reachable.append((node, d2))
         return nearest, reachable
+
+
+SCHEDULER_NAMES = ("qlearn", "fcfs", "rr", "wfq")
 
 
 def build_scheduler(

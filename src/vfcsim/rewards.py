@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_unit
 
 
 @dataclass
@@ -70,18 +70,9 @@ _INF = math.inf
 # slow path accepts exactly what it always did.
 
 
-def _check_unit(name: str, value: float) -> None:
-    if value.__class__ is float and 0.0 <= value <= 1.0:  # False for NaN
-        return
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    if value < 0.0 or value > 1.0:
-        raise ValidationError(f"{name}={value!r} outside [0, 1]")
-
-
 def _check_pair(name: str, actual: float, efficient: float) -> None:
-    _check_unit(f"actual_{name}", actual)
-    _check_unit(f"efficient_{name}", efficient)
+    check_unit(f"actual_{name}", actual)
+    check_unit(f"efficient_{name}", efficient)
     if efficient > actual:
         raise ValidationError(
             f"efficient_{name}={efficient!r} exceeds actual_{name}={actual!r}"
@@ -124,9 +115,9 @@ def resource_utilization(ncu: float, nmu: float, nnbu: float, weights: RewardWei
         and 0.0 <= nmu <= 1.0
         and 0.0 <= nnbu <= 1.0
     ):
-        _check_unit("ncu", ncu)
-        _check_unit("nmu", nmu)
-        _check_unit("nnbu", nnbu)
+        check_unit("ncu", ncu)
+        check_unit("nmu", nmu)
+        check_unit("nnbu", nnbu)
     return weights.w21 * ncu + weights.w22 * nmu + weights.w23 * nnbu
 
 
@@ -166,8 +157,8 @@ def quality(latency: float, throughput: float, reliability: float, weights: Rewa
             raise ValidationError(f"latency_floor must be positive, got {latency_floor!r}")
         if not (math.isfinite(latency) and latency >= 0.0):
             raise ValidationError(f"latency must be >= 0, got {latency!r}")
-        _check_unit("throughput", throughput)
-        _check_unit("reliability", reliability)
+        check_unit("throughput", throughput)
+        check_unit("reliability", reliability)
     lat = latency if latency > latency_floor else latency_floor
     return (
         weights.w31 * (latency_floor / lat)
@@ -180,7 +171,7 @@ def qos_reward(latency: float, throughput: float, reliability: float, weights: R
     """min(1, exp(-(weights.quality_desired - quality))): 1 once the target is met."""
     quality_desired = weights.quality_desired
     if not (quality_desired.__class__ is float and 0.0 <= quality_desired <= 1.0):
-        _check_unit("quality_desired", quality_desired)
+        check_unit("quality_desired", quality_desired)
     # a module-global lookup, so a wrapper set on rewards.quality sees it
     q = quality(latency, throughput, reliability, weights)
     raw = math.exp(-(quality_desired - q))
@@ -203,10 +194,10 @@ def total_reward(
         and 0.0 <= response <= 1.0
         and 0.0 <= qos <= 1.0
     ):
-        _check_unit("wastage", wastage)
-        _check_unit("utilization", utilization)
-        _check_unit("response", response)
-        _check_unit("qos", qos)
+        check_unit("wastage", wastage)
+        check_unit("utilization", utilization)
+        check_unit("response", response)
+        check_unit("qos", qos)
     return (
         -weights.w1 * wastage
         + weights.w2 * utilization

@@ -11,10 +11,10 @@ Contract: ctx.nodes holds the fog nodes within V2I range of the vehicle,
 and only those, in ascending node id; it is empty when no node is in
 range. Placements on the fog or cloud tier must name one of them.
 
-Shared fallback rule: a task whose CPU requirement exceeds the grantable
-share of every reachable node can never start on the fog tier and is
-routed to the cloud through the decision node, the vehicle's nearest
-node, which is in range whenever any node is.
+Shared fallback rule: a task that no reachable node could ever run (its
+CPU requirement exceeds every reachable node's grantable share) goes to
+the cloud, relayed through the decision node, the vehicle's nearest node,
+which is in range whenever any node is.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class NodeView:
     """One fog node within V2I range, as seen at decision time."""
 
     node_id: int
+    # the engine's views keep free_share <= max_share: a node's CPU commit
+    # never falls below its baseline
     free_share: float      # CPU share grantable right now
     max_share: float       # CPU share the node can ever grant
     req_share: float       # this task's CPU-share requirement on this node
@@ -62,25 +64,18 @@ class Placement:
     bundle_factor: float
 
 
-def _fits_somewhere(nodes: list[NodeView]) -> bool:
-    """True if at least one reachable node could ever grant the requirement."""
+def _first_fit(nodes: list[NodeView]) -> NodeView | None:
+    """In one pass: the first node with the task's share free now, else the
+    first that could ever grant it, where the task queues, else None."""
+    queue_at = None
     for nv in nodes:
-        if nv.req_share <= nv.max_share:
-            return True
-    return False
-
-
-def _first_fit(nodes: list[NodeView]) -> NodeView:
-    """The first node with the task's share free now, else the first that
-    could ever grant it, where the task queues. The caller has checked
-    _fits_somewhere, so the second scan always finds one."""
-    for nv in nodes:
-        if nv.req_share <= nv.free_share:
-            return nv
-    for nv in nodes:
-        if nv.req_share <= nv.max_share:
-            return nv
-    raise RuntimeError("first fit found no node that can ever run the task")
+        req = nv.req_share
+        if req <= nv.max_share:
+            if req <= nv.free_share:
+                return nv
+            if queue_at is None:
+                queue_at = nv
+    return queue_at
 
 
 def _cloud_placement(ctx: DecisionContext, bundle_factor: float = 1.0) -> Placement | None:
@@ -99,7 +94,6 @@ def _fog_placement(node: NodeView, bundle_factor: float = 1.0) -> Placement:
 class Scheduler:
     """Interface shared by all policies."""
 
-    name = "base"
     uses_state = False
 
     def select(self, ctx: DecisionContext) -> Placement | None:
@@ -117,12 +111,11 @@ class FcfsScheduler(Scheduler):
     queue of the first reachable node that could ever run it.
     """
 
-    name = "fcfs"
-
     def select(self, ctx: DecisionContext) -> Placement | None:
-        if not _fits_somewhere(ctx.nodes):
+        nv = _first_fit(ctx.nodes)
+        if nv is None:
             return _cloud_placement(ctx)
-        return _fog_placement(_first_fit(ctx.nodes))
+        return _fog_placement(nv)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -132,8 +125,6 @@ class RoundRobinScheduler(Scheduler):
     reachable nodes cyclically from the first ID at or past the cursor,
     which visits them in the order a walk over every ID would.
     """
-
-    name = "rr"
 
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
@@ -146,8 +137,6 @@ class RoundRobinScheduler(Scheduler):
 
     def select(self, ctx: DecisionContext) -> Placement | None:
         nodes = ctx.nodes
-        if not _fits_somewhere(nodes):
-            return _cloud_placement(ctx)
         n = len(nodes)
         start = 0
         while start < n and nodes[start].node_id < self.cursor:
@@ -155,6 +144,8 @@ class RoundRobinScheduler(Scheduler):
         # without free capacity anywhere the task queues at the first
         # runnable node from the cursor, still advancing the rotation
         nv = _first_fit(nodes[start:] + nodes[:start])
+        if nv is None:
+            return _cloud_placement(ctx)
         self.cursor = (nv.node_id + 1) % self.num_nodes
         return _fog_placement(nv)
 
@@ -168,8 +159,6 @@ class WfqScheduler(Scheduler):
     shares converge to the weight ratios.
     """
 
-    name = "wfq"
-
     def __init__(self, weights: list[float]):
         self.weights = list(weights)
         for w in self.weights:
@@ -181,8 +170,6 @@ class WfqScheduler(Scheduler):
         self.virtual_finish = [0.0] * len(self.weights)
 
     def select(self, ctx: DecisionContext) -> Placement | None:
-        if not _fits_somewhere(ctx.nodes):
-            return _cloud_placement(ctx)
         vft = self.virtual_finish
         best: NodeView | None = None
         for nv in ctx.nodes:
@@ -190,6 +177,8 @@ class WfqScheduler(Scheduler):
                 continue
             if best is None or vft[nv.node_id] < vft[best.node_id]:
                 best = nv
+        if best is None:
+            return _cloud_placement(ctx)
         # compute demand in MIPS stands in for the packet length
         vft[best.node_id] += ctx.cpu_mips / self.weights[best.node_id]
         return _fog_placement(best)
@@ -204,7 +193,6 @@ class QLearningScheduler(Scheduler):
     granted resources above the bare requirement.
     """
 
-    name = "qlearn"
     uses_state = True
 
     def __init__(

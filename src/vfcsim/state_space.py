@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import ValidationError
+from .errors import ValidationError, check_unit
 
 
 class Level(IntEnum):
@@ -101,13 +101,6 @@ assert math.prod(_RADICES) == NUM_STATES
 _INF = math.inf
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    if value < 0.0 or value > 1.0:
-        raise ValidationError(f"{name}={value!r} outside [0, 1]")
-
-
 def _check_nonnegative(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -191,13 +184,13 @@ def snapshot_ordinal(
         and 0.0 <= recent_response_time < _INF
         and available_nodes >= 0
     ):
-        _check_fraction("cpu_usage", cpu_usage)
-        _check_fraction("mem_usage", mem_usage)
-        _check_fraction("disk_usage", disk_usage)
-        _check_fraction("net_bw_usage", net_bw_usage)
-        _check_fraction("app_type_weight", app_type_weight)
-        _check_fraction("op_requirement", op_requirement)
-        _check_fraction("storage_availability", storage_availability)
+        check_unit("cpu_usage", cpu_usage)
+        check_unit("mem_usage", mem_usage)
+        check_unit("disk_usage", disk_usage)
+        check_unit("net_bw_usage", net_bw_usage)
+        check_unit("app_type_weight", app_type_weight)
+        check_unit("op_requirement", op_requirement)
+        check_unit("storage_availability", storage_availability)
         _check_nonnegative("request_rate", request_rate)
         _check_nonnegative("expected_demand", expected_demand)
         _check_nonnegative("recent_response_time", recent_response_time)

@@ -131,16 +131,16 @@ def test_plan_is_built_once_per_geometry():
     assert len({id(nodes) for nodes in index.lists}) == len(entries)
 
 
-def random_decisions(seed=41, trials=200, tasks=30):
-    """Per trial, a node count of 1-12 and the decisions of its tasks: the
-    full node list as the oracles take it, each node reachable with
-    probability 1/2 and with free <= max share, and the context over its
-    reachable nodes."""
-    rng = random.Random(seed)
-    for _trial in range(trials):
+def random_decisions():
+    """For each of 200 trials, a node count of 1-12 and the decisions of its
+    30 tasks: the full node list as the oracles take it, each node reachable
+    with probability 1/2 and with free <= max share, and the context over
+    its reachable nodes."""
+    rng = random.Random(41)
+    for _trial in range(200):
         num_nodes = rng.randint(1, 12)
         decisions = []
-        for _task in range(tasks):
+        for _task in range(30):
             full = [
                 (
                     rng.random() < 0.5,

@@ -30,7 +30,14 @@ from vfcsim.engine import (
 from vfcsim.config import build_config
 from vfcsim.errors import ValidationError
 from vfcsim.eventlog import write_event_log
-from vfcsim.schedulers import Placement, Scheduler, _cloud_placement
+from vfcsim.schedulers import (
+    FcfsScheduler,
+    Placement,
+    RoundRobinScheduler,
+    Scheduler,
+    WfqScheduler,
+    _cloud_placement,
+)
 from vfcsim.state_space import NUM_STATES, Level, ResponseLevel, SlaLevel, state_from_index
 from vfcsim.traffic import VehicleSpec
 
@@ -153,9 +160,9 @@ def test_wfq_weighs_each_node_by_its_cpu_ghz(fog_nodes):
 
 def test_build_scheduler_names():
     cfg = build_config({})
-    assert build_scheduler(cfg, "fcfs").name == "fcfs"
-    assert build_scheduler(cfg, "rr").name == "rr"
-    assert build_scheduler(cfg, "wfq").name == "wfq"
+    assert type(build_scheduler(cfg, "fcfs")) is FcfsScheduler
+    assert type(build_scheduler(cfg, "rr")) is RoundRobinScheduler
+    assert type(build_scheduler(cfg, "wfq")) is WfqScheduler
     with pytest.raises(ValidationError, match="checkpoint"):
         build_scheduler(cfg, "qlearn")
     with pytest.raises(ValidationError, match="unknown scheduler"):
