@@ -2,7 +2,8 @@
 
 The battery, of 60-second runs, trains on NO.4 for two episodes,
 evaluates fcfs and greedy qlearn on that checkpoint (event logs
-included), compares the four schedulers on NO.1 and NO.4 over two seeds,
+included), evaluates rr on a small recorded trace the battery writes
+itself, compares the four schedulers on NO.1 and NO.4 over two seeds,
 at the default V2I range and at 800 m, where ranges overlap, and sweeps
 them over two arrival probabilities, all in-process through
 vfcsim.cli.main. Each command's standard output, with the output
@@ -34,13 +35,34 @@ MANIFEST = Path(__file__).parent / "golden" / "MANIFEST.sha256"
 
 SHORT = ["--scenario", "NO.4", "--set", "scenario.duration=60"]
 CHECKPOINT = "train/checkpoint"
+TRACE = "eval-trace/trace.csv"
 
-# (directory, argv); a "{checkpoint}" argument names the training run's tables
+# twelve vehicles, some parked, some driving, entering over the first 40 s
+TRACE_TEXT = (
+    "vehicle_id,entry_time,dwell,speed,x,y\n"
+    "0,0.0,20.0,0.0,0.0,3000.0\n"
+    "1,5.0,23.0,4.5,250.0,2770.0\n"
+    "2,10.0,26.0,9.0,500.0,2540.0\n"
+    "3,15.0,29.0,13.5,750.0,2310.0\n"
+    "4,20.0,32.0,0.0,1000.0,2080.0\n"
+    "5,25.0,35.0,4.5,1250.0,1850.0\n"
+    "6,30.0,38.0,9.0,1500.0,1620.0\n"
+    "7,35.0,41.0,13.5,1750.0,1390.0\n"
+    "8,40.0,44.0,0.0,2000.0,1160.0\n"
+    "9,0.0,47.0,4.5,2250.0,930.0\n"
+    "10,5.0,50.0,9.0,2500.0,700.0\n"
+    "11,10.0,53.0,13.5,2750.0,470.0\n"
+)
+
+# (directory, argv); a "{checkpoint}" argument names the training run's
+# tables and a "{trace}" argument the trace file
 BATTERY = (
     ("train", ["train", *SHORT, "--episodes", "2", "--seed", "5"]),
     ("eval-fcfs", ["eval", *SHORT, "--scheduler", "fcfs", "--seed", "3,4"]),
     ("eval-qlearn", ["eval", *SHORT, "--scheduler", "qlearn", "--seed", "3,4",
                      "--checkpoint", "{checkpoint}"]),
+    ("eval-trace", ["eval", *SHORT, "--scheduler", "rr", "--seed", "3,4",
+                    "--set", "sim.arrival_prob=0.5", "--trace", "{trace}"]),
     ("compare", ["compare", *SHORT, "--schedulers", "qlearn,fcfs,rr,wfq",
                  "--scenarios", "NO.1,NO.4", "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
     # 800 m of V2I range puts several nodes in reach of one vehicle, so the
@@ -55,10 +77,13 @@ BATTERY = (
 
 def run_battery(root: Path) -> dict[str, str]:
     """Run the battery under `root`; returns {relative path: sha256}."""
-    checkpoint = str(root / CHECKPOINT)
+    trace = root / TRACE
+    trace.parent.mkdir(parents=True)
+    trace.write_text(TRACE_TEXT)
+    paths = {"{checkpoint}": str(root / CHECKPOINT), "{trace}": str(trace)}
     for name, argv in BATTERY:
         out = root / name
-        argv = [checkpoint if a == "{checkpoint}" else a for a in argv]
+        argv = [paths.get(a, a) for a in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main([*argv, "--out", str(out)])
