@@ -13,6 +13,10 @@ identical invocations produce identical bytes.
 agent.episodes for train or sim.eval_episodes otherwise) over --set, so
 the echo holds them too.
 
+Every command reads all its inputs (configs, checkpoint, trace) before it
+creates the output directory, so a configuration or usage error writes
+nothing.
+
 Exit codes: 0 on success, 1 when one or more runs failed (failures are
 recorded and the remaining runs still execute), 2 on configuration or
 usage errors.
@@ -53,71 +57,52 @@ PAPER_REPORTED = (
 # (column index in a run row, name) of the metrics compare and sweep average
 METRIC_COLUMNS = tuple((RUN_CSV_COLUMNS.index(name), name) for name in ("apt", "ast", "asr", "cr", "aap"))
 
-AGGREGATE_COLUMNS = (
-    "scheduler",
-    "scenario",
-    "n",
-    "apt_mean", "apt_std",
-    "ast_mean", "ast_std",
-    "asr_mean", "asr_std",
-    "cr_mean", "cr_std",
-    "aap_mean", "aap_std",
-    "source",
-)
+AGGREGATE_COLUMNS = ("scheduler", "scenario", "n",
+                     *(f"{name}_{stat}" for _, name in METRIC_COLUMNS for stat in ("mean", "std")),
+                     "source")
+SERIES_COLUMNS = ("scheduler", "scenario", "arrival_prob", "n",
+                  *(f"{name}_mean" for _, name in METRIC_COLUMNS))
 
 
-def _check_unique(values: list, flag: str) -> None:
-    """A repeated entry would run twice and count twice in every mean."""
-    seen = set()
-    for v in values:
-        if v in seen:
-            raise ConfigError(f"{flag} lists {v!r} more than once")
-        seen.add(v)
+def _parse_list(text: str, flag: str, parse=str, check=None) -> list:
+    """The entries of a comma-separated `flag` list, each made by `parse`
+    and then passed to `check`, which raises on a bad one. A repeated
+    entry would run twice and count twice in every mean."""
+    values = []
+    for tok in text.split(","):
+        if not tok.strip():
+            continue
+        try:
+            value = parse(tok.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad {flag} list {text!r}") from exc
+        if check is not None:
+            check(value)
+        if value in values:
+            raise ConfigError(f"{flag} lists {value!r} more than once")
+        values.append(value)
+    if not values:
+        raise ConfigError(f"empty {flag} list")
+    return values
 
 
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --seed list {text!r}") from exc
-    if not seeds:
-        raise ConfigError("empty --seed list")
-    for seed in seeds:
-        if seed < 0:
-            # random.Random seeds with the absolute value: -1 replays 1
-            raise ConfigError(f"--seed {seed!r} is negative")
-    _check_unique(seeds, "--seed")
-    return seeds
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        # random.Random seeds with the absolute value: -1 replays 1
+        raise ConfigError(f"--seed {seed!r} is negative")
+
+
+def _check_scheduler(name: str) -> None:
+    if name not in SCHEDULER_NAMES:
+        raise ConfigError(f"unknown scheduler {name!r} (choices: {', '.join(SCHEDULER_NAMES)})")
 
 
 def _parse_probs(text: str) -> list[float]:
-    try:
-        probs = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --probs list {text!r}") from exc
-    if not probs or any(not (0.0 <= p <= 1.0) for p in probs):
-        raise ConfigError(f"--probs values must lie in [0, 1], got {text!r}")
-    _check_unique(probs, "--probs")
-    return probs
+    def check(prob: float) -> None:
+        if not 0.0 <= prob <= 1.0:
+            raise ConfigError(f"--probs values must lie in [0, 1], got {text!r}")
 
-
-def _parse_schedulers(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
-        if name not in SCHEDULER_NAMES:
-            raise ConfigError(f"unknown scheduler {name!r} (choices: {', '.join(SCHEDULER_NAMES)})")
-    if not names:
-        raise ConfigError("empty --schedulers list")
-    _check_unique(names, "--schedulers")
-    return names
-
-
-def _parse_scenarios(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not names:
-        raise ConfigError("empty --scenarios list")
-    _check_unique(names, "--scenarios")
-    return names
+    return _parse_list(text, "--probs", float, check)
 
 
 def _parse_sets(pairs: list[str] | None) -> dict[str, str]:
@@ -130,12 +115,18 @@ def _parse_sets(pairs: list[str] | None) -> dict[str, str]:
     return overrides
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, cfg) -> Path:
+    """Create the output directory and echo `cfg` into it: the first write
+    of every command, made once all its inputs are read."""
     out = args.out or os.environ.get("VFCSIM_OUT")
     if not out:
         raise ConfigError("no output directory: pass --out or set VFCSIM_OUT")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    (path / "config_echo.cfg").write_text(dump_config(cfg))
     return path
 
 
@@ -159,28 +150,28 @@ def _write_csv(path: Path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_echo(cfg, out: Path) -> None:
-    (out / "config_echo.cfg").write_text(dump_config(cfg))
-
-
-def _load_checkpoint(args, cfg):
-    if not args.checkpoint:
-        raise ConfigError("qlearn evaluation needs --checkpoint DIR with trained q-tables")
-    return load_tables(args.checkpoint, cfg.sim.fog_nodes)
+def _grid(args, cfgs, schedulers):
+    """The (config, scheduler, tables) runs of every scheduler on each
+    config, config-major. The configs differ only in scenario.* or
+    sim.arrival_prob, so one checkpoint load serves every qlearn run."""
+    tables = None
+    if "qlearn" in schedulers:
+        if not args.checkpoint:
+            raise ConfigError("qlearn evaluation needs --checkpoint DIR with trained q-tables")
+        tables = load_tables(args.checkpoint, cfgs[0].sim.fog_nodes)
+    return [(cfg, s, tables if s == "qlearn" else None) for cfg in cfgs for s in schedulers]
 
 
 def cmd_train(args) -> int:
-    seeds = _parse_seeds(args.seed)
+    seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     if len(seeds) > 1:
         raise ConfigError(f"train takes one --seed, got {args.seed!r}")
-    seed = seeds[0]
     cfg = _load(args)
-    out = _out_dir(args)
-    _write_echo(cfg, out)
+    out = _out_dir(args, cfg)
     checkpoint_dir = out / "checkpoint"
     curve_path = out / "learning_curve.csv"
     try:
-        result = run_training(cfg, seed, checkpoint_dir=checkpoint_dir)
+        result = run_training(cfg, seeds[0], checkpoint_dir=checkpoint_dir)
         curve = result.curve
         failed = False
     except CheckpointError as exc:
@@ -229,18 +220,17 @@ def _evaluate(runs, seeds, out=None, vehicles=None):
 
 
 def cmd_eval(args) -> int:
-    seeds = _parse_seeds(args.seed)
+    seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     cfg = _load(args)
-    out = _out_dir(args)
-    _write_echo(cfg, out)
-    tables = _load_checkpoint(args, cfg) if args.scheduler == "qlearn" else None
+    runs = _grid(args, [cfg], [args.scheduler])
     vehicles = None
     if args.trace:
         # recorded traces replace synthetic traffic in every seed and episode
         vehicles = load_trace_csv(
             args.trace, random.Random(seeds[0]), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
         )
-    rows, reports, failures = _evaluate([(cfg, args.scheduler, tables)], seeds, out, vehicles)
+    out = _out_dir(args, cfg)
+    rows, reports, failures = _evaluate(runs, seeds, out, vehicles)
     _write_csv(out / "metrics.csv", RUN_CSV_COLUMNS, rows)
     _report_failures(failures, out)
     for seed, report in reports:
@@ -253,38 +243,27 @@ def cmd_eval(args) -> int:
     return 1 if failures else 0
 
 
-def _aggregate_rows(all_rows: list[list[str]]):
-    """Group per-run rows by (scheduler, scenario) preserving first-seen order."""
+def _group_means(rows, key: str) -> dict:
+    """Group run rows by (scheduler, column `key`) in first-seen order;
+    maps each group to (run count, {metric: (mean, std)})."""
+    column = RUN_CSV_COLUMNS.index(key)
     groups: dict[tuple[str, str], list[list[str]]] = {}
-    for row in all_rows:
-        groups.setdefault((row[0], row[1]), []).append(row)
-    out_rows = []
-    for (scheduler, scenario), rows in groups.items():
-        stats = [mean_std([float(r[idx]) for r in rows]) for idx, _ in METRIC_COLUMNS]
-        out_rows.append(
-            [scheduler, scenario, str(len(rows))]
-            + [repr(v) for mean_and_std in stats for v in mean_and_std]
-            + ["simulated"]
-        )
-    return out_rows
+    for row in rows:
+        groups.setdefault((row[0], row[column]), []).append(row)
+    return {
+        group: (len(members), {name: mean_std([float(r[idx]) for r in members])
+                               for idx, name in METRIC_COLUMNS})
+        for group, members in groups.items()
+    }
 
 
 def _paper_rows():
     rows = []
     for scheduler, metrics in PAPER_REPORTED:
-        rows.append(
-            [
-                scheduler,
-                "reported-average",
-                "0",
-                "", "",
-                "", "",
-                repr(metrics["asr"]), "",
-                repr(metrics["cr"]), "",
-                repr(metrics["aap"]), "",
-                "paper-reported",
-            ]
-        )
+        cells = []
+        for _, name in METRIC_COLUMNS:  # a mean, then no std
+            cells += [repr(metrics[name]) if name in metrics else "", ""]
+        rows.append([scheduler, "reported-average", "0", *cells, "paper-reported"])
     return rows
 
 
@@ -297,79 +276,58 @@ def _report_failures(failures, out: Path) -> None:
 
 
 def cmd_compare(args) -> int:
-    schedulers = _parse_schedulers(args.schedulers)
-    scenarios = _parse_scenarios(args.scenarios)
-    seeds = _parse_seeds(args.seed)
-    out = _out_dir(args)
-    runs = []
-    for scenario in scenarios:
-        cfg = _load(args, scenario)
-        if scenario == scenarios[0]:
-            _write_echo(cfg, out)
-        tables = _load_checkpoint(args, cfg) if "qlearn" in schedulers else None
-        runs += [(cfg, s, tables if s == "qlearn" else None) for s in schedulers]
+    schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
+    scenarios = _parse_list(args.scenarios, "--scenarios")
+    seeds = _parse_list(args.seed, "--seed", int, _check_seed)
+    cfgs = [_load(args, scenario) for scenario in scenarios]
+    runs = _grid(args, cfgs, schedulers)
+    out = _out_dir(args, cfgs[0])
     all_rows, _reports, failures = _evaluate(runs, seeds)
     _write_csv(out / "runs.csv", RUN_CSV_COLUMNS, all_rows)
-    aggregate = _aggregate_rows(all_rows) + _paper_rows()
-    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate)
+    aggregate = [
+        [scheduler, scenario, str(n)] + [repr(v) for pair in stats.values() for v in pair] + ["simulated"]
+        for (scheduler, scenario), (n, stats) in _group_means(all_rows, "scenario").items()
+    ]
+    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate + _paper_rows())
     _report_failures(failures, out)
     print(f"compare: {len(all_rows)} runs over {len(scenarios)} scenario(s) -> {out}")
     return 1 if failures else 0
 
 
 def cmd_sweep(args) -> int:
-    schedulers = _parse_schedulers(args.schedulers)
+    schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
     probs = _parse_probs(args.probs)
-    seeds = _parse_seeds(args.seed)
+    seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     cfg = _load(args)
-    out = _out_dir(args)
-    _write_echo(cfg, out)
-    tables = _load_checkpoint(args, cfg) if "qlearn" in schedulers else None
-    runs = []
-    for prob in probs:
-        prob_cfg = _load(args, arrival_prob=prob)
-        runs += [(prob_cfg, s, tables if s == "qlearn" else None) for s in schedulers]
+    runs = _grid(args, [_load(args, arrival_prob=prob) for prob in probs], schedulers)
+    out = _out_dir(args, cfg)
     all_rows, _reports, failures = _evaluate(runs, seeds)
-    series: dict[tuple[str, str], list[list[str]]] = {}
-    for row in all_rows:  # keyed by (scheduler, arrival_prob) as written
-        series.setdefault((row[0], row[3]), []).append(row)
     _write_csv(out / "sweep.csv", RUN_CSV_COLUMNS, all_rows)
 
+    groups = _group_means(all_rows, "arrival_prob")
     series_rows = []
-    asr_series: dict[str, list[tuple[float, float]]] = {}
-    for scheduler in schedulers:
-        for prob in probs:
-            rows = series.get((scheduler, repr(prob)), [])
-            if not rows:
-                continue
-            means = {
-                name: mean_std([float(r[idx]) for r in rows])[0]
-                for idx, name in METRIC_COLUMNS
-            }
-            series_rows.append(
-                [scheduler, cfg.scenario.name, repr(prob), str(len(rows))]
-                + [repr(means[name]) for _, name in METRIC_COLUMNS]
-            )
-            asr_series.setdefault(scheduler, []).append((prob, means["asr"]))
-    _write_csv(
-        out / "sweep_series.csv",
-        ("scheduler", "scenario", "arrival_prob", "n", "apt_mean", "ast_mean", "asr_mean", "cr_mean", "aap_mean"),
-        series_rows,
-    )
-
-    # monotonicity is reported, never asserted: load growth should not
-    # raise the service ratio
     mono_rows = []
-    for scheduler, points in asr_series.items():
-        points.sort(key=lambda pv: pv[0])
+    for scheduler in schedulers:
+        points = []  # (arrival_prob, mean asr)
+        for prob in probs:
+            if (scheduler, repr(prob)) not in groups:
+                continue
+            n, stats = groups[scheduler, repr(prob)]
+            series_rows.append([scheduler, cfg.scenario.name, repr(prob), str(n)]
+                               + [repr(mean) for mean, _ in stats.values()])
+            points.append((prob, stats["asr"][0]))
+        if not points:
+            continue
+        # monotonicity is reported, never asserted: load growth should not
+        # raise the service ratio
+        points.sort()
         violations = [
             f"{points[i][0]!r}->{points[i + 1][0]!r}"
             for i in range(len(points) - 1)
             if points[i + 1][1] > points[i][1] + 1e-12
         ]
-        mono_rows.append(
-            [scheduler, "asr", "yes" if not violations else "no", ";".join(violations)]
-        )
+        mono_rows.append([scheduler, "asr", "yes" if not violations else "no", ";".join(violations)])
+    _write_csv(out / "sweep_series.csv", SERIES_COLUMNS, series_rows)
     _write_csv(out / "monotonicity.csv", ("scheduler", "metric", "non_increasing", "violations"), mono_rows)
     _report_failures(failures, out)
     print(f"sweep: {len(all_rows)} runs over probs {', '.join(repr(p) for p in probs)} -> {out}")

@@ -160,7 +160,11 @@ def load_trace_csv(
     path = Path(path)
     vehicles: list[VehicleSpec] = []
     first_line: dict[int, int] = {}  # vehicle_id -> line that introduced it
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read trace {path}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(TRACE_COLUMNS).issubset(reader.fieldnames):
             raise ValidationError(

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from vfcsim import cli
+from vfcsim.agent import load_tables
 from vfcsim.cli import main
 from vfcsim.config import load_config, parse_config_text
 from vfcsim.engine import run_evaluation
@@ -22,6 +24,16 @@ def read_csv(path):
 
 def run(args, out):
     return main(args + ["--out", str(out)])
+
+
+def empty_checkpoint(directory, nodes=9):
+    """A checkpoint of all-zero tables qtable_node0..nodes-1.tsv."""
+    directory.mkdir()
+    for node_id in range(nodes):
+        (directory / f"qtable_node{node_id}.tsv").write_text(
+            "# vfcsim qtable v1 num_states=354294 num_actions=9\n"
+        )
+    return directory
 
 
 # -- train ------------------------------------------------------------------
@@ -44,6 +56,15 @@ def test_train_writes_checkpoint_curve_and_echo(tmp_path, capsys):
     assert parsed["scenario.name"] == "NO.4"
     assert parsed["scenario.duration"] == "20.0"
     assert "trained 2 episodes on NO.4" in capsys.readouterr().out
+
+
+def test_train_checkpoint_write_failure_exits_1_with_the_curve(tmp_path, capsys):
+    (tmp_path / "checkpoint").write_text("")  # a file where the tables go
+    assert run(["train", *TINY, "--episodes", "1"], tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: checkpoint write failed: ")
+    assert captured.out == ""  # no "trained ..." line
+    assert [r[0] for r in read_csv(tmp_path / "learning_curve.csv")[1:]] == ["0"]
 
 
 # -- eval -------------------------------------------------------------------
@@ -97,12 +118,7 @@ def test_trained_checkpoint_feeds_eval(tmp_path):
      "qtable_node0.tsv: q-table is 10 x 9"),
 ])
 def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
-    checkpoint = tmp_path / "checkpoint"
-    checkpoint.mkdir()
-    for node_id in range(9):
-        (checkpoint / f"qtable_node{node_id}.tsv").write_text(
-            "# vfcsim qtable v1 num_states=354294 num_actions=9\n"
-        )
+    checkpoint = empty_checkpoint(tmp_path / "checkpoint")
     (checkpoint / "qtable_node0.tsv").write_text(node0)
     code = run(["eval", *TINY, "--scheduler", "qlearn", "--checkpoint", str(checkpoint)],
                tmp_path / "out")
@@ -111,12 +127,7 @@ def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
 
 
 def test_eval_rejects_checkpoint_of_a_larger_grid(tmp_path, capsys):
-    checkpoint = tmp_path / "checkpoint"
-    checkpoint.mkdir()
-    for node_id in range(12):
-        (checkpoint / f"qtable_node{node_id}.tsv").write_text(
-            "# vfcsim qtable v1 num_states=354294 num_actions=9\n"
-        )
+    checkpoint = empty_checkpoint(tmp_path / "checkpoint", nodes=12)
     code = run(["eval", *TINY, "--scheduler", "qlearn", "--checkpoint", str(checkpoint)],
                tmp_path / "out")
     assert code == 2
@@ -213,6 +224,16 @@ def test_compare_grid_and_reported_rows(tmp_path):
     assert all(r[1] == "reported-average" for r in reported)
 
 
+def test_compare_loads_the_checkpoint_once(tmp_path, monkeypatch):
+    checkpoint = empty_checkpoint(tmp_path / "checkpoint")
+    calls = []
+    monkeypatch.setattr(cli, "load_tables", lambda *a: calls.append(a) or load_tables(*a))
+    code = run(["compare", *TINY, "--schedulers", "qlearn,fcfs", "--scenarios", "NO.3,NO.4",
+                "--checkpoint", str(checkpoint)], tmp_path / "out")
+    assert code == 0
+    assert calls == [(str(checkpoint), 9)]
+
+
 # -- sweep ------------------------------------------------------------------
 
 
@@ -235,9 +256,15 @@ def test_sweep_series_and_monotonicity(tmp_path):
     assert mono[1][0] == "fcfs" and mono[1][2] in ("yes", "no")
 
 
-def test_sweep_rejects_bad_probs(tmp_path, capsys):
-    assert run(["sweep", *TINY, "--probs", "0.5,1.4"], tmp_path) == 2
-    assert "--probs" in capsys.readouterr().err
+@pytest.mark.parametrize("probs, named", [
+    ("0.5,1.4", "--probs values must lie in [0, 1], got '0.5,1.4'"),
+    ("0.5,1.4,x", "--probs values must lie in [0, 1], got '0.5,1.4,x'"),
+    (" , ", "empty --probs list"),
+], ids=["out-of-range", "first-bad-entry-named", "empty"])
+def test_sweep_rejects_bad_probs(tmp_path, capsys, probs, named):
+    assert run(["sweep", *TINY, "--probs", probs], tmp_path) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # -- determinism ----------------------------------------------------------------
@@ -280,6 +307,41 @@ def test_missing_out_dir_fails(monkeypatch, capsys):
     assert "no output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4,bogus"], "scenario 'bogus' is not built in"),
+    (["eval", "--scheduler", "qlearn"], "needs --checkpoint"),
+    (["eval", "--scheduler", "qlearn", "--checkpoint", "{tmp}/none"], "checkpoint incomplete"),
+    (["eval", "--scheduler", "fcfs", "--trace", "{tmp}/trace.csv"], "trace.csv:2: bad trace row"),
+    (["sweep", "--schedulers", "qlearn,fcfs", "--probs", "0.3"], "needs --checkpoint"),
+], ids=["compare-scenario", "eval-no-checkpoint", "eval-missing-checkpoint", "eval-bad-trace",
+        "sweep-no-checkpoint"])
+def test_late_usage_error_writes_nothing(tmp_path, capsys, args, named):
+    # each is found only once the configs, checkpoint or trace are read
+    (tmp_path / "trace.csv").write_text("vehicle_id,entry_time,dwell,speed,x,y\n0,0.0,x,0.0,1.0,1.0\n")
+    out = tmp_path / "out"
+    assert run([*(a.format(tmp=tmp_path) for a in args), *TINY], out) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trace, out, named", [
+    ("missing.csv", "out", "cannot read trace {tmp}/missing.csv"),
+    ("dir", "out", "cannot read trace {tmp}/dir"),
+    (None, "file", "cannot create output directory {tmp}/file"),
+], ids=["missing-trace", "trace-is-a-directory", "out-is-a-file"])
+def test_unusable_path_exits_2(tmp_path, capsys, trace, out, named):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    args = ["eval", *TINY, "--scheduler", "fcfs"]
+    if trace:
+        args += ["--trace", str(tmp_path / trace)]
+    assert run(args, tmp_path / out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named.format(tmp=tmp_path)}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_bad_config_value_exits_2(tmp_path, capsys):
     code = run(["eval", *TINY, "--scheduler", "fcfs", "--set", "agent.alpha=1.5"], tmp_path)
     assert code == 2
@@ -314,7 +376,8 @@ def test_bad_seed_list_exits_2(tmp_path, capsys):
     ("1,-1,1", "--seed -1 is negative"),
     ("1,2,1", "--seed lists 1 more than once"),
     ("3,03", "--seed lists 3 more than once"),
-], ids=["negative", "repeated", "same-int"])
+    ("1,1,-2", "--seed lists 1 more than once"),
+], ids=["negative", "repeated", "same-int", "first-bad-entry-named"])
 def test_negative_or_repeated_seed_exits_2(tmp_path, capsys, seeds, named):
     code = run(["eval", *TINY, "--scheduler", "fcfs", "--seed", seeds], tmp_path)
     assert code == 2
@@ -335,8 +398,9 @@ def test_train_takes_one_seed(tmp_path, capsys):
     (["sweep", "--schedulers", "fcfs,rr,fcfs", "--probs", "0.5"], "--schedulers lists 'fcfs' more than once"),
     (["compare", "--schedulers", "rr,rr", "--scenarios", "NO.4"], "--schedulers lists 'rr' more than once"),
     (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4,NO.4"], "--scenarios lists 'NO.4' more than once"),
+    (["compare", "--schedulers", "rr,rr,sjf", "--scenarios", "NO.4"], "--schedulers lists 'rr' more than once"),
 ], ids=["sweep-probs", "sweep-probs-same-float", "sweep-schedulers", "compare-schedulers",
-        "compare-scenarios"])
+        "compare-scenarios", "first-bad-entry-named"])
 def test_repeated_list_entry_exits_2(tmp_path, capsys, args, named):
     code = run([*args, *TINY, "--seed", "1"], tmp_path)
     assert code == 2
