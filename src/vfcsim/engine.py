@@ -6,22 +6,23 @@ vehicle may emit a task; the scheduler under test places it on the vehicle
 itself, a fog node, or the cloud. Fog nodes grant CPU shares (the single
 hard capacity constraint) and run FIFO queues; every task resolves to
 serviced or dropped no later than min(arrival + deadline, vehicle exit),
-so ledgers always conserve tasks. A task starts only if it can complete by
-that bound; the two waits that can outlast it, an upload that ends at or
-after the bound and a fog queue, are cut short by an internal expiry
-event, pushed only for them.
+so ledgers always conserve tasks. Every execution begins through one
+start, and only if it can complete by that bound. The two waits that can
+outlast it are cut short at the bound by an internal expiry pushed only
+for them: an upload that ends at or after the bound gets an upload expiry
+in place of its upload-done, and a fog task that queues at upload-done
+gets a queue expiry, which does nothing once the task has left the queue.
 
 Events dispatch in (time, sequence) order from a single heap, each entry
-numbered by the episode's one push counter and each popped entry going to
-the handler in a table of bound methods that its kind, one of EventKind's
-plain int values 0-6, indexes. A decision tick's new tasks travel as one
-TASK_ARRIVAL entry, pushed by the tick's snapshot, whose handler decides
-them one by one in creation order. Nothing can come between them:
-everything due at the tick that was pushed before the snapshot ran
-dispatches first (lower sequence), and everything the decisions push is
-later in time or sequence. Randomness flows through one seeded generator
-per episode, which makes runs bit-reproducible for a given
-configuration, scheduler and seed.
+numbered by the episode's one push counter and carrying the bound method
+that handles it. A decision tick's new tasks travel as one entry, pushed
+by the tick's snapshot, whose handler decides them one by one in
+creation order. Nothing can come between them: everything due at the
+tick that was pushed before the snapshot ran dispatches first (lower
+sequence), and everything the decisions push is later in time or
+sequence. Randomness flows through one seeded generator per episode,
+which makes runs bit-reproducible for a given configuration, scheduler
+and seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import itertools
 import math
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -83,30 +85,6 @@ from .agent import load_tables  # noqa: F401
 from .eventlog import write_event_log  # noqa: F401
 
 
-class EventKind:
-    """Event kinds as plain int constants; the value indexes _Episode.run's
-    handler table. Not an IntEnum: a member read costs ~5x a class
-    attribute read, and a tuple indexed by an enum misses the int fast path."""
-
-    VEHICLE_ENTER = 0
-    VEHICLE_EXIT = 1
-    # payload: the list of tasks one decision tick created, in creation order
-    TASK_ARRIVAL = 2
-    UPLOAD_DONE = 3
-    EXECUTION_DONE = 4
-    SNAPSHOT = 5
-    # internal bookkeeping kind: drops a task still uploading or queued at
-    # min(arrival + deadline, vehicle exit)
-    TASK_EXPIRE = 6
-
-
-# task lifecycle stages
-_PLACED = 0
-_UPLOADING = 1
-_QUEUED = 2
-_EXECUTING = 3
-_DONE = 4
-
 # tiers bound once, so the per-task paths read a global, not an enum member
 _LOCAL = Tier.LOCAL
 _FOG = Tier.FOG
@@ -128,7 +106,8 @@ class Task:
     mem_frac: float
     disk_frac: float
     bw_frac: float
-    stage: int = _PLACED
+    # in a fog node's run queue
+    queued: bool = False
     tier: int = -1
     exec_node: int = -1
     decision_node: int = -1
@@ -140,7 +119,8 @@ class Task:
     proc_planned: float = 0.0
     upload_planned: float = 0.0
     wait: float = 0.0
-    upload_done_time: float = 0.0
+    # when the task could start: its upload-done, or its decision if local
+    ready: float = 0.0
     mem_alloc: float = 0.0
     disk_alloc: float = 0.0
     bw_alloc: float = 0.0
@@ -529,9 +509,10 @@ class _Episode:
                 min_dwell=self.sim.min_dwell_s,
             )
         self.vehicle_specs = vehicles
-        # heap entries are (time, sequence, kind, payload); next(self.seq)
+        # heap entries are (time, sequence, handler, payload); next(self.seq)
         # numbers every push in push order, so ties pop first-in first-out
-        self.heap: list[tuple[float, int, int, object]] = []
+        # and the handler is never compared
+        self.heap: list[tuple[float, int, Callable, object]] = []
         self.seq = itertools.count()
         self.active: dict[int, VehicleState] = {}
         self.ledger = TaskLedger()
@@ -552,14 +533,14 @@ class _Episode:
         heap = self.heap
         seq = self.seq
         for spec in self.vehicle_specs:
-            heappush(heap, (spec.entry_time, next(seq), EventKind.VEHICLE_ENTER, spec))
+            heappush(heap, (spec.entry_time, next(seq), self.on_vehicle_enter, spec))
         scenario = self.cfg.scenario
         interval = self.sim.decision_interval_s
         ticks = int(scenario.duration / interval)
         if ticks > self.cfg.agent.max_time_steps:
             ticks = self.cfg.agent.max_time_steps
         for i in range(ticks):
-            heappush(heap, (i * interval, next(seq), EventKind.SNAPSHOT, None))
+            heappush(heap, (i * interval, next(seq), self.on_snapshot, None))
 
     # -- telemetry --------------------------------------------------------
 
@@ -600,20 +581,10 @@ class _Episode:
 
     def run(self) -> EpisodeResult:
         self.schedule_all()
-        # indexed by EventKind
-        handlers = (
-            self.on_vehicle_enter,
-            self.on_vehicle_exit,
-            self.on_tick_arrivals,
-            self.on_upload_done,
-            self.on_execution_done,
-            self.on_snapshot,
-            self.on_task_expire,
-        )
         heap = self.heap
         while heap:
-            time, _seq, kind, payload = heappop(heap)
-            handlers[kind](time, payload)
+            time, _seq, handle, payload = heappop(heap)
+            handle(time, payload)
         resolved = self.ledger.k_total
         if resolved != self.task_counter:
             raise RuntimeError(
@@ -641,7 +612,7 @@ class _Episode:
     def on_vehicle_enter(self, now: float, spec: VehicleSpec) -> None:
         veh = VehicleState(spec)
         self.active[spec.vehicle_id] = veh
-        heappush(self.heap, (veh.exit_time, next(self.seq), EventKind.VEHICLE_EXIT,
+        heappush(self.heap, (veh.exit_time, next(self.seq), self.on_vehicle_exit,
                              spec.vehicle_id))
         if self.events is not None:
             self.events.append(
@@ -707,7 +678,7 @@ class _Episode:
             ))
             self.task_counter += 1
         if tasks:
-            heappush(self.heap, (now, next(self.seq), EventKind.TASK_ARRIVAL, tasks))
+            heappush(self.heap, (now, next(self.seq), self.on_tick_arrivals, tasks))
 
     def on_tick_arrivals(self, now: float, tasks: list[Task]) -> None:
         """Decide the tick's tasks one by one, in creation order."""
@@ -779,17 +750,16 @@ class _Episode:
         veh = task.vehicle
         link = self.link
         if placement.tier == _LOCAL:
-            start = veh.busy_until if veh.busy_until > now else now
+            begin = veh.busy_until if veh.busy_until > now else now
             proc = processing_time(task.size_bits, link.cycles_per_bit, veh.spec.local_cpu_hz)
-            completion = start + proc
+            completion = begin + proc
             if completion > task.bound:
                 self.drop(task, now)
                 return
             veh.busy_until = completion
-            task.wait = start - now
+            task.ready = now
             task.proc_planned = proc
-            task.stage = _EXECUTING
-            heappush(self.heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
+            self.start(task, begin)
             return
 
         for view in views:
@@ -805,7 +775,6 @@ class _Episode:
         bw = task.bw_frac * placement.bundle_factor
         task.bw_alloc = 0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw)
         node.bw_commit += task.bw_alloc
-        task.stage = _UPLOADING
         if placement.tier == _CLOUD:
             task.upload_planned = view.upload_s + upload_time(task.size_bits, link.wired_rate_bps)
             cpu = (task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz
@@ -823,37 +792,30 @@ class _Episode:
         # An expiry is pushed only where it acts. Its sequence number is
         # drawn here, before the upload's, so that it sorts as it would if
         # every task had one: an upload that ends at or after the bound is
-        # dropped by its expiry, and its upload-done entry is left out; a
-        # fog task that queues at upload-done gets its expiry then
+        # dropped by its upload expiry, pushed in place of its upload-done;
+        # a fog task that queues at upload-done gets its queue expiry then
         # (on_upload_done). Any other task starts, or drops, by its bound.
         expire_seq = next(self.seq)
         upload_end = now + task.upload_planned
         if upload_end >= task.bound:
-            heappush(self.heap, (task.bound, expire_seq, EventKind.TASK_EXPIRE, task))
+            heappush(self.heap, (task.bound, expire_seq, self.on_upload_expire, task))
             return
         task.expire_seq = expire_seq
-        heappush(self.heap, (upload_end, next(self.seq), EventKind.UPLOAD_DONE, task))
+        heappush(self.heap, (upload_end, next(self.seq), self.on_upload_done, task))
 
     def on_upload_done(self, now: float, task: Task) -> None:
         node = self.nodes[task.exec_node]
         node.release_bw(task.bw_alloc)
-        task.upload_done_time = now
+        task.ready = now
         if self.events is not None:
             self.events.append(("UploadDone", now, task.task_id, task.exec_node,
                                 self.episode_index, "cloud" if task.tier == _CLOUD else "fog"))
 
-        if task.tier == _CLOUD:
-            completion = now + task.proc_planned
-            if completion > task.bound:
-                self.drop(task, now)
-                return
-            task.wait = 0.0
-            task.stage = _EXECUTING
-            heappush(self.heap, (completion, next(self.seq), EventKind.EXECUTION_DONE, task))
-            return
-
         if now + task.proc_planned > task.bound:
             self.drop(task, now)
+            return
+        if task.tier == _CLOUD:
+            self.start(task, now)
             return
         # fog: data is resident until the task leaves the node
         mem = task.mem_frac * task.bundle
@@ -863,17 +825,19 @@ class _Episode:
         node.mem_commit += task.mem_alloc
         node.disk_commit += task.disk_alloc
         if task.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
-            self.start_execution(node, task, now)
+            node.commit_cpu(task.cpu_share)
+            self.start(task, now)
         else:
-            task.stage = _QUEUED
+            task.queued = True
             node.run_queue.append(task)
-            heappush(self.heap, (task.bound, task.expire_seq, EventKind.TASK_EXPIRE, task))
+            heappush(self.heap, (task.bound, task.expire_seq, self.on_queue_expire, task))
 
-    def start_execution(self, node: NodeState, task: Task, now: float) -> None:
-        node.commit_cpu(task.cpu_share)
-        task.wait = now - task.upload_done_time
-        task.stage = _EXECUTING
-        heappush(self.heap, (now + task.proc_planned, next(self.seq), EventKind.EXECUTION_DONE,
+    def start(self, task: Task, begin: float) -> None:
+        """Run a placed task from `begin`; the caller has checked that it
+        completes by its bound and, on a fog node, committed its share."""
+        task.queued = False
+        task.wait = begin - task.ready
+        heappush(self.heap, (begin + task.proc_planned, next(self.seq), self.on_execution_done,
                              task))
 
     def on_execution_done(self, now: float, task: Task) -> None:
@@ -932,22 +896,24 @@ class _Episode:
         if node is not None:
             self.drain(node, now)
 
-    def on_task_expire(self, now: float, task: Task) -> None:
-        if task.stage == _UPLOADING:
-            self.nodes[task.exec_node].release_bw(task.bw_alloc)
-        elif task.stage == _QUEUED:
-            self.nodes[task.exec_node].release_resident(task.mem_alloc, task.disk_alloc)
-        else:
+    def on_upload_expire(self, now: float, task: Task) -> None:
+        # pushed in place of the upload-done, so the task is still uploading
+        self.nodes[task.exec_node].release_bw(task.bw_alloc)
+        self.drop(task, now)
+
+    def on_queue_expire(self, now: float, task: Task) -> None:
+        if not task.queued:
             # done, or left the queue to complete exactly at the bound (the
             # expiry's lower sequence number dispatches it first)
             return
+        self.nodes[task.exec_node].release_resident(task.mem_alloc, task.disk_alloc)
         self.drop(task, now)
 
     def drain(self, node: NodeState, now: float) -> None:
         queue = node.run_queue
         while queue:
             head = queue[0]
-            if head.stage != _QUEUED:
+            if not head.queued:
                 queue.popleft()
                 continue
             if now + head.proc_planned > head.bound:
@@ -957,7 +923,8 @@ class _Episode:
                 continue
             if head.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
                 queue.popleft()
-                self.start_execution(node, head, now)
+                node.commit_cpu(head.cpu_share)
+                self.start(head, now)
                 continue
             break
 
@@ -977,7 +944,7 @@ class _Episode:
         reward: float,
         components: tuple[float, float, float, float],
     ) -> None:
-        task.stage = _DONE
+        task.queued = False
         record = TaskRecord(
             task.task_id,
             task.arrival,
@@ -996,7 +963,7 @@ class _Episode:
         if self.events is not None:
             self.events.append(("ExecutionDone" if serviced else "TaskDropped", now,
                                 task.task_id, task.exec_node, self.episode_index, record))
-        if self.train and task.action_ordinal >= 0:
+        if self.train:
             veh = task.vehicle
             t = now if now < veh.exit_time else veh.exit_time
             x, y = veh.position_at(t, self.area)

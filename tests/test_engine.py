@@ -13,11 +13,9 @@ import pytest
 from oracles import discretize, event_dict, snapshot_from_node, state_index
 from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values, load_tables, save_tables
 from vfcsim.engine import (
-    EventKind,
     NodeState,
     Task,
     VehicleState,
-    _QUEUED,
     _Episode,
     _reflect,
     build_nodes,
@@ -182,37 +180,6 @@ def test_negative_master_seed_rejected(tiny_cfg):
         run_training(tiny_cfg, -1)
     with pytest.raises(ValidationError, match="seed=-1"):
         run_evaluation(tiny_cfg, "fcfs", -1)
-
-
-# handler of each event kind, in the order of _Episode.run's table
-HANDLERS = (
-    ("VEHICLE_ENTER", "on_vehicle_enter"),
-    ("VEHICLE_EXIT", "on_vehicle_exit"),
-    ("TASK_ARRIVAL", "on_tick_arrivals"),
-    ("UPLOAD_DONE", "on_upload_done"),
-    ("EXECUTION_DONE", "on_execution_done"),
-    ("SNAPSHOT", "on_snapshot"),
-    ("TASK_EXPIRE", "on_task_expire"),
-)
-
-
-def test_event_kinds_are_plain_ints_indexing_the_handler_table(monkeypatch, tiny_cfg):
-    values = [getattr(EventKind, kind) for kind, _ in HANDLERS]
-    assert values == list(range(len(HANDLERS)))
-    assert all(type(v) is int for v in values)
-
-    dispatched = []
-    for kind, handler in HANDLERS:
-        monkeypatch.setattr(_Episode, handler,
-                            lambda self, now, payload, h=handler: dispatched.append((h, payload)))
-
-    def one_of_each(self):
-        for kind, _ in HANDLERS:
-            heapq.heappush(self.heap, (0.0, next(self.seq), getattr(EventKind, kind), kind))
-
-    monkeypatch.setattr(_Episode, "schedule_all", one_of_each)
-    run_episode(tiny_cfg, build_scheduler(tiny_cfg, "fcfs"), 1, vehicles=[])
-    assert dispatched == [(handler, kind) for kind, handler in HANDLERS]
 
 
 # -- worked examples -----------------------------------------------------------------
@@ -435,23 +402,23 @@ def test_leaked_commit_fails_the_episode(monkeypatch):
 
 
 def spy_on_pushes(monkeypatch):
-    """Record every heap push as (time, sequence, kind, task id or None),
-    every task decided, and every fog task that queues at upload-done."""
+    """Record every heap push as (time, sequence, handler name, task id or
+    None), every task decided, and every fog task that queues at upload-done."""
     pushes, tasks, queued = [], [], []
 
     def recording(heap, entry):
-        time, seq, kind, payload = entry
-        if kind == EventKind.TASK_ARRIVAL:
+        time, seq, handle, payload = entry
+        if handle.__name__ == "on_tick_arrivals":
             tasks.extend(payload)
         task_id = payload.task_id if isinstance(payload, Task) else None
-        pushes.append((time, seq, kind, task_id))
+        pushes.append((time, seq, handle.__name__, task_id))
         heapq.heappush(heap, entry)
 
     original = _Episode.on_upload_done
 
     def on_upload_done(self, now, task):
         original(self, now, task)
-        if task.stage == _QUEUED:
+        if task.queued:
             queued.append(task.task_id)
 
     monkeypatch.setattr("vfcsim.engine.heappush", recording)
@@ -474,31 +441,62 @@ def run_loaded(name, seed=7):
 def test_expiry_pushed_only_where_it_acts(monkeypatch, name):
     pushes, tasks, queued = spy_on_pushes(monkeypatch)
     run_loaded(name)
-    expired = sorted(task_id for _t, _s, kind, task_id in pushes
-                     if kind == EventKind.TASK_EXPIRE)
-    # a fog or cloud upload that ends at or after the bound, which has no
-    # upload-done entry, and a fog task that queued at upload-done
+
+    def pushed(handler):
+        return sorted(task_id for _t, _s, name, task_id in pushes if name == handler)
+
+    # an upload expiry for each fog or cloud upload that ends at or after
+    # the bound, which has no upload-done entry, and a queue expiry for each
+    # fog task that queued at upload-done
     late = sorted(t.task_id for t in tasks if t.tier in (Tier.FOG, Tier.CLOUD)
                   and t.arrival + t.upload_planned >= t.bound)
     assert late and queued
-    assert set(late).isdisjoint(queued)
-    assert expired == sorted(late + queued)
-    uploads = {task_id for _t, _s, kind, task_id in pushes if kind == EventKind.UPLOAD_DONE}
-    assert uploads.isdisjoint(late)
+    assert pushed("on_upload_expire") == late
+    assert pushed("on_queue_expire") == sorted(queued)
+    assert set(pushed("on_upload_done")).isdisjoint(late)
 
 
 def test_queued_expiry_keeps_the_sequence_drawn_at_placement(monkeypatch):
     pushes, _tasks, queued = spy_on_pushes(monkeypatch)
     run_loaded("fcfs")
-    expire = {task_id: (i, seq) for i, (_t, seq, kind, task_id) in enumerate(pushes)
-              if kind == EventKind.TASK_EXPIRE}
-    upload = {task_id: (i, seq) for i, (_t, seq, kind, task_id) in enumerate(pushes)
-              if kind == EventKind.UPLOAD_DONE}
+    expire = {task_id: (i, seq) for i, (_t, seq, name, task_id) in enumerate(pushes)
+              if name == "on_queue_expire"}
+    upload = {task_id: (i, seq) for i, (_t, seq, name, task_id) in enumerate(pushes)
+              if name == "on_upload_done"}
     assert queued
     for task_id in queued:
         # pushed after the upload-done entry, numbered before it
         assert expire[task_id][0] > upload[task_id][0]
         assert expire[task_id][1] < upload[task_id][1]
+
+
+def test_queued_task_started_to_end_at_its_bound_is_serviced_once(quiet_cfg):
+    # Two fog tasks on node 0 finish uploading at 0.5 s, each asking for half
+    # of the 0.8 grantable share. The first runs to 1.5 s; the second queues,
+    # and drain starts it then, to complete at 3.5 s, exactly its bound. Its
+    # queue expiry, numbered at placement, pops first at 3.5 s and must leave
+    # it alone.
+    episode = _Episode(quiet_cfg, build_scheduler(quiet_cfg, "fcfs"), 1,
+                       False, False, [], 0)
+    veh = VehicleState(vehicle())
+    tasks = [
+        Task(task_id=i, vehicle=veh, size_bits=4.0e7, demand_mips=100.0, deadline=bound,
+             arrival=0.0, bound=bound, cycles=2.0e10, mem_frac=0.005, disk_frac=0.001,
+             bw_frac=0.0, tier=int(Tier.FOG), exec_node=0, decision_node=0, cpu_share=0.5,
+             eff_cpu=0.5, proc_planned=proc, expire_seq=next(episode.seq))
+        for i, (bound, proc) in enumerate([(10.0, 1.0), (3.5, 2.0)])
+    ]
+    episode.task_counter = len(tasks)
+    for task in tasks:
+        episode.on_upload_done(0.5, task)
+    assert [(t, seq) for t, seq, *_ in episode.heap if t == 3.5] == [(3.5, tasks[1].expire_seq)]
+
+    led = episode.run().ledger
+    assert [(r.task_id, r.serviced, r.completion) for r in led.records] == [
+        (0, True, 1.5),
+        (1, True, 3.5),
+    ]
+    assert led.records[1].wait == 1.0
 
 
 class TierStub(Scheduler):
@@ -524,9 +522,9 @@ def test_execution_past_the_bound_raises(monkeypatch, tier):
     assert [(r.serviced, r.tier) for r in led.records] == [(True, tier)]
 
     def overrun(heap, entry):
-        _time, seq, kind, payload = entry
-        if kind == EventKind.EXECUTION_DONE:
-            entry = (payload.bound + 1.0, seq, kind, payload)
+        _time, seq, handle, payload = entry
+        if handle.__name__ == "on_execution_done":
+            entry = (payload.bound + 1.0, seq, handle, payload)
         heapq.heappush(heap, entry)
 
     monkeypatch.setattr("vfcsim.engine.heappush", overrun)
