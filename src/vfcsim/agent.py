@@ -60,7 +60,6 @@ class HyperParams:
     epsilon_start: float = 0.1
     epsilon_end: float = 0.01
     episodes: int = 100
-    max_time_steps: int = 300
 
     def validate(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -76,8 +75,6 @@ class HyperParams:
             )
         if self.episodes < 1:
             raise ValidationError(f"episodes={self.episodes!r} must be >= 1")
-        if self.max_time_steps < 1:
-            raise ValidationError(f"max_time_steps={self.max_time_steps!r} must be >= 1")
 
 
 class QTable:

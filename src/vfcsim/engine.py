@@ -534,12 +534,8 @@ class _Episode:
         seq = self.seq
         for spec in self.vehicle_specs:
             heappush(heap, (spec.entry_time, next(seq), self.on_vehicle_enter, spec))
-        scenario = self.cfg.scenario
         interval = self.sim.decision_interval_s
-        ticks = int(scenario.duration / interval)
-        if ticks > self.cfg.agent.max_time_steps:
-            ticks = self.cfg.agent.max_time_steps
-        for i in range(ticks):
+        for i in range(int(self.cfg.scenario.duration / interval)):
             heappush(heap, (i * interval, next(seq), self.on_snapshot, None))
 
     # -- telemetry --------------------------------------------------------

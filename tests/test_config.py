@@ -156,12 +156,12 @@ CUSTOM_SCENARIO = {"scenario.name": "rush-hour", "scenario.adt": "100", "scenari
 # lines of the REMOVED_KEYS below from those echoes; config_echo.cfg must
 # keep its bytes.
 ECHO_SHA256 = (
-    ({}, "d8c0960b85f4084fcf1c9e93e5e582fa101fcd0a1154b902f64a1267dcea6c57"),
+    ({}, "6a96a144c86cad779b773f7e2a75779d0fd59db510d68ff3ba9267f8689c6135"),
     (
         {"scenario.name": "NO.4", "reward.latency_floor": "0.002"},
-        "18a6a76a596fa672c22e81e06f51e81f088827ff13fbf3bfc6205a90c499de6f",
+        "f5dd3c6329c954a38f4070b46f4c84099bee9de6733bafe47f134ecb77f7afbb",
     ),
-    (CUSTOM_SCENARIO, "ad27142116d0f39aef4cd7819a678ec7cda4e8cb80edecea535e4639124698a4"),
+    (CUSTOM_SCENARIO, "089af30520615ce43cbd0894a1079fa856e7eea6a595926a5ca5b9c5035cbbf1"),
 )
 
 
@@ -175,10 +175,10 @@ def test_dump_bytes_pinned(overrides, digest):
 # reward.latency_floor and reward.quality_desired were RunConfig fields,
 # then re-derived by deleting the lines of the REMOVED_KEYS below
 SCENARIO_ECHO_SHA256 = {
-    "NO.1": "d8c0960b85f4084fcf1c9e93e5e582fa101fcd0a1154b902f64a1267dcea6c57",
-    "NO.2": "88a9afadca150df028d5aee0422c1e5dfb423698efbac02a406a1a0a7418810c",
-    "NO.3": "4150dc2027a76a2e6d88ba1bde39f11e3dc7b941f0927de29859dba6d26d3025",
-    "NO.4": "ee6b7de3bf9fab3d9d12e6e8348c0d0c2e7277ff85737739bf1d6a2dd0159f3d",
+    "NO.1": "6a96a144c86cad779b773f7e2a75779d0fd59db510d68ff3ba9267f8689c6135",
+    "NO.2": "0fd474077c0414ee05cf6043df9324166e9895dbc4f1cf7d8dfbf69e6e4047d9",
+    "NO.3": "8ac4d1d82ef959a62b07ce5e9ec02e84d6c33c2101e7bd806f7427aa25cbf024",
+    "NO.4": "7c1bb831741de6f0b09cab03c1ec42e61497b1fe2a708bbdf01b368de19a8d7a",
 }
 
 
@@ -220,16 +220,18 @@ def test_bad_value_checked_by_its_section(key, value, named):
 
 def test_known_keys_pinned():
     keys = known_keys()
-    assert len(keys) == 69
+    assert len(keys) == 68
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
-    assert digest == "3a48004aad1af2602a9caa7165fe1b35b8efab688b298547928b400c341f6360"
+    assert digest == "e1834dad3cb38f42d153aeffd2424c36f00978617a36105edd9ef543120f36fe"
 
 
 # Keys that once selected a second code path (per-field state caps, a
-# harmonic learning-rate schedule and alternative WFQ weights) or changed
-# nothing at all (the scenario's trace count and vehicle-count variance).
+# harmonic learning-rate schedule and alternative WFQ weights), changed
+# nothing at all (the scenario's trace count and vehicle-count variance)
+# or set the episode length a second way (a cap on the decision ticks).
 REMOVED_KEYS = (
     "agent.alpha_schedule",
+    "agent.max_time_steps",
     "scenario.trace_count",
     "scenario.vnv",
     "sim.wfq_weights",

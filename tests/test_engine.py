@@ -293,6 +293,13 @@ def test_every_task_resolves():
     assert len({e["task_id"] for e in finishes}) == led.k_total
 
 
+def test_scenario_duration_alone_sets_the_decision_ticks():
+    # no second cap on the tick count: a 400 s episode decides tasks past 300 s
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "400"})
+    arrivals = [r.arrival for r in run_evaluation(cfg, "fcfs", 1).ledger.records]
+    assert 300.0 <= max(arrivals) < 400.0
+
+
 def test_records_carry_the_decision_node_of_their_arrival():
     _, result = run_short()
     decided = {e[2]: e[3] for e in result.events if e[0] == "TaskArrival"}
