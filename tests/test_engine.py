@@ -294,7 +294,8 @@ def test_every_task_resolves():
 
 
 def test_scenario_duration_alone_sets_the_decision_ticks():
-    # no second cap on the tick count: a 400 s episode decides tasks past 300 s
+    # scenario.duration alone sets the tick count: a 400 s episode decides
+    # tasks past 300 s
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "400"})
     arrivals = [r.arrival for r in run_evaluation(cfg, "fcfs", 1).ledger.records]
     assert 300.0 <= max(arrivals) < 400.0
