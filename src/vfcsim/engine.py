@@ -14,10 +14,10 @@ in place of its upload-done, and a fog task that queues at upload-done
 gets a queue expiry, which does nothing once the task has left the queue.
 
 Events dispatch in (time, sequence) order from a single heap, each entry
-numbered by the episode's one push counter and carrying the bound method
-that handles it. A decision tick's new tasks travel as one entry, pushed
-by the tick's snapshot, whose handler decides them one by one in
-creation order. Nothing can come between them: everything due at the
+numbered by the episode's one push counter as it is pushed, and carrying
+the bound method that handles it. A decision tick's new tasks travel as
+one entry, pushed by the tick's snapshot, whose handler decides them one
+by one in creation order. Nothing can come between them: everything due at the
 tick that was pushed before the snapshot ran dispatches first (lower
 sequence), and everything the decisions push is later in time or
 sequence. Randomness flows through one seeded generator per episode,
@@ -124,9 +124,6 @@ class Task:
     mem_alloc: float = 0.0
     disk_alloc: float = 0.0
     bw_alloc: float = 0.0
-    # sequence number drawn at placement for the task's expiry, whose entry
-    # a fog task gets only if it queues at upload-done
-    expire_seq: int = -1
 
 
 class VehicleState:
@@ -785,18 +782,15 @@ class _Episode:
             task.proc_planned = processing_time(
                 task.size_bits, link.cycles_per_bit, placement.cpu_share * node.cpu_freq
             )
-        # An expiry is pushed only where it acts. Its sequence number is
-        # drawn here, before the upload's, so that it sorts as it would if
-        # every task had one: an upload that ends at or after the bound is
-        # dropped by its upload expiry, pushed in place of its upload-done;
-        # a fog task that queues at upload-done gets its queue expiry then
-        # (on_upload_done). Any other task starts, or drops, by its bound.
-        expire_seq = next(self.seq)
+        # An expiry is pushed only where it acts: an upload that ends at or
+        # after the bound is dropped by its upload expiry, pushed in place of
+        # its upload-done; a fog task that queues at upload-done gets its
+        # queue expiry then (on_upload_done). Any other task starts, or
+        # drops, by its bound.
         upload_end = now + task.upload_planned
         if upload_end >= task.bound:
-            heappush(self.heap, (task.bound, expire_seq, self.on_upload_expire, task))
+            heappush(self.heap, (task.bound, next(self.seq), self.on_upload_expire, task))
             return
-        task.expire_seq = expire_seq
         heappush(self.heap, (upload_end, next(self.seq), self.on_upload_done, task))
 
     def on_upload_done(self, now: float, task: Task) -> None:
@@ -826,7 +820,7 @@ class _Episode:
         else:
             task.queued = True
             node.run_queue.append(task)
-            heappush(self.heap, (task.bound, task.expire_seq, self.on_queue_expire, task))
+            heappush(self.heap, (task.bound, next(self.seq), self.on_queue_expire, task))
 
     def start(self, task: Task, begin: float) -> None:
         """Run a placed task from `begin`; the caller has checked that it
@@ -900,7 +894,8 @@ class _Episode:
     def on_queue_expire(self, now: float, task: Task) -> None:
         if not task.queued:
             # done, or left the queue to complete exactly at the bound (the
-            # expiry's lower sequence number dispatches it first)
+            # expiry, pushed when the task queued, has the lower sequence
+            # number and dispatches first)
             return
         self.nodes[task.exec_node].release_resident(task.mem_alloc, task.disk_alloc)
         self.drop(task, now)

@@ -464,26 +464,22 @@ def test_expiry_pushed_only_where_it_acts(monkeypatch, name):
     assert set(pushed("on_upload_done")).isdisjoint(late)
 
 
-def test_queued_expiry_keeps_the_sequence_drawn_at_placement(monkeypatch):
+def test_every_heap_entry_is_numbered_when_it_is_pushed(monkeypatch):
     pushes, _tasks, queued = spy_on_pushes(monkeypatch)
     run_loaded("fcfs")
-    expire = {task_id: (i, seq) for i, (_t, seq, name, task_id) in enumerate(pushes)
-              if name == "on_queue_expire"}
-    upload = {task_id: (i, seq) for i, (_t, seq, name, task_id) in enumerate(pushes)
-              if name == "on_upload_done"}
     assert queued
-    for task_id in queued:
-        # pushed after the upload-done entry, numbered before it
-        assert expire[task_id][0] > upload[task_id][0]
-        assert expire[task_id][1] < upload[task_id][1]
+    # queue expiries included: each takes the next number as it is pushed
+    seqs = [seq for _t, seq, _name, _task_id in pushes]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
 
 
-def test_queued_task_started_to_end_at_its_bound_is_serviced_once(quiet_cfg):
+def test_queued_task_started_to_end_at_its_bound_is_serviced_once(monkeypatch, quiet_cfg):
     # Two fog tasks on node 0 finish uploading at 0.5 s, each asking for half
     # of the 0.8 grantable share. The first runs to 1.5 s; the second queues,
     # and drain starts it then, to complete at 3.5 s, exactly its bound. Its
-    # queue expiry, numbered at placement, pops first at 3.5 s and must leave
+    # queue expiry, pushed when it queued, pops first at 3.5 s and must leave
     # it alone.
+    pushes, _tasks, _queued = spy_on_pushes(monkeypatch)
     episode = _Episode(quiet_cfg, build_scheduler(quiet_cfg, "fcfs"), 1,
                        False, False, [], 0)
     veh = VehicleState(vehicle())
@@ -491,15 +487,16 @@ def test_queued_task_started_to_end_at_its_bound_is_serviced_once(quiet_cfg):
         Task(task_id=i, vehicle=veh, size_bits=4.0e7, demand_mips=100.0, deadline=bound,
              arrival=0.0, bound=bound, cycles=2.0e10, mem_frac=0.005, disk_frac=0.001,
              bw_frac=0.0, tier=int(Tier.FOG), exec_node=0, decision_node=0, cpu_share=0.5,
-             eff_cpu=0.5, proc_planned=proc, expire_seq=next(episode.seq))
+             eff_cpu=0.5, proc_planned=proc)
         for i, (bound, proc) in enumerate([(10.0, 1.0), (3.5, 2.0)])
     ]
     episode.task_counter = len(tasks)
     for task in tasks:
         episode.on_upload_done(0.5, task)
-    assert [(t, seq) for t, seq, *_ in episode.heap if t == 3.5] == [(3.5, tasks[1].expire_seq)]
 
     led = episode.run().ledger
+    at_bound = sorted((seq, name) for t, seq, name, task_id in pushes if t == 3.5 and task_id == 1)
+    assert [name for _seq, name in at_bound] == ["on_queue_expire", "on_execution_done"]
     assert [(r.task_id, r.serviced, r.completion) for r in led.records] == [
         (0, True, 1.5),
         (1, True, 3.5),
