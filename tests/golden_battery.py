@@ -18,7 +18,9 @@ regenerate the manifest from the root of a checkout with
 
     PYTHONPATH=src python tests/golden_battery.py
 
-and say in CHANGES.md which files moved and why.
+which prints one line per file that differs from, is missing from or is
+extra to the old manifest before it writes the new one, and say in
+CHANGES.md which files moved and why.
 """
 
 from __future__ import annotations
@@ -114,9 +116,17 @@ def compare(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     return problems
 
 
-if __name__ == "__main__":
+def regenerate() -> None:
+    """Rerun the battery, print what moved against the old manifest, and
+    write the new one."""
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_battery(Path(tmp))
+    for line in compare(read_manifest() if MANIFEST.exists() else {}, digests):
+        print(line)
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text("".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items())))
     print(f"wrote {len(digests)} digests to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    regenerate()
