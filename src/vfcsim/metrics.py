@@ -9,6 +9,7 @@ criterion series) resolve to defined values.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -134,34 +135,17 @@ def cumulative_reward(episodes: list[EpisodeAggregate]) -> float:
     return cr
 
 
-def aap(ledger: TaskLedger, episodes: list[EpisodeAggregate], num_edges: int) -> float:
-    """Mean accumulated reward per edge node.
-
-    Episode i's records are the next episodes[i].tasks of the ledger. Each
-    episode sums its rewards by (decision node, int(completion)); those
-    subtotals add into one map, episode by episode, and the map's values,
-    summed in first-seen key order, are the total. The grouping sets the
-    rounding: a plain sum of the rewards can differ in the last bits.
-    """
+def _edge_mean(rewards: list[float], num_edges: int) -> float:
     if num_edges < 1:
         raise ValidationError(f"num_edges={num_edges!r} must be >= 1")
-    records = ledger.records
-    counts = [e.tasks for e in episodes]
-    if sum(counts) != len(records):
-        raise ValidationError(
-            f"episodes hold {sum(counts)} tasks, the ledger {len(records)}"
-        )
-    merged: dict[tuple[int, int], float] = {}
-    start = 0
-    for count in counts:
-        subtotals: dict[tuple[int, int], float] = {}
-        for r in records[start:start + count]:
-            key = (r.decision_node, int(r.completion))
-            subtotals[key] = subtotals.get(key, 0.0) + r.reward
-        start += count
-        for key, subtotal in subtotals.items():
-            merged[key] = merged.get(key, 0.0) + subtotal
-    return sum(merged.values()) / num_edges
+    return math.fsum(rewards) / num_edges
+
+
+def aap(ledger: TaskLedger, num_edges: int) -> float:
+    """Mean accumulated reward per edge node: the exact sum (math.fsum) of
+    every record's reward over the number of fog nodes, so record order
+    does not change a bit of it."""
+    return _edge_mean([r.reward for r in ledger.records], num_edges)
 
 
 def build_report(
@@ -170,13 +154,15 @@ def build_report(
     num_edges: int,
 ) -> MetricsReport:
     """The run's report. One pass over the ledger, in record order, counts
-    serviced and local tasks and sums the serviced tasks' processing and
-    service times; APT and AST are 0 when none was serviced, ASR when
-    none was generated. AAP reads the ledger again by episode."""
+    serviced and local tasks, sums the serviced tasks' processing and
+    service times and collects every reward for AAP; APT and AST are 0
+    when none was serviced, ASR when none was generated."""
     local = Tier.LOCAL
     serviced = k_local = 0
     proc_sum = service_sum = 0.0
+    rewards = []
     for r in ledger.records:
+        rewards.append(r.reward)
         if r.serviced:
             serviced += 1
             k_local += r.tier == local
@@ -188,7 +174,7 @@ def build_report(
         ast=service_sum / serviced if serviced else 0.0,
         asr=serviced / total if total else 0.0,
         cr=cumulative_reward(episodes),
-        aap=aap(ledger, episodes, num_edges),
+        aap=_edge_mean(rewards, num_edges),
         k_total=total,
         k_serviced=serviced,
         k_local=k_local,

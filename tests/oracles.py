@@ -215,7 +215,8 @@ def replay_metrics(events: list[dict], num_edges: int) -> dict:
     """Recompute APT, AST, ASR, CR, and AAP from a raw event stream.
 
     Mirrors the accumulation order of the live pipeline (task completion
-    order within each episode) so the comparison can demand bit equality.
+    order within each episode) so the comparison can demand bit equality;
+    AAP is an exact sum (math.fsum), which no order changes.
     """
     finished = [e for e in events if e["kind"] in ("ExecutionDone", "TaskDropped")]
 
@@ -223,7 +224,7 @@ def replay_metrics(events: list[dict], num_edges: int) -> dict:
     turn_sum = 0.0
     serviced = 0
     total = 0
-    edge_per_ep: dict[int, dict[tuple[int, int], float]] = {}
+    rewards: list[float] = []
     per_episode: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
     for e in finished:
@@ -234,9 +235,7 @@ def replay_metrics(events: list[dict], num_edges: int) -> dict:
             proc_sum += d["proc"]
             turn_sum += d["proc"] + d["upload"]
         ep = d["episode"]
-        edge = edge_per_ep.setdefault(ep, {})
-        key = (d["decision_node"], int(e["time"]))
-        edge[key] = edge.get(key, 0.0) + d["reward"]
+        rewards.append(d["reward"])
         sums = per_episode.setdefault(ep, [0.0, 0.0, 0.0, 0.0])
         comps = d["components"]
         sums[0] += comps[0]
@@ -265,12 +264,7 @@ def replay_metrics(events: list[dict], num_edges: int) -> dict:
     else:
         cr_v = 0.0
 
-    # Episode logs merge by adding per-key subtotals, episode by episode.
-    merged: dict[tuple[int, int], float] = {}
-    for ep in sorted(edge_per_ep):
-        for key, r in edge_per_ep[ep].items():
-            merged[key] = merged.get(key, 0.0) + r
-    aap_v = sum(merged.values()) / num_edges
+    aap_v = math.fsum(rewards) / num_edges
     return {"apt": apt_v, "ast": ast_v, "asr": asr_v, "cr": cr_v, "aap": aap_v, "tasks": total}
 
 

@@ -864,10 +864,10 @@ def test_evaluation_merges_episodes(tiny_cfg):
 
 
 # SHA-256 of repr((apt, ast, asr, cr, aap, k_total, k_serviced, k_local,
-# k_dropped)) of fcfs on NO.4, seed 11, over three episodes, recorded when
-# the report read the ledger once per metric: AAP's per-episode grouping and
-# the record-order sums show in the last bits
-PINNED_REPORT = "6d17e874997cdc71277381682b974d1d4125da9d42c01cd373abbaba58ac14bf"
+# k_dropped)) of fcfs on NO.4, seed 11, over three episodes: the
+# record-order sums of APT and AST show in the last bits, and AAP is an
+# exact sum
+PINNED_REPORT = "5b7cfe00f4f7183f4bb9008a20f20a2fac3dd3cee3a5a527e5f990a116d8a5e0"
 
 
 def test_three_episode_report_pinned():

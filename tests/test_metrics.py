@@ -102,13 +102,16 @@ def test_asr_empty_is_zero():
 def test_metrics_permutation_invariant():
     rng = random.Random(13)
     records = [record(i, proc=rng.uniform(1, 5), upload=rng.uniform(0, 2),
-                      serviced=rng.random() < 0.8) for i in range(200)]
+                      serviced=rng.random() < 0.8, reward=rng.uniform(-1, 1),
+                      decision_node=rng.randrange(9), completion=rng.uniform(0, 300))
+               for i in range(200)]
     shuffled = records[:]
     rng.shuffle(shuffled)
     report, report2 = report_of(*records), report_of(*shuffled)
     assert report.apt == pytest.approx(report2.apt, rel=1e-12)
     assert report.ast == pytest.approx(report2.ast, rel=1e-12)
     assert report.asr == report2.asr
+    assert report.aap == report2.aap
 
 
 # -- cumulative reward ----------------------------------------------------------
@@ -165,65 +168,36 @@ def test_episode_aggregate_empty():
 
 # -- edge rewards -------------------------------------------------------------------
 
-def one_episode(*records):
-    """A ledger of one episode and that episode's aggregate."""
-    led = ledger_of(*records)
-    return led, [episode_aggregate(led)]
-
-
 def test_aap_worked_example():
-    led, episodes = one_episode(record(0, reward=1.0, completion=0.5),
-                                record(1, reward=2.0, completion=1.5),
-                                record(2, reward=3.0, completion=2.5))
-    assert aap(led, episodes, 1) == 6.0
+    led = ledger_of(record(0, reward=1.0, completion=0.5),
+                    record(1, reward=2.0, completion=1.5),
+                    record(2, reward=3.0, completion=2.5))
+    assert aap(led, 1) == 6.0
 
 
 def test_aap_mean_over_edges():
-    led, episodes = one_episode(record(0, reward=1.0, decision_node=0),
-                                record(1, reward=1.0, decision_node=1))
-    assert aap(led, episodes, 2) == 1.0
+    led = ledger_of(record(0, reward=1.0, decision_node=0),
+                    record(1, reward=1.0, decision_node=1))
+    assert aap(led, 2) == 1.0
 
 
-def test_aap_same_node_and_second_accumulates_first():
-    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit: the
-    # first two share (node 0, second 5), so their subtotal is formed first
+def test_aap_sums_exactly():
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit; the
+    # exact sum rounds once, whatever the order
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
-    led, episodes = one_episode(record(0, reward=0.1, completion=5.2),
-                                record(1, reward=0.2, completion=5.9),
-                                record(2, reward=0.3, completion=6.0))
-    assert aap(led, episodes, 1) == (0.1 + 0.2) + 0.3
-    led, episodes = one_episode(record(0, reward=0.1, completion=4.9),
-                                record(1, reward=0.2, completion=5.2),
-                                record(2, reward=0.3, completion=5.9))
-    assert aap(led, episodes, 1) == 0.1 + (0.2 + 0.3)
-
-
-def test_aap_groups_by_episode():
-    # the same key in two episodes: each episode's subtotal is formed
-    # before the subtotals add, so 0.1 + (0.2 + 0.3), not (0.1 + 0.2) + 0.3
-    led = ledger_of(record(0, reward=0.1), record(1, reward=0.2), record(2, reward=0.3))
-    first = episode_aggregate(ledger_of(led.records[0]))
-    second = episode_aggregate(ledger_of(*led.records[1:]))
-    assert aap(led, [first, second], 1) == 0.1 + (0.2 + 0.3)
-    assert aap(led, [episode_aggregate(led)], 1) == (0.1 + 0.2) + 0.3
+    for rewards in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.1, 0.3]):
+        led = ledger_of(*[record(i, reward=r) for i, r in enumerate(rewards)])
+        assert aap(led, 1) == 0.6
 
 
 def test_aap_can_be_negative():
-    led, episodes = one_episode(record(0, reward=-0.3, serviced=False))
-    assert aap(led, episodes, 3) == pytest.approx(-0.1, abs=1e-12)
+    led = ledger_of(record(0, reward=-0.3, serviced=False))
+    assert aap(led, 3) == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_aap_requires_edges():
     with pytest.raises(ValidationError, match="num_edges"):
-        aap(TaskLedger(), [], 0)
-
-
-@pytest.mark.parametrize("tasks", [[1], [2, 2], []])
-def test_aap_rejects_episodes_not_covering_the_ledger(tasks):
-    led = ledger_of(record(0), record(1), record(2))
-    episodes = [aggregate(tasks=n, serviced=n) for n in tasks]
-    with pytest.raises(ValidationError, match="episodes hold"):
-        aap(led, episodes, 9)
+        aap(TaskLedger(), 0)
 
 
 # -- report assembly ------------------------------------------------------------------
@@ -258,8 +232,7 @@ class IterationCountingList(list):
 
 
 def test_build_report_iterates_the_ledger_once():
-    # the counts and means come from one pass; AAP slices the list by
-    # episode, which does not iterate it
+    # the counts, the means and AAP's rewards come from one pass
     led = ledger_of(record(0, local=True), record(1, upload=1.0), record(2, serviced=False))
     episodes = [episode_aggregate(led)]
     led.records = IterationCountingList(led.records)
