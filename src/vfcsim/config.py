@@ -149,6 +149,14 @@ class RunConfig:
         self.sim.validate()
         if self.scenario is not None:
             self.scenario.validate()
+            # dwell draws centre on the ADT and are redrawn until they reach
+            # the floor, so a floor above the ADT can keep sampling going
+            # forever
+            if self.sim.min_dwell_s > self.scenario.adt:
+                raise ValidationError(
+                    f"sim.min_dwell_s={self.sim.min_dwell_s!r} exceeds "
+                    f"scenario.adt={self.scenario.adt!r}"
+                )
 
 
 # key prefix -> (RunConfig attribute, dataclass whose fields are the keys)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 import re
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from vfcsim.config import (
     parse_config_text,
 )
 from vfcsim.errors import ConfigError, ValidationError
-from vfcsim.traffic import SCENARIOS, Scenario
+from vfcsim.traffic import SCENARIOS, Scenario, sample_vehicles
 
 
 def test_defaults_cover_reference_setup():
@@ -90,6 +91,26 @@ def test_custom_scenario_requires_core_fields():
     })
     assert cfg.scenario.name == "rush-hour"
     assert cfg.scenario.entry_rate == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("overrides", [
+    # a custom scenario's VDT defaults to 0, so every dwell draw is 0.5 s
+    {"scenario.name": "short", "scenario.adt": "0.5", "scenario.anv": "10",
+     "scenario.asv": "5"},
+    {"sim.min_dwell_s": "400"},
+], ids=["custom-adt-below-the-default-floor", "floor-above-no1-adt"])
+def test_dwell_floor_above_adt_rejected(overrides):
+    # dwell sampling would redraw without end
+    with pytest.raises(ConfigError, match=r"^sim\.min_dwell_s=\S+ exceeds scenario\.adt=\S+$"):
+        build_config(overrides)
+
+
+def test_dwell_floor_at_adt_accepted():
+    cfg = build_config({"scenario.name": "short", "scenario.adt": "2", "scenario.anv": "10",
+                        "scenario.asv": "5", "scenario.duration": "20", "sim.min_dwell_s": "2"})
+    vehicles = sample_vehicles(cfg.scenario, random.Random(1), cfg.sim.area_m, 2.0e9, 6.0e9,
+                               cfg.sim.min_dwell_s)
+    assert vehicles and {v.dwell for v in vehicles} == {2.0}
 
 
 def test_load_config_precedence(tmp_path):
