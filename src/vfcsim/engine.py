@@ -17,9 +17,9 @@ Events dispatch in (time, sequence) order from a single heap, each entry
 numbered by the episode's one push counter as it is pushed, and carrying
 the bound method that handles it. A decision tick's new tasks travel as
 one entry, pushed by the tick's snapshot, whose handler decides them one
-by one in creation order. Nothing can come between them: everything due at the
-tick that was pushed before the snapshot ran dispatches first (lower
-sequence), and everything the decisions push is later in time or
+by one in creation order. Nothing can come between them: everything due
+at the tick that was pushed before the snapshot ran dispatches first
+(lower sequence), and everything the decisions push is later in time or
 sequence. Randomness flows through one seeded generator per episode,
 which makes runs bit-reproducible for a given configuration, scheduler
 and seed.
