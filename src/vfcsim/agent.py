@@ -250,11 +250,6 @@ def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
     return tables
 
 
-def init_q_values(num_states: int, num_actions: int) -> QTable:
-    """Fresh all-zero table (a state reads as zeros until its row is written)."""
-    return QTable(num_states, num_actions)
-
-
 def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> Action:
     """Epsilon-greedy action selection."""
     if not (0.0 <= epsilon <= 1.0):

@@ -12,8 +12,6 @@ instance of each section.
 
 scenario.name selects a built-in traffic scenario; individual scenario.*
 statistics may then be overridden (or a fully custom scenario described).
-state.rate_scale = 0 means "auto": it resolves to the scenario's entry
-rate ANV/ADT.
 """
 
 from __future__ import annotations
@@ -265,8 +263,8 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
         base = dataclasses.replace(base, **scenario_fields)
     cfg.scenario = base
 
-    # Unset (or explicitly zero) rate scale tracks the scenario's entry rate.
-    if "state.rate_scale" not in overrides or cfg.state.rate_scale == 0.0:
+    # Unset rate scale tracks the scenario's entry rate.
+    if "state.rate_scale" not in overrides:
         cfg.state.rate_scale = base.entry_rate
 
     try:

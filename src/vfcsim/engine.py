@@ -43,7 +43,6 @@ from .agent import (
     Tier,
     check_tables,
     epsilon_at,
-    init_q_values,
     save_tables,
     update_q_value,
 )
@@ -997,7 +996,7 @@ def run_training(
     """
     cfg.validate()
     _check_master_seed(master_seed)
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     scheduler = build_scheduler(cfg, "qlearn", tables)
     curve: list[dict] = []
     for episode in range(cfg.agent.episodes):

@@ -135,19 +135,6 @@ def cumulative_reward(episodes: list[EpisodeAggregate]) -> float:
     return cr
 
 
-def _edge_mean(rewards: list[float], num_edges: int) -> float:
-    if num_edges < 1:
-        raise ValidationError(f"num_edges={num_edges!r} must be >= 1")
-    return math.fsum(rewards) / num_edges
-
-
-def aap(ledger: TaskLedger, num_edges: int) -> float:
-    """Mean accumulated reward per edge node: the exact sum (math.fsum) of
-    every record's reward over the number of fog nodes, so record order
-    does not change a bit of it."""
-    return _edge_mean([r.reward for r in ledger.records], num_edges)
-
-
 def build_report(
     ledger: TaskLedger,
     episodes: list[EpisodeAggregate],
@@ -155,8 +142,12 @@ def build_report(
 ) -> MetricsReport:
     """The run's report. One pass over the ledger, in record order, counts
     serviced and local tasks, sums the serviced tasks' processing and
-    service times and collects every reward for AAP; APT and AST are 0
-    when none was serviced, ASR when none was generated."""
+    service times and collects every reward. AAP, the mean accumulated
+    reward per edge node, is the exact sum (math.fsum) of those rewards
+    over num_edges, so record order does not change a bit of it. APT and
+    AST are 0 when none was serviced, ASR when none was generated."""
+    if num_edges < 1:
+        raise ValidationError(f"num_edges={num_edges!r} must be >= 1")
     local = Tier.LOCAL
     serviced = k_local = 0
     proc_sum = service_sum = 0.0
@@ -174,7 +165,7 @@ def build_report(
         ast=service_sum / serviced if serviced else 0.0,
         asr=serviced / total if total else 0.0,
         cr=cumulative_reward(episodes),
-        aap=_edge_mean(rewards, num_edges),
+        aap=math.fsum(rewards) / num_edges,
         k_total=total,
         k_serviced=serviced,
         k_local=k_local,

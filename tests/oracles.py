@@ -15,7 +15,6 @@ from vfcsim.agent import (
     Action,
     HyperParams,
     QTable,
-    init_q_values,
     select_action,
     update_q_value,
 )
@@ -185,7 +184,7 @@ def q_learning_on_mdp(
     decay keeps enough step mass for geometric convergence.
     """
     params = HyperParams(gamma=mdp.gamma, episodes=episodes)
-    q = init_q_values(mdp.n, 2)
+    q = QTable(mdp.n, 2)
     rng = random.Random(seed)
     visits: dict[tuple[int, int], int] = {}
     for episode in range(episodes):

@@ -27,7 +27,6 @@ from vfcsim.agent import (
     QTable,
     Tier,
     epsilon_at,
-    init_q_values,
     select_action,
     update_q_value,
 )
@@ -49,7 +48,7 @@ def test_action_grid():
 
 
 def test_fresh_table_reads_zero():
-    q = init_q_values(100, 9)
+    q = QTable(100, 9)
     assert len(q) == 0
     assert q.get(42, 3) == 0.0
     assert qtable_max_value(q, 42) == 0.0
@@ -62,7 +61,7 @@ def test_fresh_table_reads_zero():
 
 
 def test_table_rejects_bad_coordinates():
-    q = init_q_values(10, 9)
+    q = QTable(10, 9)
     with pytest.raises(ValidationError):
         q.set(10, 0, 1.0)
     with pytest.raises(ValidationError):
@@ -72,7 +71,7 @@ def test_table_rejects_bad_coordinates():
 
 
 def test_greedy_pick_is_argmax():
-    q = init_q_values(10, 9)
+    q = QTable(10, 9)
     q.set(2, 7, 0.5)
     q.set(2, 3, 0.4)
     rng = random.Random(0)
@@ -80,7 +79,7 @@ def test_greedy_pick_is_argmax():
 
 
 def test_greedy_tie_breaks_to_lowest_ordinal():
-    q = init_q_values(10, 9)
+    q = QTable(10, 9)
     q.set(1, 4, 0.5)
     q.set(1, 6, 0.5)
     assert q.argmax_action(1) == 4
@@ -89,7 +88,7 @@ def test_greedy_tie_breaks_to_lowest_ordinal():
 
 
 def test_greedy_draws_nothing_from_rng():
-    q = init_q_values(10, 9)
+    q = QTable(10, 9)
 
     class Boom(random.Random):
         def random(self):
@@ -99,7 +98,7 @@ def test_greedy_draws_nothing_from_rng():
 
 
 def test_uniform_exploration_chi_square():
-    q = init_q_values(4, 9)
+    q = QTable(4, 9)
     q.set(0, 2, 5.0)  # a dominant entry must not bias exploration
     rng = random.Random(2024)
     counts = [0] * 9
@@ -113,21 +112,21 @@ def test_uniform_exploration_chi_square():
 
 def test_update_worked_example():
     # zero table: new value = alpha * reward
-    q = init_q_values(5, 9)
+    q = QTable(5, 9)
     new = update_q_value(q, 0, 1, 2, 0.7, PARAMS)
     assert new == pytest.approx(0.07, abs=1e-12)
     assert q.get(0, 1) == new
 
 
 def test_update_uses_next_state_max():
-    q = init_q_values(5, 9)
+    q = QTable(5, 9)
     q.set(2, 8, 1.0)
     new = update_q_value(q, 0, 1, 2, 0.0, PARAMS)
     assert new == pytest.approx(0.1 * (0.9 * 1.0), abs=1e-12)
 
 
 def test_update_alpha_zero_is_identity():
-    q = init_q_values(5, 9)
+    q = QTable(5, 9)
     q.set(0, 1, 0.25)
     new = update_q_value(q, 0, 1, 2, 0.7, dataclasses.replace(PARAMS, alpha=0.0))
     assert new == 0.25
@@ -136,7 +135,7 @@ def test_update_alpha_zero_is_identity():
 
 def test_update_fixed_point():
     # entries already satisfying the Bellman identity do not move
-    q = init_q_values(5, 9)
+    q = QTable(5, 9)
     q.set(1, 0, 0.9)
     q.set(0, 3, 0.5 + 0.9 * 0.9)
     new = update_q_value(q, 0, 3, 1, 0.5, PARAMS)
@@ -144,14 +143,14 @@ def test_update_fixed_point():
 
 
 def test_update_rejects_nan_reward():
-    q = init_q_values(5, 9)
+    q = QTable(5, 9)
     with pytest.raises(ValidationError):
         update_q_value(q, 0, 0, 1, float("nan"), PARAMS)
 
 
 def test_q_values_bounded_by_reward_range():
     # with rewards in [-0.3, 0.7] every entry stays inside [r_min, r_max] / (1 - gamma)
-    q = init_q_values(6, 9)
+    q = QTable(6, 9)
     rng = random.Random(5)
     lo = -0.3 / (1.0 - PARAMS.gamma)
     hi = 0.7 / (1.0 - PARAMS.gamma)
@@ -193,7 +192,7 @@ def test_epsilon_rejects_out_of_range_episode():
 
 def test_greedy_policy_matches_dense_argmax():
     rng = random.Random(31)
-    q = init_q_values(100, 9)
+    q = QTable(100, 9)
     dense = np.zeros((100, 9))
     for _ in range(600):
         s = rng.randrange(100)
@@ -209,8 +208,8 @@ def test_greedy_policy_matches_dense_argmax():
 
 
 def test_argmax_invariant_under_row_shift():
-    q = init_q_values(4, 9)
-    shifted = init_q_values(4, 9)
+    q = QTable(4, 9)
+    shifted = QTable(4, 9)
     rng = random.Random(17)
     for a in range(9):
         v = rng.uniform(-1.0, 1.0)
@@ -232,7 +231,7 @@ def test_hyperparams_validation():
 
 
 def test_save_load_round_trip(tmp_path):
-    q = init_q_values(50, 9)
+    q = QTable(50, 9)
     rng = random.Random(3)
     for _ in range(40):
         q.set(rng.randrange(50), rng.randrange(9), rng.uniform(-1, 1))
@@ -262,7 +261,7 @@ WRITES = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8), Q_VALUES), max
 ])                                                  # state 5 never written
 @given(writes=WRITES)
 def test_row_table_matches_dict_reference(tmp_path_factory, writes):
-    q = init_q_values(6, 9)
+    q = QTable(6, 9)
     ref = DictQTable(6, 9)
     for s, a, v in writes:
         q.set(s, a, v)

@@ -44,8 +44,12 @@ def test_rate_scale_tracks_scenario_by_default():
     assert build_config({"scenario.name": "NO.4"}).state.rate_scale == pytest.approx(207.9 / 173.7)
     pinned = build_config({"state.rate_scale": "2.5"})
     assert pinned.state.rate_scale == 2.5
-    auto = build_config({"state.rate_scale": "0"})
-    assert auto.state.rate_scale == pytest.approx(474.6 / 198.3)
+
+
+def test_explicit_zero_rate_scale_rejected():
+    # leaving the key unset is the one way to track the scenario
+    with pytest.raises(ConfigError, match=r"^rate_scale must be positive, got 0\.0$"):
+        build_config({"state.rate_scale": "0"})
 
 
 def test_parse_skips_blank_and_comment_lines():

@@ -11,7 +11,7 @@ import struct
 import pytest
 
 from oracles import discretize, event_dict, snapshot_from_node, state_index
-from vfcsim.agent import NUM_ACTIONS, Tier, init_q_values, load_tables, save_tables
+from vfcsim.agent import NUM_ACTIONS, QTable, Tier, load_tables, save_tables
 from vfcsim.engine import (
     NodeState,
     Task,
@@ -187,7 +187,7 @@ def test_negative_master_seed_rejected(tiny_cfg):
 def test_local_execution_worked_example():
     # 5 MB at 500 cycles/bit on the vehicle's own 1 GHz core: 20 s
     cfg = pinned_cfg()
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(9)}
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(9)}
     sched = build_scheduler(cfg, "qlearn", tables)  # empty tables pick Local/Small
     result = run_episode(cfg, sched, 3, vehicles=[vehicle()])
     led = result.ledger
@@ -204,7 +204,7 @@ def test_local_execution_worked_example():
 def test_local_queue_serializes_on_vehicle_cpu():
     cfg = pinned_cfg(**{"scenario.duration": "2", "sim.task_deadline_s_min": "60",
                         "sim.task_deadline_s_max": "60"})
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(9)}
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(9)}
     sched = build_scheduler(cfg, "qlearn", tables)
     result = run_episode(cfg, sched, 3, vehicles=[vehicle()])
     led = result.ledger
@@ -312,7 +312,7 @@ def test_records_carry_the_decision_node_of_their_arrival():
     # relays through the node that decided it, under every policy
     cfg = build_config({"scenario.name": "NO.1", "scenario.duration": "60",
                         "link.v2i_range_m": "800"})
-    untrained = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
+    untrained = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     for name in ("fcfs", "rr", "wfq", "qlearn"):
         sched = build_scheduler(cfg, name, untrained if name == "qlearn" else None)
         if name == "qlearn":
@@ -439,7 +439,7 @@ def run_loaded(name, seed=7):
     cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
                         "sim.arrival_prob": "0.7", "sim.task_deadline_s_min": "1",
                         "sim.task_deadline_s_max": "4"})
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(cfg.sim.fog_nodes)}
     sched = build_scheduler(cfg, name, tables)
     sched.epsilon = 1.0
     return run_episode(cfg, sched, seed)
@@ -785,7 +785,7 @@ def test_training_writes_checkpoint(tiny_cfg, tmp_path):
 
 
 def test_table_round_trip_through_save_load(tmp_path):
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(2)}
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(2)}
     tables[0].set(5, 3, 0.25)
     save_tables(tables, tmp_path)
     back = load_tables(tmp_path, 2)
@@ -798,8 +798,8 @@ def test_table_round_trip_through_save_load(tmp_path):
     ((10, NUM_ACTIONS), f"num_states={NUM_STATES}"),   # would fail at the first decision
 ])
 def test_load_tables_rejects_other_dimensions(tmp_path, dims, expected):
-    tables = {i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(2)}
-    tables[1] = init_q_values(*dims)
+    tables = {i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(2)}
+    tables[1] = QTable(*dims)
     tables[1].set(5, 1, 0.25)
     save_tables(tables, tmp_path)
     with pytest.raises(ValidationError, match=expected) as info:
@@ -809,7 +809,7 @@ def test_load_tables_rejects_other_dimensions(tmp_path, dims, expected):
 
 def test_load_tables_rejects_a_table_of_another_node(tmp_path):
     # a 12-node checkpoint is not a 9-node one
-    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
+    save_tables({i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
     with pytest.raises(ValidationError, match="9-node grid") as info:
         load_tables(tmp_path, 9)
     assert str(info.value).startswith(f"{tmp_path / 'qtable_node10.tsv'}: ")
@@ -818,15 +818,15 @@ def test_load_tables_rejects_a_table_of_another_node(tmp_path):
 
 def test_save_tables_replaces_a_checkpoint_of_another_grid(tmp_path):
     # training a 12-node grid, then the 9-node one, into the same directory
-    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
-    save_tables({i: init_q_values(NUM_STATES, NUM_ACTIONS) for i in range(9)}, tmp_path)
+    save_tables({i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(12)}, tmp_path)
+    save_tables({i: QTable(NUM_STATES, NUM_ACTIONS) for i in range(9)}, tmp_path)
     files = sorted(p.name for p in tmp_path.glob("qtable_node*.tsv"))
     assert files == sorted(f"qtable_node{i}.tsv" for i in range(9))
     assert set(load_tables(tmp_path, 9)) == set(range(9))
 
 
 def tables_for(node_ids, dims=(NUM_STATES, NUM_ACTIONS)):
-    return {i: init_q_values(*dims) for i in node_ids}
+    return {i: QTable(*dims) for i in node_ids}
 
 
 @pytest.mark.parametrize("tables, named", [

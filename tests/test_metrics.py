@@ -10,7 +10,6 @@ from vfcsim.metrics import (
     EpisodeAggregate,
     TaskLedger,
     TaskRecord,
-    aap,
     build_report,
     cumulative_reward,
     episode_aggregate,
@@ -168,36 +167,40 @@ def test_episode_aggregate_empty():
 
 # -- edge rewards -------------------------------------------------------------------
 
-def test_aap_worked_example():
+def report_aap(led, num_edges):
+    return build_report(led, [episode_aggregate(led)], num_edges).aap
+
+
+def test_build_report_aap_worked_example():
     led = ledger_of(record(0, reward=1.0, completion=0.5),
                     record(1, reward=2.0, completion=1.5),
                     record(2, reward=3.0, completion=2.5))
-    assert aap(led, 1) == 6.0
+    assert report_aap(led, 1) == 6.0
 
 
-def test_aap_mean_over_edges():
+def test_build_report_aap_mean_over_edges():
     led = ledger_of(record(0, reward=1.0, decision_node=0),
                     record(1, reward=1.0, decision_node=1))
-    assert aap(led, 2) == 1.0
+    assert report_aap(led, 2) == 1.0
 
 
-def test_aap_sums_exactly():
+def test_build_report_aap_sums_exactly():
     # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit; the
     # exact sum rounds once, whatever the order
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
     for rewards in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.1, 0.3]):
         led = ledger_of(*[record(i, reward=r) for i, r in enumerate(rewards)])
-        assert aap(led, 1) == 0.6
+        assert report_aap(led, 1) == 0.6
 
 
-def test_aap_can_be_negative():
+def test_build_report_aap_can_be_negative():
     led = ledger_of(record(0, reward=-0.3, serviced=False))
-    assert aap(led, 3) == pytest.approx(-0.1, abs=1e-12)
+    assert report_aap(led, 3) == pytest.approx(-0.1, abs=1e-12)
 
 
-def test_aap_requires_edges():
+def test_build_report_requires_edges():
     with pytest.raises(ValidationError, match="num_edges"):
-        aap(TaskLedger(), 0)
+        build_report(TaskLedger(), [], 0)
 
 
 # -- report assembly ------------------------------------------------------------------

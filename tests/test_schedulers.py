@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vfcsim.agent import Tier, init_q_values
+from vfcsim.agent import QTable, Tier
 from vfcsim.config import SimParams
 from vfcsim.errors import ValidationError
 from vfcsim.schedulers import (
@@ -231,7 +231,7 @@ def test_wfq_weight_validation():
 # -- learned policy ------------------------------------------------------------------
 
 def make_qlearn(table_values=None, epsilon=0.0, num_states=16, node=0):
-    table = init_q_values(num_states, 9)
+    table = QTable(num_states, 9)
     for (s, a), v in (table_values or {}).items():
         table.set(s, a, v)
     sim = SimParams()
@@ -297,7 +297,7 @@ def test_qlearn_uses_the_table_of_the_context_decision_node():
     # each node's table prefers a different tier; the context's
     # decision_node alone picks the table, and the scheduler keeps no
     # decision node of its own
-    local, cloud = init_q_values(16, 9), init_q_values(16, 9)
+    local, cloud = QTable(16, 9), QTable(16, 9)
     local.set(0, 1, 1.0)  # Local/Medium
     cloud.set(0, 7, 1.0)  # Cloud/Medium
     sim = SimParams()
