@@ -263,11 +263,12 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
         base = dataclasses.replace(base, **scenario_fields)
     cfg.scenario = base
 
-    # Unset rate scale tracks the scenario's entry rate.
-    if "state.rate_scale" not in overrides:
-        cfg.state.rate_scale = base.entry_rate
-
     try:
+        # the rate scale is derived from the scenario, so check it first
+        base.validate()
+        # Unset rate scale tracks the scenario's entry rate.
+        if "state.rate_scale" not in overrides:
+            cfg.state.rate_scale = base.entry_rate
         cfg.validate()
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc

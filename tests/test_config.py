@@ -52,6 +52,14 @@ def test_explicit_zero_rate_scale_rejected():
         build_config({"state.rate_scale": "0"})
 
 
+@pytest.mark.parametrize("adt", ["0", "-5"])
+def test_scenario_checked_before_rate_scale_is_derived(adt):
+    # the entry rate ANV/ADT divided by zero, or gave a negative rate
+    # scale that was reported instead of the ADT
+    with pytest.raises(ConfigError, match=r"^scenario adt must be positive, got -?\d"):
+        build_config({"scenario.adt": adt})
+
+
 def test_parse_skips_blank_and_comment_lines():
     text = "\n# setup\nagent.episodes = 7\n\nsim.fog_nodes=4\n"
     overrides = parse_config_text(text, "run.cfg")
