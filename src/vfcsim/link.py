@@ -58,6 +58,29 @@ class LinkParams:
         v = self.noise_power_dbm
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise ValidationError(f"noise_power_dbm must be finite, got {v!r}")
+        try:
+            noise_mw = dbm_to_mw(v)
+        except OverflowError:
+            noise_mw = math.inf
+        if not 0.0 < noise_mw < math.inf:
+            raise ValidationError(f"noise_power_dbm={v!r} gives a noise power of {noise_mw!r} mW")
+        # The rate falls with distance, so a link that carries data at the
+        # 1 m reference and at the range edge carries it everywhere in range.
+        for d in (0.0, self.v2i_range_m):
+            try:
+                snr = snr_at_distance(self, d)
+            except OverflowError:
+                raise ValidationError(
+                    f"path_loss_exp={self.path_loss_exp!r} overflows the path loss "
+                    f"at v2i_range_m={self.v2i_range_m!r}"
+                ) from None
+            rate = shannon_rate(self.v2i_bandwidth_hz, snr) if math.isfinite(snr) else snr
+            if not 0.0 < rate < math.inf:
+                raise ValidationError(
+                    f"Shannon rate at {max(d, 1.0)!r} m is {rate!r} bps with "
+                    f"v2i_bandwidth_hz={self.v2i_bandwidth_hz!r}, tx_power_mw={self.tx_power_mw!r}, "
+                    f"noise_power_dbm={v!r}, path_loss_exp={self.path_loss_exp!r}"
+                )
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -348,6 +348,20 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "scenario.adt=0", "scenario.adt=-5",
+    "link.path_loss_exp=3000", "link.path_loss_exp=100",
+    "link.noise_power_dbm=-114000", "link.noise_power_dbm=3100",
+])
+def test_config_that_cannot_run_exits_2(tmp_path, capsys, setting):
+    # each once crashed with a traceback, in build_config or in the episode
+    out = tmp_path / "out"
+    assert run(["eval", *TINY, "--scheduler", "fcfs", "--set", setting], out) == 2
+    name = setting.partition("=")[0].partition(".")[2]
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_set_pair_exits_2(tmp_path, capsys):
     code = run(["eval", *TINY, "--scheduler", "fcfs", "--set", "agent.alpha"], tmp_path)
     assert code == 2

@@ -60,6 +60,23 @@ def test_scenario_checked_before_rate_scale_is_derived(adt):
         build_config({"scenario.adt": adt})
 
 
+@pytest.mark.parametrize("key, value, named", [
+    # d ** path_loss_exp overflowed inside the episode
+    ("link.path_loss_exp", "3000", "path_loss_exp=3000.0 overflows the path loss at v2i_range_m=500.0"),
+    # validated, but every upload then failed with a zero rate
+    ("link.path_loss_exp", "100", "Shannon rate at 500.0 m is 0.0 bps"),
+    # the noise power underflowed to 0 mW, so the SNR divided by zero
+    ("link.noise_power_dbm", "-114000", "noise_power_dbm=-114000.0 gives a noise power of 0.0 mW"),
+    # dbm_to_mw overflowed inside the episode
+    ("link.noise_power_dbm", "3100", "noise_power_dbm=3100.0 gives a noise power of inf mW"),
+], ids=["path_loss_exp-overflow", "path_loss_exp-zero-rate", "noise_power_dbm-underflow",
+        "noise_power_dbm-overflow"])
+def test_link_that_carries_no_data_rejected(key, value, named):
+    with pytest.raises(ConfigError, match=re.escape(named)) as exc:
+        build_config({key: value})
+    assert key.partition(".")[2] in str(exc.value)
+
+
 def test_parse_skips_blank_and_comment_lines():
     text = "\n# setup\nagent.episodes = 7\n\nsim.fog_nodes=4\n"
     overrides = parse_config_text(text, "run.cfg")
