@@ -726,6 +726,26 @@ def test_events_at_a_tick_precede_its_arrivals(tmp_path):
         assert sorted(v for _, v in arrivals) == sorted(active)
 
 
+@pytest.mark.parametrize("sets", [{}, {"link.v2i_range_m": "800"}], ids=["default-range", "800m"])
+def test_every_scheduler_is_evaluated_on_the_same_tasks(sets):
+    # a scheduler decides where a task runs, never which tasks arrive or
+    # when, so a comparison of schedulers scores them on one traffic
+    cfg = build_config({"scenario.name": "NO.1", "scenario.duration": "60",
+                        "agent.episodes": "1", **sets})
+    tables = run_training(cfg, 1).tables
+    for seed in (100, 101):
+        placed = {}
+        for name in ("fcfs", "rr", "wfq", "qlearn"):
+            records = run_evaluation(cfg, name, seed, tables if name == "qlearn" else None).ledger.records
+            placed[name] = sorted((r.task_id, r.arrival, r.tier, r.node_id) for r in records)
+        arrivals = {name: [p[:2] for p in rows] for name, rows in placed.items()}
+        assert arrivals["fcfs"], seed
+        for name in ("rr", "wfq", "qlearn"):
+            assert arrivals[name] == arrivals["fcfs"], (name, seed)
+        # the property is not vacuous: the greedy policy places differently
+        assert placed["qlearn"] != placed["fcfs"], seed
+
+
 def test_different_seeds_differ():
     _, a = run_short(seed=1)
     _, b = run_short(seed=2)
