@@ -112,17 +112,16 @@ class Task:
     decision_node: int = -1
     state_ordinal: int = -1
     action_ordinal: int = -1
+    # the grant, fixed when a fog or cloud task is placed: the CPU share and
+    # the fractions scaled by the bundle factor, each in [0, 1]
     cpu_share: float = 0.0
-    eff_cpu: float = 0.0
-    bundle: float = 1.0
-    proc_planned: float = 0.0
-    upload_planned: float = 0.0
-    wait: float = 0.0
-    # when the task could start: its upload-done, or its decision if local
-    ready: float = 0.0
     mem_alloc: float = 0.0
     disk_alloc: float = 0.0
     bw_alloc: float = 0.0
+    eff_cpu: float = 0.0
+    proc_planned: float = 0.0
+    upload_planned: float = 0.0
+    wait: float = 0.0
 
 
 class VehicleState:
@@ -539,9 +538,8 @@ class _Episode:
     def state_for(self, node: NodeState, task: Task, available: int) -> int:
         """State ordinal of the decision node `node` for `task`, encoded
         straight from the node and task fields (readings in
-        snapshot_ordinal's argument order; fractions clamped into [0, 1])."""
+        snapshot_ordinal's argument order; fractions in or clamped into [0, 1])."""
         sim = self.sim
-        cpu = node.cpu_commit
         mem = node.mem_commit
         disk = node.disk_commit
         bw = node.bw_commit
@@ -554,7 +552,7 @@ class _Episode:
             op_req = 0.0
         n = len(node.resp_window)
         return snapshot_ordinal(
-            0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu),
+            node.cpu_commit,
             0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),
             0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk),
             0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),
@@ -701,11 +699,10 @@ class _Episode:
                 rate = shannon_rate(bandwidth, snr_at_distance(link, math.sqrt(d2)))
                 up = upload_time(task.size_bits, rate)
                 remaining = slack - up
-                free = 1.0 - node.cpu_commit
                 views.append(
                     NodeView(
                         node.node_id,
-                        free if free > 0.0 else 0.0,  # free_share
+                        1.0 - node.cpu_commit,  # free_share
                         1.0 - node.baseline,  # max_share
                         # req_share
                         (task.cycles / remaining) / node.cpu_freq if remaining > 0.0 else math.inf,
@@ -738,7 +735,6 @@ class _Episode:
 
     def place(self, task: Task, placement: Placement, views: list[NodeView], now: float) -> None:
         task.tier = int(placement.tier)
-        task.bundle = placement.bundle_factor
         veh = task.vehicle
         link = self.link
         if placement.tier == _LOCAL:
@@ -749,7 +745,6 @@ class _Episode:
                 self.drop(task, now)
                 return
             veh.busy_until = completion
-            task.ready = now
             task.proc_planned = proc
             self.start(task, begin)
             return
@@ -764,13 +759,20 @@ class _Episode:
             )
         node = self.nodes[placement.node_id]
         task.exec_node = placement.node_id
-        bw = task.bw_frac * placement.bundle_factor
+        bundle = placement.bundle_factor
+        mem = task.mem_frac * bundle
+        disk = task.disk_frac * bundle
+        bw = task.bw_frac * bundle
+        task.mem_alloc = 0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem)
+        task.disk_alloc = 0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk)
         task.bw_alloc = 0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw)
         node.bw_commit += task.bw_alloc
         if placement.tier == _CLOUD:
             task.upload_planned = view.upload_s + upload_time(task.size_bits, link.wired_rate_bps)
             cpu = (task.cycles / (task.bound - task.arrival)) / self.sim.cloud_cpu_hz
             task.eff_cpu = 0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu)
+            cpu = task.eff_cpu * bundle
+            task.cpu_share = 0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu)
             task.proc_planned = processing_time(
                 task.size_bits, link.cycles_per_bit, self.sim.cloud_cpu_hz
             )
@@ -795,7 +797,6 @@ class _Episode:
     def on_upload_done(self, now: float, task: Task) -> None:
         node = self.nodes[task.exec_node]
         node.release_bw(task.bw_alloc)
-        task.ready = now
         if self.events is not None:
             self.events.append(("UploadDone", now, task.task_id, task.exec_node,
                                 self.episode_index, "cloud" if task.tier == _CLOUD else "fog"))
@@ -807,25 +808,28 @@ class _Episode:
             self.start(task, now)
             return
         # fog: data is resident until the task leaves the node
-        mem = task.mem_frac * task.bundle
-        disk = task.disk_frac * task.bundle
-        task.mem_alloc = 0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem)
-        task.disk_alloc = 0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk)
         node.mem_commit += task.mem_alloc
         node.disk_commit += task.disk_alloc
-        if task.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
-            node.commit_cpu(task.cpu_share)
-            self.start(task, now)
-        else:
+        if not self.try_start(node, task, now):
             task.queued = True
             node.run_queue.append(task)
             heappush(self.heap, (task.bound, next(self.seq), self.on_queue_expire, task))
 
+    def try_start(self, node: NodeState, task: Task, now: float) -> bool:
+        """Start the fog task `task` on `node` now if its share is free;
+        whether it started. The caller has checked its bound."""
+        if task.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
+            node.commit_cpu(task.cpu_share)
+            self.start(task, now)
+            return True
+        return False
+
     def start(self, task: Task, begin: float) -> None:
         """Run a placed task from `begin`; the caller has checked that it
-        completes by its bound and, on a fog node, committed its share."""
+        completes by its bound and, on a fog node, committed its share.
+        It became ready at its upload-done, or at its decision if local."""
         task.queued = False
-        task.wait = begin - task.ready
+        task.wait = begin - (task.arrival + task.upload_planned)
         heappush(self.heap, (begin + task.proc_planned, next(self.seq), self.on_execution_done,
                              task))
 
@@ -842,7 +846,6 @@ class _Episode:
             stats_node = self.nodes[task.decision_node]
 
         ncu, nmu, nnbu = stats_node.cpu_commit, stats_node.mem_commit, stats_node.bw_commit
-        ncu = 0.0 if ncu < 0.0 else (1.0 if ncu > 1.0 else ncu)
         nmu = 0.0 if nmu < 0.0 else (1.0 if nmu > 1.0 else nmu)
         nnbu = 0.0 if nnbu < 0.0 else (1.0 if nnbu > 1.0 else nnbu)
         if node is not None:
@@ -858,19 +861,8 @@ class _Episode:
         if tier == _LOCAL:
             wastage = 0.0
         else:
-            bundle = task.bundle
-            eff_cpu = task.eff_cpu
-            cpu = task.cpu_share if tier == _FOG else eff_cpu * bundle
-            mem = task.mem_frac * bundle
-            bw = task.bw_frac * bundle
-            wastage = resource_wastage(
-                0.0 if cpu < 0.0 else (1.0 if cpu > 1.0 else cpu),  # actual_cpu
-                0.0 if eff_cpu < 0.0 else (1.0 if eff_cpu > 1.0 else eff_cpu),  # efficient_cpu
-                0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),  # actual_mem
-                task.mem_frac,  # efficient_mem
-                0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),  # actual_bw
-                task.bw_frac,  # efficient_bw
-            )
+            wastage = resource_wastage(task.cpu_share, task.eff_cpu, task.mem_alloc,
+                                       task.mem_frac, task.bw_alloc, task.bw_frac)
         utilization = resource_utilization(ncu, nmu, nnbu, weights)
         response = response_time_reward(t_current, task.deadline)
         throughput = (task.size_bits / t_current) / self.link.wired_rate_bps if t_current > 0.0 else 1.0
@@ -911,12 +903,9 @@ class _Episode:
                 node.release_resident(head.mem_alloc, head.disk_alloc)
                 self.drop(head, now)
                 continue
-            if head.cpu_share <= (1.0 - node.cpu_commit) + 1e-12:
-                queue.popleft()
-                node.commit_cpu(head.cpu_share)
-                self.start(head, now)
-                continue
-            break
+            if not self.try_start(node, head, now):
+                break
+            queue.popleft()
 
     def drop(self, task: Task, now: float) -> None:
         """Resolve a task as dropped: wastage 1, other components 0."""

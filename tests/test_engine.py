@@ -487,7 +487,8 @@ def test_queued_task_started_to_end_at_its_bound_is_serviced_once(monkeypatch, q
         Task(task_id=i, vehicle=veh, size_bits=4.0e7, demand_mips=100.0, deadline=bound,
              arrival=0.0, bound=bound, cycles=2.0e10, mem_frac=0.005, disk_frac=0.001,
              bw_frac=0.0, tier=int(Tier.FOG), exec_node=0, decision_node=0, cpu_share=0.5,
-             eff_cpu=0.5, proc_planned=proc)
+             mem_alloc=0.005, disk_alloc=0.001, eff_cpu=0.5, proc_planned=proc,
+             upload_planned=0.5)
         for i, (bound, proc) in enumerate([(10.0, 1.0), (3.5, 2.0)])
     ]
     episode.task_counter = len(tasks)
