@@ -150,15 +150,17 @@ class QTable:
     @classmethod
     def load(cls, path: str | Path) -> "QTable":
         path = Path(path)
-        text = path.read_text()
+        lines = path.read_text().splitlines()
         table: QTable | None = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
             if line[0] == "#":
                 if table is not None:
                     raise ValidationError(f"{path}:{lineno}: repeated q-table header")
+                if line.split()[:4] != ["#", "vfcsim", "qtable", "v1"]:
+                    raise ValidationError(f"{path}:{lineno}: not a vfcsim qtable v1 header")
                 parts = dict(
                     token.split("=", 1) for token in line.lstrip("# ").split() if "=" in token
                 )
@@ -183,10 +185,18 @@ class QTable:
                 value = float(v)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: q value must be a number, got {v!r}") from None
+            written = table.masks.get(state, 0)
             try:
                 table.set(state, action, value)
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            if written >> action & 1:
+                # every earlier line parsed, so the first is found by its ordinals
+                first = next(n for n, earlier in enumerate(lines, start=1)
+                             if earlier.strip()[:1] not in ("", "#")
+                             and [*map(int, earlier.strip().split("\t")[:2])] == [state, action])
+                raise ValidationError(f"{path}:{lineno}: state {state}, action {action} "
+                                      f"already written on line {first}")
         if table is None:
             raise ValidationError(f"{path}: missing q-table header")
         return table

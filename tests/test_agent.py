@@ -298,6 +298,29 @@ def test_load_rejects_repeated_header(tmp_path):
     assert str(info.value).startswith(f"{path}:3: ")
 
 
+@pytest.mark.parametrize("repeat", ["5\t1\t0.25", "05\t1\t0.25"])
+def test_load_rejects_a_repeated_entry_naming_both_lines(tmp_path, repeat):
+    path = tmp_path / "bad.tsv"
+    path.write_text("# vfcsim qtable v1 num_states=10 num_actions=9\n"
+                    f"5\t1\t0.5\n\n6\t2\t0.1\n{repeat}\n")
+    with pytest.raises(ValidationError) as info:
+        QTable.load(path)
+    assert str(info.value) == f"{path}:5: state 5, action 1 already written on line 2"
+
+
+@pytest.mark.parametrize("header", [
+    "# vfcsim qtable v7 num_states=10 num_actions=9",
+    "# vfcsim qtable v10 num_states=10 num_actions=9",
+    "# whatever num_states=10 num_actions=9",
+])
+def test_load_rejects_a_header_of_another_format(tmp_path, header):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"{header}\n5\t1\t0.5\n")
+    with pytest.raises(ValidationError, match="not a vfcsim qtable v1 header") as info:
+        QTable.load(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+
+
 def test_load_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# vfcsim qtable v1 num_states=5 num_actions=9\n0\t0\n")
@@ -312,6 +335,7 @@ def test_load_rejects_malformed_row(tmp_path):
     ("x\t1\t0.5", "ordinals must be integers"),
     ("0\t1.5\t0.5", "ordinals must be integers"),
     ("0\t9\t0.5", "action ordinal 9 outside"),
+    ("0\t-1\t0.5", "action ordinal -1 outside"),
     ("5\t0\t0.5", "state ordinal 5 outside"),
     ("0\t0\tnan", "must be finite"),
     ("0\t0\t-inf", "must be finite"),

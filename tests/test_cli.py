@@ -116,6 +116,10 @@ def test_trained_checkpoint_feeds_eval(tmp_path):
      "qtable_node0.tsv: q-table is 354294 x 2"),
     ("# vfcsim qtable v1 num_states=10 num_actions=9\n",
      "qtable_node0.tsv: q-table is 10 x 9"),
+    ("# vfcsim qtable v1 num_states=354294 num_actions=9\n5\t1\t0.5\n5\t1\t0.25\n",
+     "qtable_node0.tsv:3: state 5, action 1 already written on line 2"),
+    ("# vfcsim qtable v7 num_states=354294 num_actions=9\n",
+     "qtable_node0.tsv:1: not a vfcsim qtable v1 header"),
 ])
 def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
     checkpoint = empty_checkpoint(tmp_path / "checkpoint")
@@ -124,6 +128,7 @@ def test_eval_rejects_bad_checkpoint_file(tmp_path, capsys, node0, named):
                tmp_path / "out")
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_rejects_checkpoint_of_a_larger_grid(tmp_path, capsys):
