@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .agent import Tier
 from .errors import ValidationError
@@ -174,19 +174,7 @@ def build_report(
 
 
 RUN_CSV_COLUMNS = (
-    "scheduler",
-    "scenario",
-    "seed",
-    "arrival_prob",
-    "apt",
-    "ast",
-    "asr",
-    "cr",
-    "aap",
-    "k_total",
-    "k_serviced",
-    "k_local",
-    "k_dropped",
+    "scheduler", "scenario", "seed", "arrival_prob", *(f.name for f in fields(MetricsReport))
 )
 
 
@@ -197,21 +185,9 @@ def run_csv_row(
     seed: int,
     arrival_prob: float,
 ) -> list[str]:
-    return [
-        scheduler,
-        scenario,
-        str(seed),
-        repr(float(arrival_prob)),
-        repr(report.apt),
-        repr(report.ast),
-        repr(report.asr),
-        repr(report.cr),
-        repr(report.aap),
-        str(report.k_total),
-        str(report.k_serviced),
-        str(report.k_local),
-        str(report.k_dropped),
-    ]
+    """One run's row of RUN_CSV_COLUMNS: the report's fields in order, each
+    as its repr (a float's shortest round-trip digits, an int's digits)."""
+    return [scheduler, scenario, str(seed), repr(float(arrival_prob)), *map(repr, astuple(report))]
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
