@@ -9,9 +9,10 @@ first scenario's scenario.* lines, so rerunning those also needs the same
 scheduler, seed), and output files are written in a fixed order so
 identical invocations produce identical bytes.
 
---arrival-prob and --episodes set config keys (sim.arrival_prob, and
-agent.episodes for train or sim.eval_episodes otherwise) over --set, so
-the echo holds them too.
+A run's config is resolved in one order, in _load; per key, lowest first:
+the --config file, --scenario, --set, --arrival-prob and --episodes
+(agent.episodes for train, sim.eval_episodes otherwise), then the key
+compare takes from --scenarios or sweep from --probs.
 
 Every command reads all its inputs (configs, checkpoint, trace) before it
 creates the output directory, so a configuration or usage error writes
@@ -130,17 +131,18 @@ def _out_dir(args, cfg) -> Path:
     return path
 
 
-def _load(args, scenario: str | None = None, arrival_prob: float | None = None):
-    """The config of a run: file, --scenario, --set, then the flags."""
-    overrides = _parse_sets(args.set)
-    if arrival_prob is None:
-        arrival_prob = getattr(args, "arrival_prob", None)
-    if arrival_prob is not None:
-        overrides["sim.arrival_prob"] = repr(arrival_prob)
+def _load(args, grid: dict[str, str] | None = None):
+    """The config of a run, in the module docstring's order; `grid` holds
+    the key a compare or sweep varies."""
+    overrides = {} if args.scenario is None else {"scenario.name": args.scenario}
+    overrides.update(_parse_sets(args.set))
+    if args.arrival_prob is not None:
+        overrides["sim.arrival_prob"] = repr(args.arrival_prob)
     if args.episodes is not None:
         key = "agent.episodes" if args.command == "train" else "sim.eval_episodes"
         overrides[key] = str(args.episodes)
-    return load_config(args.config, overrides, scenario or args.scenario)
+    overrides.update(grid or {})
+    return load_config(args.config, overrides)
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -197,7 +199,8 @@ def cmd_train(args) -> int:
 def _evaluate(runs, seeds, out=None, vehicles=None):
     """Evaluate each (config, scheduler, tables) of `runs` on every seed, in
     order; returns (rows, reports, failures). With `out`, each evaluation
-    writes its event log there."""
+    writes its event log there, and a log that cannot be written fails its
+    run."""
     rows = []
     reports = []
     failures = []
@@ -211,11 +214,17 @@ def _evaluate(runs, seeds, out=None, vehicles=None):
             except (ValidationError, RuntimeError) as exc:
                 failures.append((scheduler, cfg.scenario.name, seed, str(exc)))
                 continue
+            if out is not None:
+                path = out / f"events_{scheduler}_seed{seed}.ndjson"
+                try:
+                    write_event_log(result.events, path)
+                except OSError as exc:
+                    failures.append((scheduler, cfg.scenario.name, seed,
+                                     f"cannot write event log {path}: {exc}"))
+                    continue
             rows.append(run_csv_row(result.report, scheduler, cfg.scenario.name, seed,
                                     cfg.sim.arrival_prob))
             reports.append((seed, result.report))
-            if out is not None:
-                write_event_log(result.events, out / f"events_{scheduler}_seed{seed}.ndjson")
     return rows, reports, failures
 
 
@@ -279,7 +288,7 @@ def cmd_compare(args) -> int:
     schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
     scenarios = _parse_list(args.scenarios, "--scenarios")
     seeds = _parse_list(args.seed, "--seed", int, _check_seed)
-    cfgs = [_load(args, scenario) for scenario in scenarios]
+    cfgs = [_load(args, {"scenario.name": scenario}) for scenario in scenarios]
     runs = _grid(args, cfgs, schedulers)
     out = _out_dir(args, cfgs[0])
     all_rows, _reports, failures = _evaluate(runs, seeds)
@@ -299,7 +308,7 @@ def cmd_sweep(args) -> int:
     probs = _parse_probs(args.probs)
     seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     cfg = _load(args)
-    runs = _grid(args, [_load(args, arrival_prob=prob) for prob in probs], schedulers)
+    runs = _grid(args, [_load(args, {"sim.arrival_prob": repr(prob)}) for prob in probs], schedulers)
     out = _out_dir(args, cfg)
     all_rows, _reports, failures = _evaluate(runs, seeds)
     _write_csv(out / "sweep.csv", RUN_CSV_COLUMNS, all_rows)
@@ -378,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--probs", default="0.3,0.4,0.5,0.6,0.7")
     p_sweep.add_argument("--checkpoint", default=None)
     p_sweep.add_argument("--episodes", type=int, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    # sweep has no --arrival-prob flag: --probs sets sim.arrival_prob
+    p_sweep.set_defaults(func=cmd_sweep, arrival_prob=None)
 
     return parser
 

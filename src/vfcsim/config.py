@@ -137,7 +137,7 @@ class RunConfig:
     agent: HyperParams = field(default_factory=HyperParams)
     link: LinkParams = field(default_factory=LinkParams)
     sim: SimParams = field(default_factory=SimParams)
-    scenario: Scenario | None = None
+    scenario: Scenario = SCENARIOS["NO.1"]
 
     def validate(self) -> None:
         self.state.validate()
@@ -145,16 +145,15 @@ class RunConfig:
         self.agent.validate()
         self.link.validate()
         self.sim.validate()
-        if self.scenario is not None:
-            self.scenario.validate()
-            # dwell draws centre on the ADT and are redrawn until they reach
-            # the floor, so a floor above the ADT can keep sampling going
-            # forever
-            if self.sim.min_dwell_s > self.scenario.adt:
-                raise ValidationError(
-                    f"sim.min_dwell_s={self.sim.min_dwell_s!r} exceeds "
-                    f"scenario.adt={self.scenario.adt!r}"
-                )
+        self.scenario.validate()
+        # dwell draws centre on the ADT and are redrawn until they reach
+        # the floor, so a floor above the ADT can keep sampling going
+        # forever
+        if self.sim.min_dwell_s > self.scenario.adt:
+            raise ValidationError(
+                f"sim.min_dwell_s={self.sim.min_dwell_s!r} exceeds "
+                f"scenario.adt={self.scenario.adt!r}"
+            )
 
 
 # key prefix -> (RunConfig attribute, dataclass whose fields are the keys)
@@ -171,8 +170,6 @@ _SECTIONS = {
 # its Scenario default, and the other fields without one must be set.
 _CUSTOM_SCENARIO_DEFAULTS = {"vdt": 0.0, "vsv": 0.0}
 _SCENARIO_REQUIRED = {f.name for f in dataclasses.fields(Scenario) if f.default is dataclasses.MISSING}
-
-DEFAULT_SCENARIO = "NO.1"
 
 
 def _derive_tags() -> dict[str, str]:
@@ -195,8 +192,7 @@ def known_keys() -> list[str]:
 
 
 def _slot(cfg: RunConfig, key: str) -> tuple[object, str]:
-    """Where key's value is stored: (object, attribute). The object is
-    None when cfg has no scenario."""
+    """Where key's value is stored: (object, attribute)."""
     prefix, _, name = key.partition(".")
     return getattr(cfg, _SECTIONS[prefix][0]), name
 
@@ -244,12 +240,12 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}")
         value = _coerce(key, raw, _TAGS[key])
         holder, attr = _slot(cfg, key)
-        if holder is None:  # a scenario.* key: the Scenario is built below
+        if key.startswith("scenario."):  # the Scenario is built below
             scenario_fields[attr] = value
         else:
             setattr(holder, attr, value)
 
-    name = scenario_fields.get("name", DEFAULT_SCENARIO)
+    name = scenario_fields.get("name", cfg.scenario.name)
     base = SCENARIOS.get(name)
     if base is None:
         scenario_fields = {**_CUSTOM_SCENARIO_DEFAULTS, **scenario_fields}
@@ -275,29 +271,23 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def load_config(
-    path: str | Path | None,
-    extra_overrides: dict[str, str] | None = None,
-    scenario: str | None = None,
-) -> RunConfig:
-    """Read a config file (optional) and apply CLI-level overrides.
+def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Read a config file (optional) and apply `overrides` over it.
 
-    Precedence per key, lowest to highest: defaults, file, --scenario,
-    --set overrides.
+    Precedence per key, lowest to highest: defaults, file, overrides. The
+    command line orders its own sources (--scenario, --set, the flags and
+    the key a compare or sweep varies) into `overrides`.
     """
-    overrides: dict[str, str] = {}
+    merged: dict[str, str] = {}
     if path is not None:
         path = Path(path)
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        overrides.update(parse_config_text(text, str(path)))
-    if scenario is not None:
-        overrides["scenario.name"] = scenario
-    if extra_overrides:
-        overrides.update(extra_overrides)
-    return build_config(overrides)
+        merged.update(parse_config_text(text, str(path)))
+    merged.update(overrides or {})
+    return build_config(merged)
 
 
 def _format(value) -> str:
@@ -311,7 +301,5 @@ def dump_config(cfg: RunConfig) -> str:
     lines = []
     for key in _TAGS:
         holder, name = _slot(cfg, key)
-        if holder is None:
-            continue
         lines.append(f"{key} = {_format(getattr(holder, name))}")
     return "\n".join(lines) + "\n"

@@ -481,8 +481,6 @@ class _Episode:
         episode_index: int,
     ):
         cfg.validate()
-        if cfg.scenario is None:
-            raise ValidationError("run config has no scenario")
         self.cfg = cfg
         self.sim = cfg.sim
         self.link = cfg.link

@@ -17,8 +17,7 @@ def tiny_cfg():
     """Light traffic over a short horizon; runs in well under a second."""
     return load_config(
         None,
-        {"scenario.duration": "40", "sim.eval_episodes": "1"},
-        "NO.4",
+        {"scenario.name": "NO.4", "scenario.duration": "40", "sim.eval_episodes": "1"},
     )
 
 
@@ -27,6 +26,5 @@ def quiet_cfg():
     """A configuration whose traffic never generates tasks."""
     return load_config(
         None,
-        {"scenario.duration": "20", "sim.arrival_prob": "0.0"},
-        "NO.4",
+        {"scenario.name": "NO.4", "scenario.duration": "20", "sim.arrival_prob": "0.0"},
     )

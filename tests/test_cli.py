@@ -3,13 +3,16 @@
 import csv
 import json
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from vfcsim import cli
 from vfcsim.agent import load_tables
 from vfcsim.cli import main
-from vfcsim.config import load_config, parse_config_text
+from vfcsim.config import known_keys, load_config, parse_config_text
 from vfcsim.engine import run_evaluation
 from vfcsim.eventlog import write_event_log
 from vfcsim.traffic import load_trace_csv
@@ -194,8 +197,8 @@ def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
 
     # the same bytes as evaluating the trace directly: episode e runs on
     # derive_seed(3, e), and the trace's CPU draws come from the first seed
-    cfg = load_config(None, {"scenario.duration": "20", "sim.arrival_prob": "0.5",
-                             "sim.eval_episodes": "2"}, "NO.4")
+    cfg = load_config(None, {"scenario.name": "NO.4", "scenario.duration": "20",
+                             "sim.arrival_prob": "0.5", "sim.eval_episodes": "2"})
     vehicles = load_trace_csv(
         trace, random.Random(3), cfg.sim.vehicle_cpu_min_hz, cfg.sim.vehicle_cpu_max_hz
     )
@@ -204,6 +207,23 @@ def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
     assert log.read_bytes() == (tmp_path / "expected.ndjson").read_bytes()
     rows = read_csv(out / "metrics.csv")
     assert int(rows[1][9]) == expected.report.k_total > 0
+
+
+def test_eval_event_log_write_failure_fails_that_run_only(tmp_path, capsys):
+    out = tmp_path / "out"
+    blocked = out / "events_fcfs_seed1.ndjson"
+    blocked.mkdir(parents=True)  # a directory where seed 1's log goes
+    assert run(["eval", *TINY, "--scheduler", "fcfs", "--seed", "1,2"], out) == 1
+    failures = read_csv(out / "failures.csv")
+    assert failures[0] == ["scheduler", "scenario", "seed", "error"]
+    assert [r[:3] for r in failures[1:]] == [["fcfs", "NO.4", "1"]]
+    assert failures[1][3].startswith(f"cannot write event log {blocked}: ")
+    rows = read_csv(out / "metrics.csv")
+    assert [r[rows[0].index("seed")] for r in rows[1:]] == ["2"]
+    assert (out / "events_fcfs_seed2.ndjson").stat().st_size > 0
+    captured = capsys.readouterr()
+    assert f"run failed: fcfs NO.4 seed 1: cannot write event log {blocked}: " in captured.err
+    assert "seed 1:" not in captured.out and "eval fcfs NO.4 seed 2:" in captured.out
 
 
 # -- compare ------------------------------------------------------------------
@@ -487,3 +507,55 @@ def test_sweep_has_no_arrival_prob_flag(tmp_path):
         run(["sweep", *TINY, "--schedulers", "fcfs", "--probs", "0.3", "--arrival-prob", "0.9"],
             tmp_path)
     assert exc.value.code == 2
+
+
+# -- one config order ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, column, values", [
+    (["compare", "--scenarios", "NO.1,NO.2", "--set", "scenario.name=NO.4"],
+     "scenario", ["NO.1", "NO.2"]),
+    (["compare", "--scenarios", "NO.1"], "scenario", ["NO.1"]),
+    (["sweep", "--probs", "0.3", "--set", "sim.arrival_prob=0.9"], "arrival_prob", ["0.3"]),
+], ids=["compare-scenarios-over-set", "compare-scenarios-over-scenario", "sweep-probs-over-set"])
+def test_grid_key_wins_over_scenario_and_set(tmp_path, args, column, values):
+    # TINY passes --scenario NO.4; each grid row must come from a run on
+    # the scenario or probability it names, as a direct eval of it does
+    assert run([args[0], *TINY, "--schedulers", "fcfs", *args[1:], "--seed", "1,2"],
+               tmp_path / "grid") == 0
+    rows = read_csv(tmp_path / "grid" / ("runs.csv" if args[0] == "compare" else "sweep.csv"))
+    assert [r[rows[0].index(column)] for r in rows[1:]] == [v for v in values for _seed in (1, 2)]
+    direct = []
+    for value in values:
+        flag = "--scenario" if column == "scenario" else "--arrival-prob"
+        assert run(["eval", *TINY, "--scheduler", "fcfs", flag, value, "--seed", "1,2"],
+                   tmp_path / value) == 0
+        direct += read_csv(tmp_path / value / "metrics.csv")[1:]
+    assert rows[1:] == direct
+
+
+def test_set_wins_over_scenario(tmp_path, capsys):
+    args = ["train", *TINY, "--scenario", "NO.3", "--set", "scenario.name=NO.4", "--episodes", "1"]
+    assert run(args, tmp_path) == 0
+    echo = parse_config_text((tmp_path / "config_echo.cfg").read_text(), "echo")
+    assert echo["scenario.name"] == "NO.4"
+    assert "trained 1 episodes on NO.4" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # the documented commands, flags and --set keys cannot drift from the
+    # parser; test_config checks the README's config file example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.split()[:1] == ["vfcsim"]:
+                commands.append(shlex.split(line)[1:])
+    assert {words[0] for words in commands} == {"train", "eval", "compare", "sweep"}
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            args = parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: vfcsim {shlex.join(words)}")
+        assert set(cli._parse_sets(args.set)) <= set(known_keys()), words

@@ -11,13 +11,16 @@ import pytest
 
 from vfcsim import config
 from vfcsim.config import (
+    RunConfig,
     build_config,
     dump_config,
     known_keys,
     load_config,
     parse_config_text,
 )
+from vfcsim.engine import run_episode
 from vfcsim.errors import ConfigError, ValidationError
+from vfcsim.schedulers import FcfsScheduler
 from vfcsim.traffic import SCENARIOS, Scenario, sample_vehicles
 
 
@@ -146,20 +149,16 @@ def test_load_config_precedence(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("agent.episodes = 7\nscenario.name = NO.2\nsim.fog_nodes = 4\n")
     # file beats defaults
-    cfg = load_config(path, {}, None)
+    cfg = load_config(path)
     assert (cfg.agent.episodes, cfg.scenario.name, cfg.sim.fog_nodes) == (7, "NO.2", 4)
-    # --scenario beats the file
-    cfg = load_config(path, {}, "NO.3")
-    assert cfg.scenario.name == "NO.3"
-    # --set beats everything
-    cfg = load_config(path, {"agent.episodes": "9", "scenario.name": "NO.4"}, "NO.3")
-    assert cfg.agent.episodes == 9
-    assert cfg.scenario.name == "NO.4"
+    # overrides beat the file; the command line orders its sources into them
+    cfg = load_config(path, {"agent.episodes": "9", "scenario.name": "NO.4"})
+    assert (cfg.agent.episodes, cfg.scenario.name, cfg.sim.fog_nodes) == (9, "NO.4", 4)
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/nonexistent/path.cfg", {}, None)
+        load_config("/nonexistent/path.cfg")
 
 
 def test_load_config_unknown_override_key():
@@ -183,6 +182,15 @@ def test_dump_round_trip():
     assert rebuilt.weights.w1 == 0.25
     assert rebuilt.state.response_fast == 4.5
     assert rebuilt.scenario.name == "NO.3"
+
+
+def test_default_run_config_is_complete():
+    # RunConfig() carries the built-in NO.1, so it validates, echoes and runs
+    cfg = RunConfig()
+    cfg.validate()
+    assert cfg.scenario == SCENARIOS["NO.1"]
+    assert build_config(parse_config_text(dump_config(cfg), "dump")) == cfg
+    assert run_episode(cfg, FcfsScheduler(), 1).ledger.k_total > 0
 
 
 def test_dump_lists_every_known_key():
