@@ -1,17 +1,19 @@
-"""Tabular Q-learning agent: action space, per-state Q-table rows, update rule.
+"""Tabular Q-learning agent: action encoding, per-state Q-table rows, update rule.
 
-Actions pair an execution tier (vehicle-local, fog, cloud) with a resource
-bundle size scaling the allocation. The Q-table stores one row of action
-values per visited state; unwritten entries read as the 0.0 initialization,
-and argmax ties resolve to the lowest action ordinal so greedy behavior is
-deterministic. A checkpoint is one qtable_node{k}.tsv per fog node.
+An action pairs an execution tier (vehicle-local, fog, cloud) with a
+resource bundle scaling the allocation, and is one ordinal: action a is
+tier a // NUM_BUNDLES with bundle a % NUM_BUNDLES. The Q-table stores one
+row of action values per visited state; unwritten entries read as the
+0.0 initialization, and argmax ties resolve to the lowest action ordinal
+so greedy behavior is deterministic. A checkpoint is one
+qtable_node{k}.tsv per fog node.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -25,26 +27,8 @@ class Tier(IntEnum):
     CLOUD = 2
 
 
-class Bundle(IntEnum):
-    SMALL = 0
-    MEDIUM = 1
-    LARGE = 2
-
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    tier: Tier
-    bundle: Bundle
-    ordinal: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ordinal", int(self.tier) * 3 + int(self.bundle))
-
-
-ACTIONS: tuple[Action, ...] = tuple(
-    Action(tier, bundle) for tier in Tier for bundle in Bundle
-)
-NUM_ACTIONS = len(ACTIONS)
+NUM_BUNDLES = 3  # small, medium, large: SimParams.bundle_small .. bundle_large
+NUM_ACTIONS = len(Tier) * NUM_BUNDLES
 
 
 @dataclass
@@ -260,15 +244,18 @@ def load_tables(directory: str | Path, num_nodes: int) -> dict[int, QTable]:
     return tables
 
 
-def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> Action:
-    """Epsilon-greedy action selection."""
+def select_action(q: QTable, state: int, epsilon: float, rng: random.Random | None) -> int:
+    """Epsilon-greedy action ordinal; exploring (epsilon > 0) needs `rng`."""
     if not (0.0 <= epsilon <= 1.0):
         raise ValidationError(f"epsilon={epsilon!r} outside [0, 1]")
     if not (0 <= state < q.num_states):
         raise ValidationError(f"state ordinal {state!r} outside [0, {q.num_states})")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return ACTIONS[rng.randrange(q.num_actions)]
-    return ACTIONS[q.argmax_action(state)]
+    if epsilon > 0.0:
+        if rng is None:
+            raise ValidationError(f"epsilon={epsilon!r} needs a random generator")
+        if rng.random() < epsilon:
+            return rng.randrange(q.num_actions)
+    return q.argmax_action(state)
 
 
 def update_q_value(

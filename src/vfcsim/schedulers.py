@@ -19,10 +19,9 @@ which is in range whenever any node is.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .agent import Action, QTable, Tier, select_action
+from .agent import NUM_BUNDLES, QTable, Tier, select_action
 from .errors import ValidationError
 
 # tiers bound once, so the per-task paths read a global, not an enum member
@@ -187,40 +186,34 @@ class WfqScheduler(Scheduler):
 class QLearningScheduler(Scheduler):
     """Epsilon-greedy policy over per-node Q-tables.
 
-    The decision node's table picks a (tier, bundle) action; the fog tier
-    resolves to the least-loaded reachable node, the cloud tier relays
-    through the decision node itself, and the bundle factor scales the
-    granted resources above the bare requirement.
+    The decision node's table picks an action ordinal, decoded as a tier
+    and a bundle; the fog tier resolves to the least-loaded reachable
+    node, the cloud tier relays through the decision node itself, and the
+    bundle factor scales the granted resources above the bare
+    requirement. Greedy unless a driver sets epsilon; exploring needs the
+    generator the episode sets as rng.
     """
 
     uses_state = True
+    epsilon = 0.0
+    rng = None
 
-    def __init__(
-        self,
-        tables: dict[int, QTable],
-        rng: random.Random,
-        bundle_factors: tuple[float, float, float],
-        epsilon: float,
-    ):
+    def __init__(self, tables: dict[int, QTable], bundle_factors: tuple[float, float, float]):
         if not tables:
             raise ValidationError("qlearn scheduler needs at least one q-table")
         self.tables = tables
-        self.rng = rng
         self.bundle_factors = bundle_factors
-        self.epsilon = epsilon
         self.last_action_ordinal = -1  # the action of the latest select(), placed or not
 
     def select(self, ctx: DecisionContext) -> Placement | None:
         table = self.tables[ctx.decision_node]
         action = select_action(table, ctx.state_ordinal, self.epsilon, self.rng)
-        self.last_action_ordinal = action.ordinal
-        return self._resolve(ctx, action, self.bundle_factors[action.bundle])
-
-    def _resolve(self, ctx: DecisionContext, action: Action, factor: float) -> Placement | None:
-        if action.tier == _LOCAL:
+        self.last_action_ordinal = action
+        tier, bundle = divmod(action, NUM_BUNDLES)
+        if tier == _LOCAL:
             return Placement(_LOCAL, -1, 0.0, 1.0)
-        if action.tier == _CLOUD:
-            return _cloud_placement(ctx, factor)
+        if tier == _CLOUD:
+            return _cloud_placement(ctx, self.bundle_factors[bundle])
         # least-loaded viable node; iteration order makes ties go to the
         # lowest node ID
         best: NodeView | None = None
@@ -231,4 +224,4 @@ class QLearningScheduler(Scheduler):
                 best = nv
         if best is None:
             return None
-        return _fog_placement(best, factor)
+        return _fog_placement(best, self.bundle_factors[bundle])

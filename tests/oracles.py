@@ -10,11 +10,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from vfcsim.agent import (
-    ACTIONS,
-    NUM_ACTIONS,
-    Action,
     HyperParams,
     QTable,
+    Tier,
     select_action,
     update_q_value,
 )
@@ -31,10 +29,15 @@ from vfcsim.state_space import (
 )
 
 
-def action_from_ordinal(ordinal: int) -> Action:
-    if not (0 <= ordinal < NUM_ACTIONS):
-        raise ValidationError(f"action ordinal {ordinal!r} outside [0, {NUM_ACTIONS})")
-    return ACTIONS[ordinal]
+# (tier, bundle index) of every action ordinal, written out tier-major:
+# three bundles per tier, small to large
+ACTION_GRID = tuple((tier, bundle) for tier in Tier for bundle in (0, 1, 2))
+
+
+def action_from_ordinal(ordinal: int) -> tuple[Tier, int]:
+    if not (0 <= ordinal < len(ACTION_GRID)):
+        raise ValidationError(f"action ordinal {ordinal!r} outside [0, {len(ACTION_GRID)})")
+    return ACTION_GRID[ordinal]
 
 
 def qtable_row(q: QTable, state: int) -> list[float]:
@@ -47,14 +50,14 @@ def qtable_max_value(q: QTable, state: int) -> float:
     return max(qtable_row(q, state))
 
 
-def greedy_policy(q: QTable) -> dict[int, Action]:
-    """Greedy action for every state with at least one written entry.
+def greedy_policy(q: QTable) -> dict[int, int]:
+    """Greedy action ordinal for every state with at least one written entry.
 
     States absent from the map fall back to action ordinal 0, matching
     argmax over an all-zero row.
     """
     states = {s for (s, _a), _v in q.items()}
-    return {s: ACTIONS[q.argmax_action(s)] for s in sorted(states)}
+    return {s: q.argmax_action(s) for s in sorted(states)}
 
 
 class DictQTable:
@@ -190,7 +193,7 @@ def q_learning_on_mdp(
     for episode in range(episodes):
         state = episode % mdp.n  # exploring starts keep every state visited
         for _ in range(horizon):
-            a = select_action(q, state, epsilon, rng).ordinal
+            a = select_action(q, state, epsilon, rng)
             nxt, reward = mdp.step(state, a)
             n = visits.get((state, a), 0) + 1
             visits[(state, a)] = n

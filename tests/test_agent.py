@@ -20,9 +20,8 @@ from oracles import (
     value_iteration,
 )
 from vfcsim.agent import (
-    ACTIONS,
     NUM_ACTIONS,
-    Bundle,
+    NUM_BUNDLES,
     HyperParams,
     QTable,
     Tier,
@@ -35,16 +34,15 @@ from vfcsim.errors import ValidationError
 PARAMS = HyperParams()
 
 
-def test_action_grid():
-    assert NUM_ACTIONS == 9
-    assert ACTIONS[0].tier is Tier.LOCAL and ACTIONS[0].bundle is Bundle.SMALL
-    assert ACTIONS[5].tier is Tier.FOG and ACTIONS[5].bundle is Bundle.LARGE
-    assert ACTIONS[8].tier is Tier.CLOUD and ACTIONS[8].bundle is Bundle.LARGE
-    for i, action in enumerate(ACTIONS):
-        assert action.ordinal == i
-        assert action_from_ordinal(i) == action
+def test_action_encoding():
+    assert (NUM_BUNDLES, NUM_ACTIONS) == (3, 9)
+    assert action_from_ordinal(0) == (Tier.LOCAL, 0)
+    assert action_from_ordinal(5) == (Tier.FOG, 2)
+    assert action_from_ordinal(8) == (Tier.CLOUD, 2)
+    for a in range(NUM_ACTIONS):
+        assert action_from_ordinal(a) == divmod(a, NUM_BUNDLES)
     with pytest.raises(ValidationError):
-        action_from_ordinal(9)
+        action_from_ordinal(NUM_ACTIONS)
 
 
 def test_fresh_table_reads_zero():
@@ -75,7 +73,8 @@ def test_greedy_pick_is_argmax():
     q.set(2, 7, 0.5)
     q.set(2, 3, 0.4)
     rng = random.Random(0)
-    assert select_action(q, 2, 0.0, rng).ordinal == 7
+    action = select_action(q, 2, 0.0, rng)
+    assert type(action) is int and action == 7
 
 
 def test_greedy_tie_breaks_to_lowest_ordinal():
@@ -84,7 +83,7 @@ def test_greedy_tie_breaks_to_lowest_ordinal():
     q.set(1, 6, 0.5)
     assert q.argmax_action(1) == 4
     # an untouched row ties at zero everywhere
-    assert select_action(q, 0, 0.0, random.Random(0)).ordinal == 0
+    assert select_action(q, 0, 0.0, random.Random(0)) == 0
 
 
 def test_greedy_draws_nothing_from_rng():
@@ -94,7 +93,14 @@ def test_greedy_draws_nothing_from_rng():
         def random(self):
             raise AssertionError("greedy selection must not consume randomness")
 
-    assert select_action(q, 0, 0.0, Boom()).ordinal == 0
+    assert select_action(q, 0, 0.0, Boom()) == 0
+    assert select_action(q, 0, 0.0, None) == 0
+
+
+def test_exploring_needs_a_generator():
+    q = QTable(10, 9)
+    with pytest.raises(ValidationError, match="random generator"):
+        select_action(q, 0, 0.5, None)
 
 
 def test_uniform_exploration_chi_square():
@@ -104,7 +110,7 @@ def test_uniform_exploration_chi_square():
     counts = [0] * 9
     n = 10_000
     for _ in range(n):
-        counts[select_action(q, 0, 1.0, rng).ordinal] += 1
+        counts[select_action(q, 0, 1.0, rng)] += 1
     expected = n / 9.0
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < stats.chi2.ppf(0.99, df=8)
@@ -204,7 +210,7 @@ def test_greedy_policy_matches_dense_argmax():
     assert policy  # the fill above touches plenty of states
     for s, action in policy.items():
         # np.argmax returns the first maximum, the same tie-break rule
-        assert action.ordinal == int(np.argmax(dense[s]))
+        assert action == int(np.argmax(dense[s]))
 
 
 def test_argmax_invariant_under_row_shift():

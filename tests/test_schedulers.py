@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import action_from_ordinal
 from vfcsim.agent import QTable, Tier
 from vfcsim.config import SimParams
 from vfcsim.errors import ValidationError
@@ -230,13 +231,42 @@ def test_wfq_weight_validation():
 
 # -- learned policy ------------------------------------------------------------------
 
-def make_qlearn(table_values=None, epsilon=0.0, num_states=16, node=0):
+SIM = SimParams()
+BUNDLES = (SIM.bundle_small, SIM.bundle_medium, SIM.bundle_large)
+
+
+def make_qlearn(table_values=None, num_states=16, node=0):
     table = QTable(num_states, 9)
     for (s, a), v in (table_values or {}).items():
         table.set(s, a, v)
-    sim = SimParams()
-    bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
-    return QLearningScheduler({node: table}, random.Random(0), bundles, epsilon)
+    return QLearningScheduler({node: table}, BUNDLES)
+
+
+def test_qlearn_is_greedy_until_a_driver_sets_epsilon():
+    sched = make_qlearn()
+    assert (sched.epsilon, sched.rng) == (0.0, None)
+    sched.epsilon = 0.5  # exploring with no generator set by an episode
+    with pytest.raises(ValidationError, match="random generator"):
+        sched.select(make_ctx([view(0)]))
+
+
+@pytest.mark.parametrize("action", range(9))
+def test_qlearn_places_as_its_action_ordinal_encodes(action):
+    tier, bundle = action_from_ordinal(action)
+    sched = make_qlearn({(2, action): 1.0}, node=1)
+    ctx = make_ctx([view(0, free=0.3), view(1, free=0.6)], state=2, decision_node=1)
+    p = sched.select(ctx)
+    assert sched.last_action_ordinal == action
+    assert p.tier is tier
+    if tier is Tier.LOCAL:
+        assert (p.node_id, p.cpu_share, p.bundle_factor) == (-1, 0.0, 1.0)
+        return
+    assert p.bundle_factor == BUNDLES[bundle]
+    if tier is Tier.FOG:
+        assert p.node_id == 1  # the least-loaded node
+        assert p.cpu_share == pytest.approx(0.1 * BUNDLES[bundle])
+    else:
+        assert (p.node_id, p.cpu_share) == (1, 0.0)  # relayed by the decision node
 
 
 def test_qlearn_local_action():
@@ -300,9 +330,7 @@ def test_qlearn_uses_the_table_of_the_context_decision_node():
     local, cloud = QTable(16, 9), QTable(16, 9)
     local.set(0, 1, 1.0)  # Local/Medium
     cloud.set(0, 7, 1.0)  # Cloud/Medium
-    sim = SimParams()
-    bundles = (sim.bundle_small, sim.bundle_medium, sim.bundle_large)
-    sched = QLearningScheduler({0: local, 1: cloud}, random.Random(0), bundles, 0.0)
+    sched = QLearningScheduler({0: local, 1: cloud}, BUNDLES)
     assert not hasattr(sched, "decision_node")
     nodes = [view(0), view(1)]
     for decision_node, tier, ordinal in ((0, Tier.LOCAL, 1), (1, Tier.CLOUD, 7), (0, Tier.LOCAL, 1)):
@@ -313,7 +341,7 @@ def test_qlearn_uses_the_table_of_the_context_decision_node():
 
 def test_qlearn_needs_tables():
     with pytest.raises(ValidationError):
-        QLearningScheduler({}, random.Random(0), (1.0, 1.5, 2.0), 0.0)
+        QLearningScheduler({}, (1.0, 1.5, 2.0))
 
 
 # -- interface parity -------------------------------------------------------------------
