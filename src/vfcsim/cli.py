@@ -1,18 +1,17 @@
 """Command line front end: train, eval, compare, sweep.
 
 All commands echo the fully resolved configuration into the output
-directory so results can be reproduced from the artifacts alone, with two
-exceptions: the sweep echo holds the base config, not the swept
-sim.arrival_prob values, and a multi-scenario compare echoes only the
-first scenario's scenario.* lines, so rerunning those also needs the same
---probs or --scenarios. Runs are deterministic for a given (config,
-scheduler, seed), and output files are written in a fixed order so
-identical invocations produce identical bytes.
+directory so results can be reproduced from the artifacts alone; compare
+and sweep echo their first run's config, so rerunning the others also
+needs the same --scenarios or --probs. Runs are deterministic for a given
+(config, scheduler, seed), and output files are written in a fixed order
+so identical invocations produce identical bytes.
 
 A run's config is resolved in one order, in _load; per key, lowest first:
 the --config file, --scenario, --set, --arrival-prob and --episodes
 (agent.episodes for train, sim.eval_episodes otherwise), then the key
-compare takes from --scenarios or sweep from --probs.
+compare takes from --scenarios (else --scenario, else all four built-in
+scenarios) or sweep from --probs.
 
 Every command reads all its inputs (configs, checkpoint, trace) before it
 creates the output directory, so a configuration or usage error writes
@@ -286,7 +285,7 @@ def _report_failures(failures, out: Path) -> None:
 
 def cmd_compare(args) -> int:
     schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
-    scenarios = _parse_list(args.scenarios, "--scenarios")
+    scenarios = _parse_list(args.scenarios or args.scenario or "NO.1,NO.2,NO.3,NO.4", "--scenarios")
     seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     cfgs = [_load(args, {"scenario.name": scenario}) for scenario in scenarios]
     runs = _grid(args, cfgs, schedulers)
@@ -307,9 +306,9 @@ def cmd_sweep(args) -> int:
     schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
     probs = _parse_probs(args.probs)
     seeds = _parse_list(args.seed, "--seed", int, _check_seed)
-    cfg = _load(args)
-    runs = _grid(args, [_load(args, {"sim.arrival_prob": repr(prob)}) for prob in probs], schedulers)
-    out = _out_dir(args, cfg)
+    cfgs = [_load(args, {"sim.arrival_prob": repr(prob)}) for prob in probs]
+    runs = _grid(args, cfgs, schedulers)
+    out = _out_dir(args, cfgs[0])
     all_rows, _reports, failures = _evaluate(runs, seeds)
     _write_csv(out / "sweep.csv", RUN_CSV_COLUMNS, all_rows)
 
@@ -322,7 +321,7 @@ def cmd_sweep(args) -> int:
             if (scheduler, repr(prob)) not in groups:
                 continue
             n, stats = groups[scheduler, repr(prob)]
-            series_rows.append([scheduler, cfg.scenario.name, repr(prob), str(n)]
+            series_rows.append([scheduler, cfgs[0].scenario.name, repr(prob), str(n)]
                                + [repr(mean) for mean, _ in stats.values()])
             points.append((prob, stats["asr"][0]))
         if not points:
@@ -376,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run a scheduler x scenario x seed grid")
     common(p_cmp)
     p_cmp.add_argument("--schedulers", default="qlearn,fcfs,rr,wfq")
-    p_cmp.add_argument("--scenarios", default="NO.1,NO.2,NO.3,NO.4")
+    p_cmp.add_argument("--scenarios", default=None,
+                       help="comma-separated scenarios (default --scenario, else NO.1-NO.4)")
     p_cmp.add_argument("--checkpoint", default=None)
     p_cmp.add_argument("--episodes", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)

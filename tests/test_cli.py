@@ -249,6 +249,19 @@ def test_compare_grid_and_reported_rows(tmp_path):
     assert all(r[1] == "reported-average" for r in reported)
 
 
+@pytest.mark.parametrize("args, scenarios", [
+    (["--scenario", "NO.3"], ["NO.3"]),
+    (["--scenario", "NO.3", "--scenarios", "NO.1,NO.2"], ["NO.1", "NO.2"]),
+    ([], ["NO.1", "NO.2", "NO.3", "NO.4"]),
+], ids=["scenario", "scenarios-over-scenario", "default-all-four"])
+def test_compare_runs_the_scenarios_it_names(tmp_path, capsys, args, scenarios):
+    short = ["--set", "scenario.duration=20", "--schedulers", "fcfs", "--seed", "1"]
+    assert run(["compare", *short, *args], tmp_path) == 0
+    rows = read_csv(tmp_path / "runs.csv")[1:]
+    assert [(r[0], r[1], r[2]) for r in rows] == [("fcfs", s, "1") for s in scenarios]
+    assert f"{len(scenarios)} runs over {len(scenarios)} scenario(s)" in capsys.readouterr().out
+
+
 def test_compare_loads_the_checkpoint_once(tmp_path, monkeypatch):
     checkpoint = empty_checkpoint(tmp_path / "checkpoint")
     calls = []
@@ -279,6 +292,19 @@ def test_sweep_series_and_monotonicity(tmp_path):
     mono = read_csv(tmp_path / "monotonicity.csv")
     assert mono[0] == ["scheduler", "metric", "non_increasing", "violations"]
     assert mono[1][0] == "fcfs" and mono[1][2] in ("yes", "no")
+
+
+def test_sweep_echo_reproduces_its_first_run(tmp_path):
+    # the echo holds the first --probs value, not the --set one no run used
+    args = ["--schedulers", "fcfs", "--probs", "0.3,0.6", "--set", "sim.arrival_prob=0.9",
+            "--seed", "1"]
+    assert run(["sweep", *TINY, *args], tmp_path / "sweep") == 0
+    echo = tmp_path / "sweep" / "config_echo.cfg"
+    assert parse_config_text(echo.read_text(), "echo")["sim.arrival_prob"] == "0.3"
+    assert run(["eval", "--config", str(echo), "--scheduler", "fcfs", "--seed", "1"],
+               tmp_path / "eval") == 0
+    first = read_csv(tmp_path / "sweep" / "sweep.csv")[1]
+    assert read_csv(tmp_path / "eval" / "metrics.csv")[1:] == [first]
 
 
 @pytest.mark.parametrize("probs, named", [
