@@ -166,9 +166,7 @@ _SECTIONS = {
     "scenario": ("scenario", Scenario),
 }
 
-# What a custom scenario gets for the fields it leaves out; duration keeps
-# its Scenario default, and the other fields without one must be set.
-_CUSTOM_SCENARIO_DEFAULTS = {"vdt": 0.0, "vsv": 0.0}
+# the Scenario fields without a default, which a custom scenario must set
 _SCENARIO_REQUIRED = {f.name for f in dataclasses.fields(Scenario) if f.default is dataclasses.MISSING}
 
 
@@ -248,7 +246,6 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
     name = scenario_fields.get("name", cfg.scenario.name)
     base = SCENARIOS.get(name)
     if base is None:
-        scenario_fields = {**_CUSTOM_SCENARIO_DEFAULTS, **scenario_fields}
         if not _SCENARIO_REQUIRED.issubset(scenario_fields):
             raise ConfigError(
                 f"scenario {name!r} is not built in; custom scenarios need at "

@@ -66,8 +66,7 @@ _INF = math.inf
 # the success path: chained comparisons are False for NaN, `< _INF`
 # rejects +inf, and the class test sends ints and other numbers down the
 # slow path. Only when it fails do the field-by-field checks run, in the
-# order written, so the error names the first offending argument and the
-# slow path accepts exactly what it always did.
+# order written, so the error names the first offending argument.
 
 
 def _check_pair(name: str, actual: float, efficient: float) -> None:

@@ -165,7 +165,7 @@ def snapshot_ordinal(
     # False for NaN, and `< inf` rejects +inf. Only when it fails do the
     # field-by-field checks run, so that the error names the first
     # offending field; readings that are not floats (ints included) take
-    # them too, and they accept exactly what they always did.
+    # them too.
     if not (
         cpu_usage.__class__ is mem_usage.__class__ is disk_usage.__class__
         is net_bw_usage.__class__ is request_rate.__class__

@@ -32,10 +32,10 @@ class Scenario:
 
     name: str
     adt: float
-    vdt: float
     anv: float
     asv: float
-    vsv: float
+    vdt: float = 0.0
+    vsv: float = 0.0
     duration: float = 300.0
 
     def validate(self) -> None:

@@ -8,6 +8,7 @@ purpose: the tests do not import bench/.
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -327,3 +328,22 @@ def test_engine_keeps_only_the_looked_up_reexports():
     assert engine.write_event_log is vfcsim.eventlog.write_event_log
     for name in ("_format_event", "_JSON_BOOL", "_check_table_shape"):
         assert not hasattr(engine, name), name
+
+
+def test_package_imports_only_the_standard_library():
+    # vfcsim has no runtime dependencies: every absolute import in the
+    # package names a standard-library module (relative imports stay inside)
+    sources = sorted(Path(vfcsim.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
