@@ -461,9 +461,9 @@ def build_scheduler(
                 "qlearn evaluation needs a trained checkpoint (q-tables missing)"
             )
         check_tables(tables, cfg.sim.fog_nodes)
+        bundles = (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large)
         # greedy; run_training sets each training episode's epsilon
-        return QLearningScheduler(
-            tables, (cfg.sim.bundle_small, cfg.sim.bundle_medium, cfg.sim.bundle_large))
+        return QLearningScheduler(tables, bundles)
     raise ValidationError(f"unknown scheduler {name!r}")
 
 
