@@ -34,7 +34,7 @@ from vfcsim.errors import ValidationError
 PARAMS = HyperParams()
 
 
-def test_action_encoding():
+def test_action_grid():
     assert (NUM_BUNDLES, NUM_ACTIONS) == (3, 9)
     assert action_from_ordinal(0) == (Tier.LOCAL, 0)
     assert action_from_ordinal(5) == (Tier.FOG, 2)
