@@ -3,15 +3,15 @@
 All commands echo the fully resolved configuration into the output
 directory so results can be reproduced from the artifacts alone; compare
 and sweep echo their first run's config, so rerunning the others also
-needs the same --scenarios or --probs. Runs are deterministic for a given
+needs the same --scenario list or --probs. Runs are deterministic for a given
 (config, scheduler, seed), and output files are written in a fixed order
 so identical invocations produce identical bytes.
 
 A run's config is resolved in one order, in _load; per key, lowest first:
-the --config file, --scenario, --set, --arrival-prob and --episodes
-(agent.episodes for train, sim.eval_episodes otherwise), then the key
-compare takes from --scenarios (else --scenario, else all four built-in
-scenarios) or sweep from --probs.
+the defaults, the --config file, --scenario, --set, then the key a grid
+varies: compare sets scenario.name from each entry of its --scenario list
+(else all four built-in scenarios), sweep sets sim.arrival_prob from each
+--probs value.
 
 Every command reads all its inputs (configs, checkpoint, trace) before it
 creates the output directory, so a configuration or usage error writes
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import random
 import sys
 from pathlib import Path
@@ -118,10 +117,7 @@ def _parse_sets(pairs: list[str] | None) -> dict[str, str]:
 def _out_dir(args, cfg) -> Path:
     """Create the output directory and echo `cfg` into it: the first write
     of every command, made once all its inputs are read."""
-    out = args.out or os.environ.get("VFCSIM_OUT")
-    if not out:
-        raise ConfigError("no output directory: pass --out or set VFCSIM_OUT")
-    path = Path(out)
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -135,11 +131,6 @@ def _load(args, grid: dict[str, str] | None = None):
     the key a compare or sweep varies."""
     overrides = {} if args.scenario is None else {"scenario.name": args.scenario}
     overrides.update(_parse_sets(args.set))
-    if args.arrival_prob is not None:
-        overrides["sim.arrival_prob"] = repr(args.arrival_prob)
-    if args.episodes is not None:
-        key = "agent.episodes" if args.command == "train" else "sim.eval_episodes"
-        overrides[key] = str(args.episodes)
     overrides.update(grid or {})
     return load_config(args.config, overrides)
 
@@ -285,7 +276,7 @@ def _report_failures(failures, out: Path) -> None:
 
 def cmd_compare(args) -> int:
     schedulers = _parse_list(args.schedulers, "--schedulers", check=_check_scheduler)
-    scenarios = _parse_list(args.scenarios or args.scenario or "NO.1,NO.2,NO.3,NO.4", "--scenarios")
+    scenarios = _parse_list(args.scenario or "NO.1,NO.2,NO.3,NO.4", "--scenario")
     seeds = _parse_list(args.seed, "--seed", int, _check_seed)
     cfgs = [_load(args, {"scenario.name": scenario}) for scenario in scenarios]
     runs = _grid(args, cfgs, schedulers)
@@ -349,46 +340,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, arrival_prob: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, scenario_help="traffic scenario name (default NO.1)") -> None:
         p.add_argument("--config", default=None, help="config file (flat key = value)")
-        p.add_argument("--scenario", default=None, help="traffic scenario name (default NO.1)")
+        p.add_argument("--scenario", default=None, help=scenario_help)
         p.add_argument("--seed", default="1", help="comma-separated seed list")
-        p.add_argument("--out", default=None, help="output directory (or $VFCSIM_OUT)")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-        if arrival_prob:  # sweep takes its probabilities from --probs
-            p.add_argument("--arrival-prob", type=float, default=None, dest="arrival_prob",
-                           help="per-vehicle per-interval task probability (sim.arrival_prob)")
 
     p_train = sub.add_parser("train", help="train the q-learning scheduler")
     common(p_train)
-    p_train.add_argument("--episodes", type=int, default=None, help="override training episodes")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate one scheduler")
     common(p_eval)
     p_eval.add_argument("--scheduler", required=True, choices=SCHEDULER_NAMES)
     p_eval.add_argument("--checkpoint", default=None, help="trained q-table directory (qlearn)")
-    p_eval.add_argument("--episodes", type=int, default=None, help="evaluation episodes per seed")
     p_eval.add_argument("--trace", default=None, help="vehicle trace CSV replacing synthetic traffic")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="run a scheduler x scenario x seed grid")
-    common(p_cmp)
+    common(p_cmp, "comma-separated scenarios (default NO.1-NO.4)")
     p_cmp.add_argument("--schedulers", default="qlearn,fcfs,rr,wfq")
-    p_cmp.add_argument("--scenarios", default=None,
-                       help="comma-separated scenarios (default --scenario, else NO.1-NO.4)")
     p_cmp.add_argument("--checkpoint", default=None)
-    p_cmp.add_argument("--episodes", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="sweep the task arrival probability")
-    common(p_sweep, arrival_prob=False)
+    common(p_sweep)
     p_sweep.add_argument("--schedulers", default="qlearn,fcfs,rr,wfq")
     p_sweep.add_argument("--probs", default="0.3,0.4,0.5,0.6,0.7")
     p_sweep.add_argument("--checkpoint", default=None)
-    p_sweep.add_argument("--episodes", type=int, default=None)
-    # sweep has no --arrival-prob flag: --probs sets sim.arrival_prob
-    p_sweep.set_defaults(func=cmd_sweep, arrival_prob=None)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

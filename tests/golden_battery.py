@@ -35,7 +35,8 @@ from vfcsim.cli import main
 
 MANIFEST = Path(__file__).parent / "golden" / "MANIFEST.sha256"
 
-SHORT = ["--scenario", "NO.4", "--set", "scenario.duration=60"]
+MINUTE = ["--set", "scenario.duration=60"]
+SHORT = ["--scenario", "NO.4", *MINUTE]
 CHECKPOINT = "train/checkpoint"
 TRACE = "eval-trace/trace.csv"
 
@@ -59,18 +60,18 @@ TRACE_TEXT = (
 # (directory, argv); a "{checkpoint}" argument names the training run's
 # tables and a "{trace}" argument the trace file
 BATTERY = (
-    ("train", ["train", *SHORT, "--episodes", "2", "--seed", "5"]),
+    ("train", ["train", *SHORT, "--set", "agent.episodes=2", "--seed", "5"]),
     ("eval-fcfs", ["eval", *SHORT, "--scheduler", "fcfs", "--seed", "3,4"]),
     ("eval-qlearn", ["eval", *SHORT, "--scheduler", "qlearn", "--seed", "3,4",
                      "--checkpoint", "{checkpoint}"]),
     ("eval-trace", ["eval", *SHORT, "--scheduler", "rr", "--seed", "3,4",
                     "--set", "sim.arrival_prob=0.5", "--trace", "{trace}"]),
-    ("compare", ["compare", *SHORT, "--schedulers", "qlearn,fcfs,rr,wfq",
-                 "--scenarios", "NO.1,NO.4", "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
+    ("compare", ["compare", *MINUTE, "--schedulers", "qlearn,fcfs,rr,wfq",
+                 "--scenario", "NO.1,NO.4", "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
     # 800 m of V2I range puts several nodes in reach of one vehicle, so the
     # cloud relay and the decision node can be any of them
-    ("compare-overlap", ["compare", *SHORT, "--set", "link.v2i_range_m=800",
-                         "--schedulers", "qlearn,fcfs,rr,wfq", "--scenarios", "NO.1,NO.4",
+    ("compare-overlap", ["compare", *MINUTE, "--set", "link.v2i_range_m=800",
+                         "--schedulers", "qlearn,fcfs,rr,wfq", "--scenario", "NO.1,NO.4",
                          "--seed", "1,2", "--checkpoint", "{checkpoint}"]),
     ("sweep", ["sweep", *SHORT, "--schedulers", "qlearn,fcfs,rr,wfq", "--probs", "0.3,0.6",
                "--seed", "1,2", "--checkpoint", "{checkpoint}"]),

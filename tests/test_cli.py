@@ -1,5 +1,6 @@
 """CLI surface: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import random
@@ -17,7 +18,8 @@ from vfcsim.engine import run_evaluation
 from vfcsim.eventlog import write_event_log
 from vfcsim.traffic import load_trace_csv
 
-TINY = ["--scenario", "NO.4", "--set", "scenario.duration=20"]
+SHORT = ["--set", "scenario.duration=20"]
+TINY = ["--scenario", "NO.4", *SHORT]
 
 
 def read_csv(path):
@@ -43,7 +45,7 @@ def empty_checkpoint(directory, nodes=9):
 
 
 def test_train_writes_checkpoint_curve_and_echo(tmp_path, capsys):
-    code = run(["train", *TINY, "--episodes", "2", "--seed", "5"], tmp_path)
+    code = run(["train", *TINY, "--set", "agent.episodes=2", "--seed", "5"], tmp_path)
     assert code == 0
     tables = sorted(p.name for p in (tmp_path / "checkpoint").iterdir())
     assert tables == [f"qtable_node{i}.tsv" for i in range(9)]
@@ -63,7 +65,7 @@ def test_train_writes_checkpoint_curve_and_echo(tmp_path, capsys):
 
 def test_train_checkpoint_write_failure_exits_1_with_the_curve(tmp_path, capsys):
     (tmp_path / "checkpoint").write_text("")  # a file where the tables go
-    assert run(["train", *TINY, "--episodes", "1"], tmp_path) == 1
+    assert run(["train", *TINY, "--set", "agent.episodes=1"], tmp_path) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: checkpoint write failed: ")
     assert captured.out == ""  # no "trained ..." line
@@ -100,7 +102,7 @@ def test_eval_qlearn_needs_checkpoint(tmp_path, capsys):
 
 def test_trained_checkpoint_feeds_eval(tmp_path):
     train_dir = tmp_path / "t"
-    assert run(["train", *TINY, "--episodes", "2"], train_dir) == 0
+    assert run(["train", *TINY, "--set", "agent.episodes=2"], train_dir) == 0
     eval_dir = tmp_path / "e"
     code = run(
         ["eval", *TINY, "--scheduler", "qlearn",
@@ -187,7 +189,7 @@ def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
     out = tmp_path / "out"
     code = run(
         ["eval", *TINY, "--scheduler", "rr", "--trace", str(trace), "--seed", "3",
-         "--episodes", "2", "--set", "sim.arrival_prob=0.5"],
+         "--set", "sim.eval_episodes=2", "--set", "sim.arrival_prob=0.5"],
         out,
     )
     assert code == 0
@@ -231,8 +233,7 @@ def test_eval_event_log_write_failure_fails_that_run_only(tmp_path, capsys):
 
 def test_compare_grid_and_reported_rows(tmp_path):
     code = run(
-        ["compare", *TINY, "--schedulers", "fcfs,rr", "--scenarios", "NO.4",
-         "--seed", "1,2"],
+        ["compare", *TINY, "--schedulers", "fcfs,rr", "--seed", "1,2"],
         tmp_path,
     )
     assert code == 0
@@ -251,12 +252,11 @@ def test_compare_grid_and_reported_rows(tmp_path):
 
 @pytest.mark.parametrize("args, scenarios", [
     (["--scenario", "NO.3"], ["NO.3"]),
-    (["--scenario", "NO.3", "--scenarios", "NO.1,NO.2"], ["NO.1", "NO.2"]),
+    (["--scenario", "NO.2,NO.1"], ["NO.2", "NO.1"]),
     ([], ["NO.1", "NO.2", "NO.3", "NO.4"]),
-], ids=["scenario", "scenarios-over-scenario", "default-all-four"])
+], ids=["one-scenario", "scenario-list", "default-all-four"])
 def test_compare_runs_the_scenarios_it_names(tmp_path, capsys, args, scenarios):
-    short = ["--set", "scenario.duration=20", "--schedulers", "fcfs", "--seed", "1"]
-    assert run(["compare", *short, *args], tmp_path) == 0
+    assert run(["compare", *SHORT, "--schedulers", "fcfs", "--seed", "1", *args], tmp_path) == 0
     rows = read_csv(tmp_path / "runs.csv")[1:]
     assert [(r[0], r[1], r[2]) for r in rows] == [("fcfs", s, "1") for s in scenarios]
     assert f"{len(scenarios)} runs over {len(scenarios)} scenario(s)" in capsys.readouterr().out
@@ -266,7 +266,7 @@ def test_compare_loads_the_checkpoint_once(tmp_path, monkeypatch):
     checkpoint = empty_checkpoint(tmp_path / "checkpoint")
     calls = []
     monkeypatch.setattr(cli, "load_tables", lambda *a: calls.append(a) or load_tables(*a))
-    code = run(["compare", *TINY, "--schedulers", "qlearn,fcfs", "--scenarios", "NO.3,NO.4",
+    code = run(["compare", *SHORT, "--schedulers", "qlearn,fcfs", "--scenario", "NO.3,NO.4",
                 "--checkpoint", str(checkpoint)], tmp_path / "out")
     assert code == 0
     assert calls == [(str(checkpoint), 9)]
@@ -345,21 +345,8 @@ def test_set_overrides_reach_echo_and_run(tmp_path):
 # -- error paths ----------------------------------------------------------------
 
 
-def test_out_dir_from_environment(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("VFCSIM_OUT", str(target))
-    assert main(["eval", *TINY, "--scheduler", "fcfs"]) == 0
-    assert (target / "metrics.csv").exists()
-
-
-def test_missing_out_dir_fails(monkeypatch, capsys):
-    monkeypatch.delenv("VFCSIM_OUT", raising=False)
-    assert main(["eval", *TINY, "--scheduler", "fcfs"]) == 2
-    assert "no output directory" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("args, named", [
-    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4,bogus"], "scenario 'bogus' is not built in"),
+    (["compare", "--schedulers", "fcfs", "--scenario", "NO.4,bogus"], "scenario 'bogus' is not built in"),
     (["eval", "--scheduler", "qlearn"], "needs --checkpoint"),
     (["eval", "--scheduler", "qlearn", "--checkpoint", "{tmp}/none"], "checkpoint incomplete"),
     (["eval", "--scheduler", "fcfs", "--trace", "{tmp}/trace.csv"], "trace.csv:2: bad trace row"),
@@ -370,7 +357,7 @@ def test_late_usage_error_writes_nothing(tmp_path, capsys, args, named):
     # each is found only once the configs, checkpoint or trace are read
     (tmp_path / "trace.csv").write_text("vehicle_id,entry_time,dwell,speed,x,y\n0,0.0,x,0.0,1.0,1.0\n")
     out = tmp_path / "out"
-    assert run([*(a.format(tmp=tmp_path) for a in args), *TINY], out) == 2
+    assert run([*(a.format(tmp=tmp_path) for a in args), *SHORT], out) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -451,7 +438,7 @@ def test_negative_or_repeated_seed_exits_2(tmp_path, capsys, seeds, named):
 
 
 def test_train_takes_one_seed(tmp_path, capsys):
-    code = run(["train", *TINY, "--episodes", "1", "--seed", "1,2"], tmp_path)
+    code = run(["train", *TINY, "--set", "agent.episodes=1", "--seed", "1,2"], tmp_path)
     assert code == 2
     assert "one --seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -461,107 +448,132 @@ def test_train_takes_one_seed(tmp_path, capsys):
     (["sweep", "--schedulers", "fcfs", "--probs", "0.5,0.5"], "--probs lists 0.5 more than once"),
     (["sweep", "--schedulers", "fcfs", "--probs", "0.5,0.50"], "--probs lists 0.5 more than once"),
     (["sweep", "--schedulers", "fcfs,rr,fcfs", "--probs", "0.5"], "--schedulers lists 'fcfs' more than once"),
-    (["compare", "--schedulers", "rr,rr", "--scenarios", "NO.4"], "--schedulers lists 'rr' more than once"),
-    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4,NO.4"], "--scenarios lists 'NO.4' more than once"),
-    (["compare", "--schedulers", "rr,rr,sjf", "--scenarios", "NO.4"], "--schedulers lists 'rr' more than once"),
+    (["compare", "--schedulers", "rr,rr", "--scenario", "NO.4"], "--schedulers lists 'rr' more than once"),
+    (["compare", "--schedulers", "fcfs", "--scenario", "NO.4,NO.4"], "--scenario lists 'NO.4' more than once"),
+    (["compare", "--schedulers", "rr,rr,sjf", "--scenario", "NO.4"], "--schedulers lists 'rr' more than once"),
 ], ids=["sweep-probs", "sweep-probs-same-float", "sweep-schedulers", "compare-schedulers",
-        "compare-scenarios", "first-bad-entry-named"])
+        "compare-scenario", "first-bad-entry-named"])
 def test_repeated_list_entry_exits_2(tmp_path, capsys, args, named):
-    code = run([*args, *TINY, "--seed", "1"], tmp_path)
+    code = run([*args, *SHORT, "--seed", "1"], tmp_path)
     assert code == 2
     assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-# -- flags as config keys ----------------------------------------------------------
+# -- one spelling per input ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("args, output", [
-    (["eval", "--scheduler", "fcfs", "--seed", "3", "--arrival-prob", "0.7", "--episodes", "2"],
-     "metrics.csv"),
-    (["compare", "--schedulers", "fcfs,rr", "--scenarios", "NO.4", "--arrival-prob", "0.7",
-      "--episodes", "2"], "runs.csv"),
-    (["train", "--arrival-prob", "0.5", "--episodes", "2"], "learning_curve.csv"),
+COMMON_OPTIONS = {"-h", "--help", "--config", "--scenario", "--seed", "--out", "--set"}
+OPTIONS = {
+    "train": COMMON_OPTIONS,
+    "eval": COMMON_OPTIONS | {"--scheduler", "--checkpoint", "--trace"},
+    "compare": COMMON_OPTIONS | {"--schedulers", "--checkpoint"},
+    "sweep": COMMON_OPTIONS | {"--schedulers", "--probs", "--checkpoint"},
+}
+
+
+def test_each_command_takes_only_its_options():
+    # a config key is set with --set, --config or --scenario, never with a
+    # flag of its own that could shadow them
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    for command, parser in sub.choices.items():
+        assert {o for a in parser._actions for o in a.option_strings} == OPTIONS[command], command
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--arrival-prob", "0.5"],
+    ["eval", "--scheduler", "fcfs", "--arrival-prob", "0.7"],
+    ["compare", "--schedulers", "fcfs", "--arrival-prob", "0.7"],
+    ["sweep", "--schedulers", "fcfs", "--probs", "0.3", "--arrival-prob", "0.9"],
+    ["train", "--episodes", "2"],
+    ["eval", "--scheduler", "fcfs", "--episodes", "2"],
+    ["compare", "--schedulers", "fcfs", "--episodes", "2"],
+    ["sweep", "--schedulers", "fcfs", "--probs", "0.3", "--episodes", "2"],
+    ["compare", "--schedulers", "fcfs", "--scenarios", "NO.1,NO.4"],
+], ids=["train-arrival-prob", "eval-arrival-prob", "compare-arrival-prob", "sweep-arrival-prob",
+        "train-episodes", "eval-episodes", "compare-episodes", "sweep-episodes", "compare-scenarios"])
+def test_deleted_option_is_a_usage_error(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run([*args, *SHORT], tmp_path / "out")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_is_required_whatever_the_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VFCSIM_OUT", str(tmp_path / "env_out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *TINY, "--scheduler", "fcfs"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, episodes_key, output", [
+    (["eval", "--scheduler", "fcfs", "--seed", "3"], "sim.eval_episodes", "metrics.csv"),
+    (["compare", "--schedulers", "fcfs,rr"], "sim.eval_episodes", "runs.csv"),
+    (["train"], "agent.episodes", "learning_curve.csv"),
 ], ids=["eval", "compare", "train"])
-def test_echo_reproduces_a_run_with_flags(tmp_path, args, output):
+def test_echo_reproduces_a_run(tmp_path, args, episodes_key, output):
     first, again = tmp_path / "first", tmp_path / "again"
-    assert run([*args, *TINY], first) == 0
+    sets = ["--set", "sim.arrival_prob=0.7", "--set", f"{episodes_key}=2"]
+    assert run([*args, *TINY, *sets], first) == 0
     echo = parse_config_text((first / "config_echo.cfg").read_text(), "echo")
-    assert echo["sim.arrival_prob"] == args[args.index("--arrival-prob") + 1]
-    episodes_key = "agent.episodes" if args[0] == "train" else "sim.eval_episodes"
-    assert echo[episodes_key] == "2"
-    # the same command without the flags, from the echo alone
-    rerun = args[:args.index("--arrival-prob")] + ["--config", str(first / "config_echo.cfg")]
+    assert (echo["sim.arrival_prob"], echo[episodes_key]) == ("0.7", "2")
+    # the same command from the echo alone; compare still names its scenario
+    rerun = [*args, "--scenario", "NO.4", "--config", str(first / "config_echo.cfg")]
     assert run(rerun, again) == 0
     assert (again / output).read_bytes() == (first / output).read_bytes()
     assert (again / "config_echo.cfg").read_bytes() == (first / "config_echo.cfg").read_bytes()
 
 
-def test_flags_win_over_set(tmp_path):
-    args = ["eval", *TINY, "--scheduler", "fcfs", "--set", "sim.arrival_prob=0.2",
-            "--arrival-prob", "0.6", "--set", "sim.eval_episodes=3", "--episodes", "2"]
-    assert run(args, tmp_path) == 0
-    echo = parse_config_text((tmp_path / "config_echo.cfg").read_text(), "echo")
-    assert (echo["sim.arrival_prob"], echo["sim.eval_episodes"]) == ("0.6", "2")
-    assert read_csv(tmp_path / "metrics.csv")[1][3] == "0.6"
-
-
 @pytest.mark.parametrize("args, named", [
-    (["eval", "--scheduler", "fcfs", "--episodes", "0"], "eval_episodes=0 must be >= 1"),
-    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4", "--episodes", "0"],
+    (["eval", "--scheduler", "fcfs", "--set", "sim.eval_episodes=0"], "eval_episodes=0 must be >= 1"),
+    (["compare", "--schedulers", "fcfs", "--set", "sim.eval_episodes=0"],
      "eval_episodes=0 must be >= 1"),
-    (["sweep", "--schedulers", "fcfs", "--probs", "0.3", "--episodes", "0"],
+    (["sweep", "--schedulers", "fcfs", "--probs", "0.3", "--set", "sim.eval_episodes=0"],
      "eval_episodes=0 must be >= 1"),
-    (["train", "--episodes", "0"], "episodes=0 must be >= 1"),
-    (["eval", "--scheduler", "fcfs", "--arrival-prob", "1.5"], "arrival_prob=1.5 outside [0, 1]"),
-    (["compare", "--schedulers", "fcfs", "--scenarios", "NO.4", "--arrival-prob", "-0.1"],
+    (["train", "--set", "agent.episodes=0"], "episodes=0 must be >= 1"),
+    (["eval", "--scheduler", "fcfs", "--set", "sim.arrival_prob=1.5"], "arrival_prob=1.5 outside [0, 1]"),
+    (["compare", "--schedulers", "fcfs", "--set", "sim.arrival_prob=-0.1"],
      "arrival_prob=-0.1 outside [0, 1]"),
-    (["train", "--arrival-prob", "nan"], "sim.arrival_prob must be finite"),
+    (["train", "--set", "sim.arrival_prob=nan"], "sim.arrival_prob must be finite"),
 ], ids=["eval-episodes", "compare-episodes", "sweep-episodes", "train-episodes",
         "eval-prob", "compare-prob", "train-prob"])
-def test_bad_flag_value_exits_2(tmp_path, capsys, args, named):
+def test_bad_set_value_exits_2(tmp_path, capsys, args, named):
     code = run([*args, *TINY], tmp_path)
     assert code == 2
     assert named in capsys.readouterr().err
-    assert not (tmp_path / "failures.csv").exists()
     assert not list(tmp_path.iterdir())
-
-
-def test_sweep_has_no_arrival_prob_flag(tmp_path):
-    # sweep's probabilities come from --probs; a second source was ignored
-    with pytest.raises(SystemExit) as exc:
-        run(["sweep", *TINY, "--schedulers", "fcfs", "--probs", "0.3", "--arrival-prob", "0.9"],
-            tmp_path)
-    assert exc.value.code == 2
 
 
 # -- one config order ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("args, column, values", [
-    (["compare", "--scenarios", "NO.1,NO.2", "--set", "scenario.name=NO.4"],
-     "scenario", ["NO.1", "NO.2"]),
-    (["compare", "--scenarios", "NO.1"], "scenario", ["NO.1"]),
-    (["sweep", "--probs", "0.3", "--set", "sim.arrival_prob=0.9"], "arrival_prob", ["0.3"]),
-], ids=["compare-scenarios-over-set", "compare-scenarios-over-scenario", "sweep-probs-over-set"])
-def test_grid_key_wins_over_scenario_and_set(tmp_path, args, column, values):
-    # TINY passes --scenario NO.4; each grid row must come from a run on
-    # the scenario or probability it names, as a direct eval of it does
-    assert run([args[0], *TINY, "--schedulers", "fcfs", *args[1:], "--seed", "1,2"],
+@pytest.mark.parametrize("grid, direct", [
+    (["compare", "--scenario", "NO.1,NO.2", "--set", "scenario.name=NO.4"],
+     [["--scenario", "NO.1"], ["--scenario", "NO.2"]]),
+    (["sweep", "--scenario", "NO.4", "--probs", "0.3", "--set", "sim.arrival_prob=0.9"],
+     [["--scenario", "NO.4", "--set", "sim.arrival_prob=0.3"]]),
+], ids=["compare-scenario-over-set", "sweep-probs-over-set"])
+def test_grid_key_wins_over_set(tmp_path, grid, direct):
+    # each grid row must come from a run on the scenario or probability it
+    # names, as a direct eval of it does
+    assert run([grid[0], *SHORT, "--schedulers", "fcfs", *grid[1:], "--seed", "1,2"],
                tmp_path / "grid") == 0
-    rows = read_csv(tmp_path / "grid" / ("runs.csv" if args[0] == "compare" else "sweep.csv"))
-    assert [r[rows[0].index(column)] for r in rows[1:]] == [v for v in values for _seed in (1, 2)]
-    direct = []
-    for value in values:
-        flag = "--scenario" if column == "scenario" else "--arrival-prob"
-        assert run(["eval", *TINY, "--scheduler", "fcfs", flag, value, "--seed", "1,2"],
-                   tmp_path / value) == 0
-        direct += read_csv(tmp_path / value / "metrics.csv")[1:]
-    assert rows[1:] == direct
+    rows = read_csv(tmp_path / "grid" / ("runs.csv" if grid[0] == "compare" else "sweep.csv"))
+    expected = []
+    for i, args in enumerate(direct):
+        assert run(["eval", *SHORT, "--scheduler", "fcfs", *args, "--seed", "1,2"],
+                   tmp_path / str(i)) == 0
+        expected += read_csv(tmp_path / str(i) / "metrics.csv")[1:]
+    assert len(rows) == 1 + 2 * len(direct) and rows[1:] == expected
 
 
 def test_set_wins_over_scenario(tmp_path, capsys):
-    args = ["train", *TINY, "--scenario", "NO.3", "--set", "scenario.name=NO.4", "--episodes", "1"]
+    args = ["train", *SHORT, "--scenario", "NO.3", "--set", "scenario.name=NO.4",
+            "--set", "agent.episodes=1"]
     assert run(args, tmp_path) == 0
     echo = parse_config_text((tmp_path / "config_echo.cfg").read_text(), "echo")
     assert echo["scenario.name"] == "NO.4"

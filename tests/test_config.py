@@ -86,6 +86,15 @@ def test_parse_skips_blank_and_comment_lines():
     assert overrides == {"agent.episodes": "7", "sim.fog_nodes": "4"}
 
 
+def test_a_hash_after_a_value_is_part_of_the_value():
+    # only a line that starts with "#" is a comment
+    overrides = parse_config_text("agent.episodes = 2  # paper uses 100\n", "run.cfg")
+    assert overrides == {"agent.episodes": "2  # paper uses 100"}
+    named = "invalid int for agent.episodes: '2  # paper uses 100'"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        build_config(overrides)
+
+
 def test_parse_unknown_key_names_location():
     with pytest.raises(ConfigError, match=r"run\.cfg:3: unknown key 'agent\.beta'"):
         parse_config_text("\n\nagent.beta = 1\n", "run.cfg")
