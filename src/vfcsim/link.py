@@ -26,8 +26,6 @@ class LinkParams:
 
     noise_power_dbm is the receiver noise floor of the SNR computation;
     cycles_per_bit sets the compute cost of a task per bit of payload.
-    Each assignment to noise_power_dbm clears _noise_mw, the floor in mW
-    that snr_at_distance converts once and then reuses.
     """
 
     v2i_bandwidth_hz: float = 2.0e7
@@ -37,11 +35,6 @@ class LinkParams:
     v2i_range_m: float = 500.0
     wired_rate_bps: float = 5.0e7
     cycles_per_bit: float = 500.0
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name == "noise_power_dbm":
-            object.__setattr__(self, "_noise_mw", None)
 
     def validate(self) -> None:
         positives = (
@@ -101,10 +94,7 @@ def snr_at_distance(params: LinkParams, distance_m: float) -> float:
         )
     d = distance_m if distance_m > 1.0 else 1.0
     received_mw = params.tx_power_mw / (d ** params.path_loss_exp)
-    noise_mw = params._noise_mw
-    if noise_mw is None:
-        noise_mw = params._noise_mw = dbm_to_mw(params.noise_power_dbm)
-    return received_mw / noise_mw
+    return received_mw / dbm_to_mw(params.noise_power_dbm)
 
 
 def shannon_rate(bandwidth_hz: float, snr: float) -> float:
