@@ -73,34 +73,21 @@ from .schedulers import (
     Scheduler,
     WfqScheduler,
 )
-from .state_space import (
-    NUM_STATES,
-    AppType,
-    DiscreteState,
-    Level,
-    ResponseLevel,
-    SlaLevel,
-    StateSpaceConfig,
-    snapshot_ordinal,
-    state_from_index,
-)
+from .state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 from .traffic import SCENARIOS, Scenario, VehicleSpec, load_trace_csv, sample_vehicles
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppType",
     "BITS_PER_MB",
     "CheckpointError",
     "ConfigError",
     "DecisionContext",
-    "DiscreteState",
     "EpisodeAggregate",
     "EpisodeResult",
     "EvalResult",
     "FcfsScheduler",
     "HyperParams",
-    "Level",
     "LinkParams",
     "LinkRangeError",
     "MetricsReport",
@@ -111,7 +98,6 @@ __all__ = [
     "Placement",
     "QLearningScheduler",
     "QTable",
-    "ResponseLevel",
     "RewardWeights",
     "RoundRobinScheduler",
     "RunConfig",
@@ -119,7 +105,6 @@ __all__ = [
     "Scenario",
     "Scheduler",
     "SimParams",
-    "SlaLevel",
     "StateSpaceConfig",
     "TaskLedger",
     "TaskRecord",
@@ -157,7 +142,6 @@ __all__ = [
     "shannon_rate",
     "snapshot_ordinal",
     "snr_at_distance",
-    "state_from_index",
     "total_reward",
     "update_q_value",
     "upload_time",

@@ -1,9 +1,11 @@
 """Discretization of node and task telemetry into the tabular state space.
 
-Twelve observed variables are reduced to coarse levels: eleven of them to
-three levels and the SLA flag to two, giving 3**11 * 2 = 354294 states.
-Rates are normalized by rate_scale, and every reading is mapped through
-two thresholds; values landing exactly on a threshold take the upper
+Twelve readings are reduced to coarse levels, in this order: cpu, memory,
+disk and network-bandwidth usage, request rate, app type, expected
+demand, recent response time, the SLA flag, operational requirement,
+available nodes and storage availability. The SLA flag takes two levels
+and the others three, giving 3**11 * 2 = 354294 states. Rates are
+normalized by rate_scale; a value exactly on a threshold takes the upper
 level.
 """
 
@@ -11,32 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 from .errors import ValidationError, check_unit
-
-
-class Level(IntEnum):
-    LOW = 0
-    MEDIUM = 1
-    HIGH = 2
-
-
-class AppType(IntEnum):
-    LIGHT = 0
-    MEDIUM = 1
-    HEAVY = 2
-
-
-class ResponseLevel(IntEnum):
-    FAST = 0
-    MEDIUM = 1
-    SLOW = 2
-
-
-class SlaLevel(IntEnum):
-    FULFILLED = 0
-    NOT_FULFILLED = 1
 
 
 @dataclass
@@ -73,30 +51,9 @@ class StateSpaceConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class DiscreteState:
-    """One point of the tabular state space."""
-
-    cu: Level
-    mu: Level
-    dsu: Level
-    nbu: Level
-    nr: Level
-    at: AppType
-    ed: Level
-    rt: ResponseLevel
-    sla: SlaLevel
-    or_: Level
-    ncn: Level
-    asd: Level
-
-
-# Field order fixes the mixed-radix encoding; the SLA flag is the single
-# binary digit. All-lowest maps to ordinal 0.
-_RADICES = (3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3)
-NUM_STATES = 354294  # 3**11 * 2
-
-assert math.prod(_RADICES) == NUM_STATES
+# One mixed-radix digit per reading in reading order, the first the most
+# significant and the SLA flag binary; all-lowest is ordinal 0.
+NUM_STATES = 3**11 * 2
 
 _INF = math.inf
 
@@ -106,34 +63,6 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if value < 0.0:
         raise ValidationError(f"{name}={value!r} must be >= 0")
-
-
-def state_from_index(ordinal: int) -> DiscreteState:
-    """Decode a state ordinal into its levels, one mixed-radix digit per
-    DiscreteState field (the inverse of snapshot_ordinal's encoding)."""
-    if not (0 <= ordinal < NUM_STATES):
-        raise ValidationError(f"state ordinal {ordinal!r} outside [0, {NUM_STATES})")
-    digits = []
-    rem = ordinal
-    for radix in reversed(_RADICES):
-        digits.append(rem % radix)
-        rem //= radix
-    digits.reverse()
-    (cu, mu, dsu, nbu, nr, at, ed, rt, sla, or_, ncn, asd) = digits
-    return DiscreteState(
-        cu=Level(cu),
-        mu=Level(mu),
-        dsu=Level(dsu),
-        nbu=Level(nbu),
-        nr=Level(nr),
-        at=AppType(at),
-        ed=Level(ed),
-        rt=ResponseLevel(rt),
-        sla=SlaLevel(sla),
-        or_=Level(or_),
-        ncn=Level(ncn),
-        asd=Level(asd),
-    )
 
 
 def snapshot_ordinal(
@@ -153,10 +82,10 @@ def snapshot_ordinal(
 ) -> int:
     """State ordinal in [0, NUM_STATES) of one telemetry reading.
 
-    The readings come positionally, one per DiscreteState field and in
-    its order. Fractions lie in [0, 1], rates are in tasks/second, the
-    response time in seconds and available_nodes is a count. This is the
-    only encoder, and state_from_index its inverse. Raises
+    The readings come positionally in the module's reading order, cpu
+    usage first and storage availability last. Fractions lie in [0, 1],
+    rates are in tasks/second, the response time in seconds and
+    available_nodes is a count. This is the only encoder. Raises
     ValidationError naming the offending field when a fraction leaves
     [0, 1], a rate, response time or node count is negative, or a reading
     is non-finite or not a number.
@@ -201,8 +130,8 @@ def snapshot_ordinal(
     high = config.high_threshold
     rate_scale = config.rate_scale
 
-    # mixed-radix digits in DiscreteState field order; a value exactly on
-    # a threshold takes the upper level
+    # mixed-radix digits in reading order; a value exactly on a threshold
+    # takes the upper level
     idx = 0 if cpu_usage < low else 1 if cpu_usage < high else 2
     idx = idx * 3 + (0 if mem_usage < low else 1 if mem_usage < high else 2)
     idx = idx * 3 + (0 if disk_usage < low else 1 if disk_usage < high else 2)

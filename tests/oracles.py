@@ -7,6 +7,7 @@ have independent arithmetic to compare against.
 import math
 import random
 from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 
 from vfcsim.agent import (
@@ -17,16 +18,7 @@ from vfcsim.agent import (
     update_q_value,
 )
 from vfcsim.errors import ValidationError
-from vfcsim.state_space import (
-    AppType,
-    DiscreteState,
-    Level,
-    ResponseLevel,
-    SlaLevel,
-    StateSpaceConfig,
-    snapshot_ordinal,
-    state_from_index,
-)
+from vfcsim.state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 
 
 # (tier, bundle index) of every action ordinal, written out tier-major:
@@ -354,6 +346,81 @@ def _cloud_via_nearest(nodes: list[tuple[bool, float, float, float, float]]) -> 
         if r and (relay < 0 or d < nodes[relay][4]):
             relay = i
     return ("cloud" if relay >= 0 else None), relay
+
+
+class Level(IntEnum):
+    LOW = 0
+    MEDIUM = 1
+    HIGH = 2
+
+
+class AppType(IntEnum):
+    LIGHT = 0
+    MEDIUM = 1
+    HEAVY = 2
+
+
+class ResponseLevel(IntEnum):
+    FAST = 0
+    MEDIUM = 1
+    SLOW = 2
+
+
+class SlaLevel(IntEnum):
+    FULFILLED = 0
+    NOT_FULFILLED = 1
+
+
+@dataclass(frozen=True, slots=True)
+class DiscreteState:
+    """One point of the tabular state space, one level per reading of
+    snapshot_ordinal and in its order."""
+
+    cu: Level
+    mu: Level
+    dsu: Level
+    nbu: Level
+    nr: Level
+    at: AppType
+    ed: Level
+    rt: ResponseLevel
+    sla: SlaLevel
+    or_: Level
+    ncn: Level
+    asd: Level
+
+
+# the radix of each DiscreteState field, in field order
+_RADICES = (3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3)
+
+assert math.prod(_RADICES) == NUM_STATES
+
+
+def state_from_index(ordinal: int) -> DiscreteState:
+    """Decode a state ordinal into its levels, one mixed-radix digit per
+    DiscreteState field: the inverse of snapshot_ordinal's encoding."""
+    if not (0 <= ordinal < NUM_STATES):
+        raise ValidationError(f"state ordinal {ordinal!r} outside [0, {NUM_STATES})")
+    digits = []
+    rem = ordinal
+    for radix in reversed(_RADICES):
+        digits.append(rem % radix)
+        rem //= radix
+    cu, mu, dsu, nbu, nr, at, ed, rt, sla, or_, ncn, asd = reversed(digits)
+    return DiscreteState(
+        cu=Level(cu),
+        mu=Level(mu),
+        dsu=Level(dsu),
+        nbu=Level(nbu),
+        nr=Level(nr),
+        at=AppType(at),
+        ed=Level(ed),
+        rt=ResponseLevel(rt),
+        sla=SlaLevel(sla),
+        or_=Level(or_),
+        ncn=Level(ncn),
+        asd=Level(asd),
+    )
 
 
 @dataclass(slots=True)

@@ -10,7 +10,16 @@ import struct
 
 import pytest
 
-from oracles import discretize, event_dict, snapshot_from_node, state_index
+from oracles import (
+    Level,
+    ResponseLevel,
+    SlaLevel,
+    discretize,
+    event_dict,
+    snapshot_from_node,
+    state_from_index,
+    state_index,
+)
 from vfcsim.agent import NUM_ACTIONS, QTable, Tier, load_tables, save_tables
 from vfcsim.engine import (
     NodeState,
@@ -36,7 +45,7 @@ from vfcsim.schedulers import (
     WfqScheduler,
     _cloud_placement,
 )
-from vfcsim.state_space import NUM_STATES, Level, ResponseLevel, SlaLevel, state_from_index
+from vfcsim.state_space import NUM_STATES
 from vfcsim.traffic import VehicleSpec
 
 

