@@ -941,9 +941,8 @@ class _Episode:
             self.events.append(("ExecutionDone" if serviced else "TaskDropped", now,
                                 task.task_id, task.exec_node, self.episode_index, record))
         if self.train:
-            veh = task.vehicle
-            t = now if now < veh.exit_time else veh.exit_time
-            x, y = veh.position_at(t, self.area)
+            # a task resolves by its bound, which is at most the vehicle's exit
+            x, y = task.vehicle.position_at(now, self.area)
             decision = self.nodes[task.decision_node]
             next_state = self.state_for(decision, task, len(self.grid.scan(x, y)[1]))
             update_q_value(
