@@ -640,7 +640,8 @@ def test_same_seed_reproduces_bit_identical_events():
 # 144-node grid over 12 km that the eval-grid144 benchmark runs (1 km
 # cells against a 500 m range: an arrival reaches at most one node, two
 # only exactly midway between neighbours, so the three baselines place
-# alike). Each key lists config overrides as key, value pairs. The rows
+# alike), and a 5 Mb/s backhaul, slow enough that the QoS throughput cap
+# at 1 binds. Each key lists config overrides as key, value pairs. The rows
 # are packed as task_id, arrival, upload, wait, proc, completion,
 # serviced, tier, node_id, reward and the four reward components.
 PINNED_LEDGERS = {
@@ -658,6 +659,11 @@ PINNED_LEDGERS = {
         "fcfs": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
         "rr": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
         "wfq": "be833e3cd216ecd16b2f3a9aa6b5f3f1ff02b0650ced114d2edb47781073cb7e",
+    },
+    ("link.wired_rate_bps", "5e6"): {
+        "fcfs": "f72880eea00d939c6db673c4bae7d71de79000133e7f3178898f411d933750ed",
+        "rr": "f72880eea00d939c6db673c4bae7d71de79000133e7f3178898f411d933750ed",
+        "wfq": "f72880eea00d939c6db673c4bae7d71de79000133e7f3178898f411d933750ed",
     },
 }
 
