@@ -4,10 +4,10 @@ Each scenario is summarized by trace statistics over a fixed observation
 window: average/variance of dwell time (ADT/VDT), average vehicle count
 (ANV) and average/variance of speed (ASV/VSV). Synthetic traffic draws
 vehicle entries as a Poisson process at rate ANV/ADT, dwell times from
-Normal(ADT, VDT) truncated at 1 s, and speeds from Normal(ASV, VSV)
-truncated at 0 (variances are variances, not standard deviations).
-Truncation resamples, so the moments stay close to the scenario
-statistics.
+Normal(ADT, VDT) truncated at sim.min_dwell_s, and speeds from
+Normal(ASV, VSV) truncated at 0 (variances are variances, not standard
+deviations). Truncation resamples, so the moments stay close to the
+scenario statistics.
 
 The source tables also give each window's trace count (718, 862, 928 and
 359 for NO.1-NO.4) and vehicle-count variance VNV (11.6, 5.38, 7.76 and
