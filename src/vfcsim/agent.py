@@ -134,7 +134,10 @@ class QTable:
     @classmethod
     def load(cls, path: str | Path) -> "QTable":
         path = Path(path)
-        lines = path.read_text().splitlines()
+        try:
+            lines = path.read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read q-table {path}: {exc}") from exc
         table: QTable | None = None
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()

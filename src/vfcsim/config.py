@@ -198,6 +198,7 @@ def _slot(cfg: RunConfig, key: str) -> tuple[object, str]:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse key = value lines into a raw override map."""
     overrides: dict[str, str] = {}
+    first_line: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -211,6 +212,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key not in _TAGS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{source}:{lineno}: {key} already set on line {first_line[key]}")
         overrides[key] = value
     return overrides
 
@@ -257,11 +260,6 @@ def build_config(overrides: dict[str, str]) -> RunConfig:
     cfg.scenario = base
 
     try:
-        # the rate scale is derived from the scenario, so check it first
-        base.validate()
-        # Unset rate scale tracks the scenario's entry rate.
-        if "state.rate_scale" not in overrides:
-            cfg.state.rate_scale = base.entry_rate
         cfg.validate()
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
@@ -280,7 +278,7 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
         path = Path(path)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         merged.update(parse_config_text(text, str(path)))
     merged.update(overrides or {})

@@ -489,6 +489,7 @@ class _Episode:
         self.episode_index = episode_index
         self.rng = random.Random(seed)
         self.deadline_span = self.sim.task_deadline_s_max - self.sim.task_deadline_s_min
+        self.rate_scale = cfg.scenario.entry_rate  # the unit of the state's rate readings
         self.nodes = build_nodes(cfg)
         self.grid = CellIndex(self.nodes, self.sim, self.link.v2i_range_m)
         self.area = self.sim.area_m
@@ -554,9 +555,9 @@ class _Episode:
             0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),
             0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk),
             0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),
-            len(node.arrivals) / sim.rate_window_s,
+            len(node.arrivals) / sim.rate_window_s / self.rate_scale,
             at_weight if at_weight <= 1.0 else 1.0,
-            node.demand_ema,
+            node.demand_ema / self.rate_scale,
             node.resp_sum / n if n else 0.0,
             n == 0 or node.resp_sum <= node.dl_sum,
             op_req,

@@ -4,9 +4,9 @@ Twelve readings are reduced to coarse levels, in this order: cpu, memory,
 disk and network-bandwidth usage, request rate, app type, expected
 demand, recent response time, the SLA flag, operational requirement,
 available nodes and storage availability. The SLA flag takes two levels
-and the others three, giving 3**11 * 2 = 354294 states. Rates are
-normalized by rate_scale; a value exactly on a threshold takes the upper
-level.
+and the others three, giving 3**11 * 2 = 354294 states. The request
+rate and expected demand are read as multiples of the scenario's vehicle
+entry rate ANV/ADT; a value exactly on a threshold takes the upper level.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class StateSpaceConfig:
 
     low_threshold: float = 1.0 / 3.0
     high_threshold: float = 2.0 / 3.0
-    rate_scale: float = 1.0
     response_fast: float = 5.0
     response_slow: float = 10.0
     node_count_low: int = 1
@@ -35,8 +34,6 @@ class StateSpaceConfig:
                 "thresholds must satisfy 0 < low_threshold < high_threshold < 1, "
                 f"got low_threshold={self.low_threshold!r} high_threshold={self.high_threshold!r}"
             )
-        if not (self.rate_scale > 0.0 and math.isfinite(self.rate_scale)):
-            raise ValidationError(f"rate_scale must be positive, got {self.rate_scale!r}")
         if not math.isfinite(self.response_slow):
             raise ValidationError(f"response_slow must be finite, got {self.response_slow!r}")
         if not (0.0 < self.response_fast < self.response_slow):
@@ -84,8 +81,9 @@ def snapshot_ordinal(
 
     The readings come positionally in the module's reading order, cpu
     usage first and storage availability last. Fractions lie in [0, 1],
-    rates are in tasks/second, the response time in seconds and
-    available_nodes is a count. This is the only encoder. Raises
+    the request rate and expected demand are multiples of the scenario's
+    entry rate, the response time is in seconds and available_nodes is a
+    count. This is the only encoder. Raises
     ValidationError naming the offending field when a fraction leaves
     [0, 1], a rate, response time or node count is negative, or a reading
     is non-finite or not a number.
@@ -128,7 +126,6 @@ def snapshot_ordinal(
 
     low = config.low_threshold
     high = config.high_threshold
-    rate_scale = config.rate_scale
 
     # mixed-radix digits in reading order; a value exactly on a threshold
     # takes the upper level
@@ -136,11 +133,9 @@ def snapshot_ordinal(
     idx = idx * 3 + (0 if mem_usage < low else 1 if mem_usage < high else 2)
     idx = idx * 3 + (0 if disk_usage < low else 1 if disk_usage < high else 2)
     idx = idx * 3 + (0 if net_bw_usage < low else 1 if net_bw_usage < high else 2)
-    x = request_rate / rate_scale
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    idx = idx * 3 + (0 if request_rate < low else 1 if request_rate < high else 2)
     idx = idx * 3 + (0 if app_type_weight < low else 1 if app_type_weight < high else 2)
-    x = expected_demand / rate_scale
-    idx = idx * 3 + (0 if x < low else 1 if x < high else 2)
+    idx = idx * 3 + (0 if expected_demand < low else 1 if expected_demand < high else 2)
     x = recent_response_time
     idx = idx * 3 + (0 if x < config.response_fast else 1 if x < config.response_slow else 2)
     idx = idx * 2 + (0 if sla_met else 1)

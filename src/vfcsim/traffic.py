@@ -52,6 +52,10 @@ class Scenario:
         for name, v in nonneg:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
                 raise ValidationError(f"scenario {name} must be >= 0, got {v!r}")
+        # ANV/ADT paces the entries and is the unit of the state's rate readings
+        if not 0.0 < self.entry_rate < math.inf:
+            raise ValidationError(f"scenario entry rate anv/adt must be positive and finite, got "
+                                  f"anv={self.anv!r} / adt={self.adt!r} = {self.entry_rate!r}")
 
     @property
     def entry_rate(self) -> float:
@@ -158,44 +162,42 @@ def load_trace_csv(
     and are drawn from the run RNG.
     """
     path = Path(path)
+    try:
+        with path.open(newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read trace {path}: {exc}") from exc
     vehicles: list[VehicleSpec] = []
     first_line: dict[int, int] = {}  # vehicle_id -> line that introduced it
-    try:
-        fh = path.open(newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read trace {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(TRACE_COLUMNS).issubset(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: trace CSV must have columns {', '.join(TRACE_COLUMNS)}"
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None or not set(TRACE_COLUMNS).issubset(reader.fieldnames):
+        raise ValidationError(f"{path}: trace CSV must have columns {', '.join(TRACE_COLUMNS)}")
+    for row in reader:
+        lineno = reader.line_num  # the row's last line; blank lines count
+        try:
+            spec = VehicleSpec(
+                vehicle_id=int(row["vehicle_id"]),
+                entry_time=float(row["entry_time"]),
+                dwell=float(row["dwell"]),
+                speed=float(row["speed"]),
+                heading=rng.uniform(0.0, 2.0 * math.pi),
+                x=float(row["x"]),
+                y=float(row["y"]),
+                local_cpu_hz=rng.uniform(cpu_min_hz, cpu_max_hz),
             )
-        for row in reader:
-            lineno = reader.line_num  # the row's last line; blank lines count
-            try:
-                spec = VehicleSpec(
-                    vehicle_id=int(row["vehicle_id"]),
-                    entry_time=float(row["entry_time"]),
-                    dwell=float(row["dwell"]),
-                    speed=float(row["speed"]),
-                    heading=rng.uniform(0.0, 2.0 * math.pi),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    local_cpu_hz=rng.uniform(cpu_min_hz, cpu_max_hz),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad trace row: {exc}") from exc
-            for name in ("entry_time", "dwell", "speed", "x", "y"):
-                if not math.isfinite(getattr(spec, name)):
-                    raise ValidationError(f"{path}:{lineno}: {name} must be finite, got {row[name]!r}")
-            if spec.vehicle_id in first_line:
-                raise ValidationError(
-                    f"{path}:{lineno}: vehicle_id {spec.vehicle_id} already used on line "
-                    f"{first_line[spec.vehicle_id]}"
-                )
-            first_line[spec.vehicle_id] = lineno
-            if spec.entry_time < 0.0 or spec.dwell <= 0.0 or spec.speed < 0.0:
-                raise ValidationError(f"{path}:{lineno}: negative entry/dwell/speed")
-            vehicles.append(spec)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: bad trace row: {exc}") from exc
+        for name in ("entry_time", "dwell", "speed", "x", "y"):
+            if not math.isfinite(getattr(spec, name)):
+                raise ValidationError(f"{path}:{lineno}: {name} must be finite, got {row[name]!r}")
+        if spec.vehicle_id in first_line:
+            raise ValidationError(
+                f"{path}:{lineno}: vehicle_id {spec.vehicle_id} already used on line "
+                f"{first_line[spec.vehicle_id]}"
+            )
+        first_line[spec.vehicle_id] = lineno
+        if spec.entry_time < 0.0 or spec.dwell <= 0.0 or spec.speed < 0.0:
+            raise ValidationError(f"{path}:{lineno}: negative entry/dwell/speed")
+        vehicles.append(spec)
     vehicles.sort(key=lambda v: (v.entry_time, v.vehicle_id))
     return vehicles

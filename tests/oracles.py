@@ -429,8 +429,9 @@ class TelemetrySnapshot:
     field per DiscreteState field and in its order (the order in which
     snapshot_ordinal takes its readings).
 
-    Fraction fields live in [0, 1]. Rates are in tasks/second, the
-    response time in seconds, available_nodes is a count.
+    Fraction fields live in [0, 1]. The request rate and expected demand
+    are multiples of the scenario's entry rate ANV/ADT, the response time
+    is in seconds, available_nodes is a count.
     """
 
     cpu_usage: float
@@ -487,9 +488,10 @@ def state_index(state: DiscreteState) -> int:
     return int(idx)
 
 
-def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:
+def snapshot_from_node(node, task, available: int, sim, entry_rate: float) -> TelemetrySnapshot:
     """The telemetry snapshot of a decision node for a task, built field by
-    field from the node's and task's public state and the sim parameters."""
+    field from the node's and task's public state, the sim parameters and
+    the scenario's entry rate ANV/ADT, the unit of both rates."""
 
     def clamp(v):
         return min(max(v, 0.0), 1.0)
@@ -503,9 +505,9 @@ def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:
         mem_usage=clamp(node.mem_commit),
         disk_usage=clamp(node.disk_commit),
         net_bw_usage=clamp(node.bw_commit),
-        request_rate=len(node.arrivals) / sim.rate_window_s,
+        request_rate=len(node.arrivals) / sim.rate_window_s / entry_rate,
         app_type_weight=min(task.demand_mips / sim.app_type_mips_scale, 1.0),
-        expected_demand=node.demand_ema,
+        expected_demand=node.demand_ema / entry_rate,
         recent_response_time=node.resp_sum / len(responses) if responses else 0.0,
         sla_met=node.resp_sum <= node.dl_sum if deadlines else True,
         op_requirement=op_req,
@@ -515,9 +517,8 @@ def snapshot_from_node(node, task, available: int, sim) -> TelemetrySnapshot:
 
 
 def discretize_by_field(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -> DiscreteState:
-    """Level of each reading on its own (no validation): the value, or
-    value / rate_scale for rates, against the two thresholds, with a value
-    on a threshold taking the upper level."""
+    """Level of each reading on its own (no validation): the value against
+    the two thresholds, with a value on a threshold taking the upper level."""
 
     def tri(value, low=config.low_threshold, high=config.high_threshold):
         return 0 if value < low else (1 if value < high else 2)
@@ -527,9 +528,9 @@ def discretize_by_field(snapshot: TelemetrySnapshot, config: StateSpaceConfig) -
         mu=Level(tri(snapshot.mem_usage)),
         dsu=Level(tri(snapshot.disk_usage)),
         nbu=Level(tri(snapshot.net_bw_usage)),
-        nr=Level(tri(snapshot.request_rate / config.rate_scale)),
+        nr=Level(tri(snapshot.request_rate)),
         at=AppType(tri(snapshot.app_type_weight)),
-        ed=Level(tri(snapshot.expected_demand / config.rate_scale)),
+        ed=Level(tri(snapshot.expected_demand)),
         rt=ResponseLevel(tri(snapshot.recent_response_time,
                              config.response_fast, config.response_slow)),
         sla=SlaLevel.FULFILLED if snapshot.sla_met else SlaLevel.NOT_FULFILLED,

@@ -400,6 +400,55 @@ def test_config_that_cannot_run_exits_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets, named", [
+    (["scenario.adt=1e300", "scenario.anv=1e-300"], "anv=1e-300 / adt=1e+300 = 0.0"),
+    (["sim.min_dwell_s=1e-305", "scenario.adt=1e-300", "scenario.anv=1e300"],
+     "anv=1e+300 / adt=1e-300 = inf"),
+], ids=["zero", "inf"])
+def test_entry_rate_that_cannot_run_exits_2(tmp_path, capsys, sets, named):
+    # a zero rate once validated and then divided by zero in the entry
+    # sampler; an infinite one sampled entries until memory ran out
+    out = tmp_path / "out"
+    args = ["eval", *TINY, "--scheduler", "fcfs"]
+    for setting in sets:
+        args += ["--set", setting]
+    assert run(args, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario entry rate anv/adt must be positive and finite, got {named}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, name, text, named", [
+    ("--config", "run.cfg", b"sim.fog_nodes = 9\n\xff\n", "cannot read config"),
+    ("--trace", "trace.csv", b"vehicle_id,entry_time,dwell,speed,x,y\n0,0.0,50.0,0.0,1500.0,\xff\n",
+     "cannot read trace"),
+    ("--checkpoint", "checkpoint/qtable_node3.tsv",
+     b"# vfcsim qtable v1 num_states=354294 num_actions=9\n5\t1\t\xff\n", "cannot read q-table"),
+], ids=["config", "trace", "checkpoint"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, option, name, text, named):
+    # each once escaped as a UnicodeDecodeError traceback with exit 1
+    checkpoint = empty_checkpoint(tmp_path / "checkpoint")
+    path = tmp_path / name
+    path.write_bytes(text)
+    args = ["eval", *TINY, "--scheduler", "qlearn", "--checkpoint", str(checkpoint)]
+    if option != "--checkpoint":
+        args += [option, str(path)]
+    out = tmp_path / "out"
+    assert run(args, out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named} {path}: ")
+    assert not out.exists()
+
+
+def test_repeated_set_key_last_wins(tmp_path):
+    # a config file may set a key once; --set may repeat one
+    args = ["eval", *TINY, "--scheduler", "fcfs",
+            "--set", "sim.arrival_prob=0.05", "--set", "sim.arrival_prob=0.0"]
+    assert run(args, tmp_path) == 0
+    echo = parse_config_text((tmp_path / "config_echo.cfg").read_text(), "config_echo.cfg")
+    assert echo["sim.arrival_prob"] == "0.0"
+
+
 def test_malformed_set_pair_exits_2(tmp_path, capsys):
     code = run(["eval", *TINY, "--scheduler", "fcfs", "--set", "agent.alpha"], tmp_path)
     assert code == 2

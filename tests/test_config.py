@@ -41,20 +41,6 @@ def test_defaults_cover_reference_setup():
     assert cfg.weights.w4 == 0.2
 
 
-def test_rate_scale_tracks_scenario_by_default():
-    cfg = build_config({})
-    assert cfg.state.rate_scale == pytest.approx(474.6 / 198.3)
-    assert build_config({"scenario.name": "NO.4"}).state.rate_scale == pytest.approx(207.9 / 173.7)
-    pinned = build_config({"state.rate_scale": "2.5"})
-    assert pinned.state.rate_scale == 2.5
-
-
-def test_explicit_zero_rate_scale_rejected():
-    # leaving the key unset is the one way to track the scenario
-    with pytest.raises(ConfigError, match=r"^rate_scale must be positive, got 0\.0$"):
-        build_config({"state.rate_scale": "0"})
-
-
 @pytest.mark.parametrize("adt", ["0", "-5"])
 def test_scenario_checked_before_rate_scale_is_derived(adt):
     # the entry rate ANV/ADT divided by zero, or gave a negative rate
@@ -98,6 +84,13 @@ def test_a_hash_after_a_value_is_part_of_the_value():
 def test_parse_unknown_key_names_location():
     with pytest.raises(ConfigError, match=r"run\.cfg:3: unknown key 'agent\.beta'"):
         parse_config_text("\n\nagent.beta = 1\n", "run.cfg")
+
+
+def test_parse_repeated_key_names_both_lines():
+    # the file ran with the last value and echoed it, silently
+    text = "sim.arrival_prob = 0.05\n\nsim.arrival_prob = 0.9\n"
+    with pytest.raises(ConfigError, match=r"^run\.cfg:3: sim\.arrival_prob already set on line 1$"):
+        parse_config_text(text, "run.cfg")
 
 
 def test_parse_malformed_line():
@@ -287,15 +280,16 @@ def test_bad_value_checked_by_its_section(key, value, named):
 
 def test_known_keys_pinned():
     keys = known_keys()
-    assert len(keys) == 68
+    assert len(keys) == 67
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
-    assert digest == "e1834dad3cb38f42d153aeffd2424c36f00978617a36105edd9ef543120f36fe"
+    assert digest == "0ba4bb08306bbd9ee1424596552563b13c98ca6080b69563aa7f8c8456342085"
 
 
 # Keys that once selected a second code path (per-field state caps, a
 # harmonic learning-rate schedule and alternative WFQ weights), changed
 # nothing at all (the scenario's trace count and vehicle-count variance)
-# or set the episode length a second way (a cap on the decision ticks).
+# or set a value a second way (a cap on the decision ticks, and a state
+# rate scale that the scenario's entry rate ANV/ADT now always sets).
 REMOVED_KEYS = (
     "agent.alpha_schedule",
     "agent.max_time_steps",
@@ -309,6 +303,7 @@ REMOVED_KEYS = (
     "state.cap.net_bw_usage",
     "state.cap.op_requirement",
     "state.cap.storage_availability",
+    "state.rate_scale",
 )
 
 
@@ -403,7 +398,7 @@ FLOAT_KEYS = [key for key in known_keys() if config._TAGS[key] == "float"]
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_float_rejected_naming_key(key, value):
     # the section checks alone blamed another key for some of these: the
-    # weight group, rate_scale, or all three bundle factors
+    # weight group or all three bundle factors
     name = key.rpartition(".")[2]
     with pytest.raises(ConfigError, match=rf"\b{re.escape(name)}\b"):
         build_config({key: value})

@@ -34,7 +34,7 @@ from vfcsim.engine import (
     run_evaluation,
     run_training,
 )
-from vfcsim.config import build_config
+from vfcsim.config import RunConfig, build_config
 from vfcsim.errors import ValidationError
 from vfcsim.eventlog import write_event_log
 from vfcsim.schedulers import (
@@ -581,7 +581,8 @@ def test_training_state_encoding_matches_snapshot_oracle(monkeypatch):
 
     def checked(self, node, task, available):
         ordinal = original(self, node, task, available)
-        snapshot = snapshot_from_node(node, task, available, self.sim)
+        snapshot = snapshot_from_node(node, task, available, self.sim,
+                                      self.cfg.scenario.entry_rate)
         assert ordinal == state_index(discretize(snapshot, self.cfg.state))
         calls.append(ordinal)
         return ordinal
@@ -601,6 +602,21 @@ def test_training_state_encoding_matches_snapshot_oracle(monkeypatch):
         curve.update(struct.pack("<qd2qd", row["episode"], row["epsilon"], row["tasks"],
                                  row["serviced"], row["reward_sum"]))
     assert (tables.hexdigest(), curve.hexdigest()) == PINNED_TRAINING
+
+
+def test_hand_built_config_trains_like_build_config():
+    # RunConfig() once kept a rate scale of 1.0 where build_config tracked
+    # NO.1's entry rate, so the two defaults trained different agents
+    hand = RunConfig()
+    hand.agent.episodes = 2
+    built = build_config({"agent.episodes": "2"})
+    hand_result = run_training(hand, 1)
+    built_result = run_training(built, 1)
+    assert hand_result.curve == built_result.curve
+    assert sorted(hand_result.tables) == sorted(built_result.tables)
+    for node_id, table in hand_result.tables.items():
+        assert list(table.items()) == list(built_result.tables[node_id].items())
+    assert hand == built
 
 
 def test_which_readings_stay_constant_under_no1_defaults():

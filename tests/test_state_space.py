@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,11 @@ from oracles import (
     state_from_index,
     state_index,
 )
+from vfcsim.config import build_config
+from vfcsim.engine import Task, VehicleState, _Episode, build_scheduler
 from vfcsim.errors import ValidationError
 from vfcsim.state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
+from vfcsim.traffic import VehicleSpec
 
 
 def make_snapshot(**overrides) -> TelemetrySnapshot:
@@ -119,10 +123,26 @@ def test_sla_flag_binary():
 
 
 def test_rate_scale_divides_rates():
-    cfg = StateSpaceConfig(rate_scale=10.0)
-    assert discretize(make_snapshot(request_rate=3.0), cfg).nr is Level.LOW
-    assert discretize(make_snapshot(request_rate=3.4), cfg).nr is Level.MEDIUM
-    assert discretize(make_snapshot(expected_demand=7.0), cfg).ed is Level.HIGH
+    # the engine reads both rates as multiples of NO.1's entry rate
+    # 474.6 / 198.3 = 2.393 vehicles/s: over the 10 s window, 8 arrivals
+    # (0.8 tasks/s) reach a third of it and 16 (1.6 tasks/s) two thirds
+    cfg = build_config({"scenario.name": "NO.1"})
+    episode = _Episode(cfg, build_scheduler(cfg, "fcfs"), 1, False, False, [], 0)
+    node = episode.nodes[0]
+    spec = VehicleSpec(0, 0.0, 100.0, 0.0, 0.0, 1500.0, 1500.0, 1.0e9)
+    task = Task(task_id=0, vehicle=VehicleState(spec), size_bits=4.0e7, demand_mips=100.0,
+                deadline=7.0, arrival=0.0, bound=7.0, cycles=2.0e10, mem_frac=0.005,
+                disk_frac=0.001, bw_frac=0.1)
+    for arrivals, demand, level in [
+        (7, 0.79, Level.LOW),
+        (8, 0.80, Level.MEDIUM),
+        (15, 1.59, Level.MEDIUM),
+        (16, 1.60, Level.HIGH),
+    ]:
+        node.arrivals = deque([0.0] * arrivals)
+        node.demand_ema = demand
+        state = state_from_index(episode.state_for(node, task, 1))
+        assert (state.nr, state.ed) == (level, level), arrivals
 
 
 # the readings that must lie in [0, 1]
