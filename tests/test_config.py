@@ -216,12 +216,12 @@ CUSTOM_SCENARIO = {"scenario.name": "rush-hour", "scenario.adt": "100", "scenari
 # lines of the REMOVED_KEYS below from those echoes; config_echo.cfg must
 # keep its bytes.
 ECHO_SHA256 = (
-    ({}, "6a96a144c86cad779b773f7e2a75779d0fd59db510d68ff3ba9267f8689c6135"),
+    ({}, "be66586474b04406333b544b05aa2e1d068f56fd913c5b072e2da73bdb6e2afe"),
     (
         {"scenario.name": "NO.4", "reward.latency_floor": "0.002"},
-        "f5dd3c6329c954a38f4070b46f4c84099bee9de6733bafe47f134ecb77f7afbb",
+        "5be1efd871d2a4beedb0f555c4730db1dfc3c986fe9881b77553d6fd4d1ba3eb",
     ),
-    (CUSTOM_SCENARIO, "089af30520615ce43cbd0894a1079fa856e7eea6a595926a5ca5b9c5035cbbf1"),
+    (CUSTOM_SCENARIO, "7fb3ab4726c0e46bdaa0fbbcfbaef193f981f88439b78c28a69039c7c26cfef6"),
 )
 
 
@@ -235,10 +235,10 @@ def test_dump_bytes_pinned(overrides, digest):
 # reward.latency_floor and reward.quality_desired were RunConfig fields,
 # then re-derived by deleting the lines of the REMOVED_KEYS below
 SCENARIO_ECHO_SHA256 = {
-    "NO.1": "6a96a144c86cad779b773f7e2a75779d0fd59db510d68ff3ba9267f8689c6135",
-    "NO.2": "0fd474077c0414ee05cf6043df9324166e9895dbc4f1cf7d8dfbf69e6e4047d9",
-    "NO.3": "8ac4d1d82ef959a62b07ce5e9ec02e84d6c33c2101e7bd806f7427aa25cbf024",
-    "NO.4": "7c1bb831741de6f0b09cab03c1ec42e61497b1fe2a708bbdf01b368de19a8d7a",
+    "NO.1": "be66586474b04406333b544b05aa2e1d068f56fd913c5b072e2da73bdb6e2afe",
+    "NO.2": "e3da148a1279988473379644ee2b6fe1ccca293cf033eb5c3c344fcb2858884a",
+    "NO.3": "351701fcb427b1c61a9f974d17a147c2f7c077c65bfe26a450ff6df64010856d",
+    "NO.4": "f5b1406f9a385f90781fc5a86feaa78d593df98d3529220f0687e03859910df6",
 }
 
 
