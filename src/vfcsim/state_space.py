@@ -82,11 +82,11 @@ def snapshot_ordinal(
     The readings come positionally in the module's reading order, cpu
     usage first and storage availability last. Fractions lie in [0, 1],
     the request rate and expected demand are multiples of the scenario's
-    entry rate, the response time is in seconds and available_nodes is a
-    count. This is the only encoder. Raises
-    ValidationError naming the offending field when a fraction leaves
-    [0, 1], a rate, response time or node count is negative, or a reading
-    is non-finite or not a number.
+    entry rate ANV/ADT (the caller divides), the response time is in
+    seconds and available_nodes is a count. This is the only encoder.
+    Raises ValidationError naming the offending field when a fraction
+    leaves [0, 1], a rate, response time or node count is negative, or a
+    reading is non-finite or not a number.
     """
     # One combined check on the success path: every chained comparison is
     # False for NaN, and `< inf` rejects +inf. Only when it fails do the
