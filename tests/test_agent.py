@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,12 @@ def test_row_table_matches_dict_reference(tmp_path_factory, writes):
     assert saved == (directory / "ref.tsv").read_bytes()
     QTable.load(directory / "row.tsv").save(directory / "again.tsv")
     assert (directory / "again.tsv").read_bytes() == saved
+
+
+def test_load_rejects_an_unreadable_path(tmp_path):
+    # a directory where the table should be once escaped as IsADirectoryError
+    with pytest.raises(ValidationError, match=f"^cannot read q-table {re.escape(str(tmp_path))}: "):
+        QTable.load(tmp_path)
 
 
 def test_load_rejects_data_before_header(tmp_path):

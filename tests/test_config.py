@@ -289,7 +289,7 @@ def test_known_keys_pinned():
 # harmonic learning-rate schedule and alternative WFQ weights), changed
 # nothing at all (the scenario's trace count and vehicle-count variance)
 # or set a value a second way (a cap on the decision ticks, and a state
-# rate scale that the scenario's entry rate ANV/ADT now always sets).
+# rate scale that only the scenario's entry rate ANV/ADT may set).
 REMOVED_KEYS = (
     "agent.alpha_schedule",
     "agent.max_time_steps",
