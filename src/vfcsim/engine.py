@@ -190,13 +190,20 @@ class NodeState:
         self.demand_ema = 0.0
 
     def record_arrival(self, now: float, window_s: float, ema_alpha: float) -> None:
+        # trimmed before the append, so that a window lost to rounding
+        # (now - window_s == now) keeps the new arrival alone
         arrivals = self.arrivals
-        arrivals.append(now)
         cutoff = now - window_s
-        while arrivals[0] <= cutoff:
+        while arrivals and arrivals[0] <= cutoff:
             arrivals.popleft()
-        rate = len(arrivals) / window_s
-        self.demand_ema = ema_alpha * rate + (1.0 - ema_alpha) * self.demand_ema
+        arrivals.append(now)
+        rate = len(arrivals) / window_s  # inf once the window is tiny enough
+        if ema_alpha < 1.0:
+            self.demand_ema = ema_alpha * rate + (1.0 - ema_alpha) * self.demand_ema
+        else:
+            # the full-weight EMA is the rate itself; the general form would
+            # add 0.0 * inf = nan after an overflowed rate
+            self.demand_ema = rate
 
     def record_response(self, response: float, deadline: float) -> None:
         if len(self.resp_window) == self.window_size:
@@ -489,6 +496,7 @@ class _Episode:
         self.episode_index = episode_index
         self.rng = random.Random(seed)
         self.deadline_span = self.sim.task_deadline_s_max - self.sim.task_deadline_s_min
+        self.drop_reward = -cfg.weights.w1  # every dropped task's reward, one float
         self.rate_scale = cfg.scenario.entry_rate  # the unit of the state's rate readings
         self.nodes = build_nodes(cfg)
         self.grid = CellIndex(self.nodes, self.sim, self.link.v2i_range_m)
@@ -518,8 +526,9 @@ class _Episode:
 
     # Event records are appended straight to self.events as the flat tuple
     # (kind, time, task_id, node_id, episode, *detail), the detail values in
-    # the order the eventlog module lists for the kind; each site checks
-    # self.events first so that nothing is built when logging is off.
+    # the order the eventlog module lists for the kind, except that a finish
+    # event is the task's TaskRecord, the object the ledger holds; each site
+    # checks self.events first so that nothing is built when logging is off.
 
     # -- setup ------------------------------------------------------------
 
@@ -537,7 +546,9 @@ class _Episode:
     def state_for(self, node: NodeState, task: Task, available: int) -> int:
         """State ordinal of the decision node `node` for `task`, encoded
         straight from the node and task fields (readings in
-        snapshot_ordinal's argument order; fractions in or clamped into [0, 1])."""
+        snapshot_ordinal's argument order; fractions in or clamped into [0, 1]).
+        A request-rate or expected-demand reading that overflows to inf is
+        passed as 1.0, above every high threshold, so it reads High."""
         sim = self.sim
         mem = node.mem_commit
         disk = node.disk_commit
@@ -549,15 +560,17 @@ class _Episode:
             op_req = 0.0 if op_req < 0.0 else (1.0 if op_req > 1.0 else op_req)
         else:
             op_req = 0.0
+        rate = len(node.arrivals) / sim.rate_window_s / self.rate_scale
+        demand = node.demand_ema / self.rate_scale
         n = len(node.resp_window)
         return snapshot_ordinal(
             node.cpu_commit,
             0.0 if mem < 0.0 else (1.0 if mem > 1.0 else mem),
             0.0 if disk < 0.0 else (1.0 if disk > 1.0 else disk),
             0.0 if bw < 0.0 else (1.0 if bw > 1.0 else bw),
-            len(node.arrivals) / sim.rate_window_s / self.rate_scale,
+            rate if rate != math.inf else 1.0,
             at_weight if at_weight <= 1.0 else 1.0,
-            node.demand_ema / self.rate_scale,
+            demand if demand != math.inf else 1.0,
             node.resp_sum / n if n else 0.0,
             n == 0 or node.resp_sum <= node.dl_sum,
             op_req,
@@ -908,11 +921,8 @@ class _Episode:
 
     def drop(self, task: Task, now: float) -> None:
         """Resolve a task as dropped: wastage 1, other components 0."""
-        weights = self.cfg.weights
-        reward = -weights.w1
-        stats_node = self.nodes[task.decision_node]
-        stats_node.record_outcome(False)
-        self.finish(task, now, False, reward, (1.0, 0.0, 0.0, 0.0))
+        self.nodes[task.decision_node].record_outcome(False)
+        self.finish(task, now, False, self.drop_reward, (1.0, 0.0, 0.0, 0.0))
 
     def finish(
         self,
@@ -936,11 +946,11 @@ class _Episode:
             task.decision_node,
             reward,
             components,
+            self.episode_index,
         )
         self.ledger.append(record)
         if self.events is not None:
-            self.events.append(("ExecutionDone" if serviced else "TaskDropped", now,
-                                task.task_id, task.exec_node, self.episode_index, record))
+            self.events.append(record)
         if self.train:
             # a task resolves by its bound, which is at most the vehicle's exit
             x, y = task.vehicle.position_at(now, self.area)

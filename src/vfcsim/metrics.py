@@ -20,8 +20,10 @@ from .errors import ValidationError
 @dataclass(slots=True)
 class TaskRecord:
     """Final accounting of one task's lifecycle: the one record of its
-    outcome, from which the episode aggregates, AAP and the log's finish
-    event are all derived."""
+    outcome, from which the episode aggregates and AAP are derived. It is
+    also the task's finish event in the event log, which reads its kind
+    from `serviced`, its time from `completion` and its episode from
+    `episode`, the index of the episode that ran the task."""
 
     task_id: int
     arrival: float
@@ -35,6 +37,7 @@ class TaskRecord:
     decision_node: int        # the node whose agent decided the task
     reward: float
     components: tuple[float, float, float, float]
+    episode: int
 
 
 @dataclass

@@ -18,6 +18,7 @@ from vfcsim.agent import (
     update_q_value,
 )
 from vfcsim.errors import ValidationError
+from vfcsim.metrics import TaskRecord
 from vfcsim.state_space import NUM_STATES, StateSpaceConfig, snapshot_ordinal
 
 
@@ -98,7 +99,7 @@ class DictQTable:
 
 # detail keys of each event kind, in the order the engine's flat event
 # record carries their values after (kind, time, task_id, node_id, episode);
-# a finish event carries one TaskRecord instead, read as these values
+# a finish event is the task's TaskRecord instead, read as these values
 _FINISH_KEYS = ("arrival", "components", "decision_node", "local", "proc", "reward",
                 "serviced", "tier", "upload", "wait")
 EVENT_DETAIL_KEYS = {
@@ -111,15 +112,18 @@ EVENT_DETAIL_KEYS = {
 }
 
 
-def event_dict(record: tuple) -> dict:
+def event_dict(record) -> dict:
     """The nested event dict of one engine event record: the outer keys
     time, kind, task_id, node_id and detail, with episode among the detail
     keys and components as a list, as the event log spells them."""
-    kind, time, task_id, node_id, episode, *values = record
-    if kind in ("ExecutionDone", "TaskDropped"):
-        (r,) = values
+    if isinstance(record, TaskRecord):
+        r = record
+        kind = "ExecutionDone" if r.serviced else "TaskDropped"
+        time, task_id, node_id, episode = r.completion, r.task_id, r.node_id, r.episode
         values = (r.arrival, r.components, r.decision_node, r.tier == 0, r.proc, r.reward,
                   r.serviced, r.tier, r.upload, r.wait)
+    else:
+        kind, time, task_id, node_id, episode, *values = record
     detail = dict(zip(EVENT_DETAIL_KEYS[kind], values, strict=True))
     detail["episode"] = episode
     if "components" in detail:

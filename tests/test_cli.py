@@ -144,13 +144,19 @@ def test_eval_rejects_checkpoint_of_a_larger_grid(tmp_path, capsys):
     assert "qtable_node10.tsv: not a table of this 9-node grid" in capsys.readouterr().err
 
 
-def test_eval_accepts_recorded_trace(tmp_path):
+def parked_trace(tmp_path):
+    """A trace of 8 vehicles parked at (1500, 1500) for the first 50 s."""
     trace = tmp_path / "trace.csv"
     with trace.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["vehicle_id", "entry_time", "dwell", "speed", "x", "y"])
         for vid in range(8):
             w.writerow([vid, 0.0, 50.0, 0.0, 1500.0, 1500.0])
+    return trace
+
+
+def test_eval_accepts_recorded_trace(tmp_path):
+    trace = parked_trace(tmp_path)
     out = tmp_path / "out"
     code = run(
         ["eval", *TINY, "--scheduler", "rr", "--trace", str(trace),
@@ -180,12 +186,7 @@ def test_eval_rejects_bad_trace(tmp_path, capsys, row, message):
 
 
 def test_eval_trace_runs_every_episode_on_derived_seeds(tmp_path):
-    trace = tmp_path / "trace.csv"
-    with trace.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "entry_time", "dwell", "speed", "x", "y"])
-        for vid in range(8):
-            w.writerow([vid, 0.0, 50.0, 0.0, 1500.0, 1500.0])
+    trace = parked_trace(tmp_path)
     out = tmp_path / "out"
     code = run(
         ["eval", *TINY, "--scheduler", "rr", "--trace", str(trace), "--seed", "3",
@@ -417,6 +418,37 @@ def test_entry_rate_that_cannot_run_exits_2(tmp_path, capsys, sets, named):
         f"error: scenario entry rate anv/adt must be positive and finite, got {named}\n"
     )
     assert not out.exists()
+
+
+def test_train_on_a_window_lost_to_rounding_writes_its_curve(tmp_path):
+    # from t = 1 s on, now - 1e-17 == now: the request window once emptied
+    # itself and the episode died with an IndexError traceback
+    code = run(["train", *TINY, "--set", "agent.episodes=1",
+                "--set", "sim.rate_window_s=1e-17"], tmp_path)
+    assert code == 0
+    assert [r[0] for r in read_csv(tmp_path / "learning_curve.csv")[1:]] == ["0"]
+
+
+@pytest.mark.parametrize("sets", [
+    ["sim.rate_window_s=1e-17"],
+    ["sim.rate_window_s=1e-310"],
+    ["sim.rate_window_s=1e-310", "sim.demand_ema_alpha=1"],
+    ["scenario.anv=1e-300", "scenario.adt=1e10"],
+], ids=["window-rounds", "rate-overflows", "rate-overflows-alpha-1", "entry-rate-subnormal"])
+def test_eval_with_extreme_rate_readings_runs(tmp_path, capsys, sets):
+    # each failed the qlearn run, or crashed it: a request window lost to
+    # rounding, a request rate or expected demand overflowing to inf
+    # (1 / 1e-310, or any rate over ANV/ADT = 1e-310) and, at alpha 1, a
+    # nan demand EMA; an overflowed reading now reads High. Only a trace
+    # brings vehicles at the subnormal entry rate.
+    out = tmp_path / "out"
+    args = ["eval", *TINY, "--scheduler", "qlearn", "--trace", str(parked_trace(tmp_path)),
+            "--checkpoint", str(empty_checkpoint(tmp_path / "checkpoint"))]
+    for setting in sets:
+        args += ["--set", setting]
+    assert run(args, out) == 0
+    assert capsys.readouterr().err == ""
+    assert int(read_csv(out / "metrics.csv")[1][9]) > 0
 
 
 @pytest.mark.parametrize("option, name, text, named", [

@@ -139,6 +139,24 @@ def test_cpu_guards_reject_nan():
     assert node.cpu_commit == node.baseline
 
 
+def test_request_window_lost_to_rounding_keeps_the_new_arrival():
+    # 5.0 - 1e-17 == 5.0: the trim once popped the arrival just appended,
+    # then indexed the empty deque
+    node = NodeState(0, 0.0, 0.0, 5e9, build_config({}).sim)
+    for now in (4.0, 5.0, 5.0):
+        node.record_arrival(now, 1e-17, 0.2)
+        assert list(node.arrivals) == [now]
+
+
+@pytest.mark.parametrize("alpha", [0.2, 1.0])
+def test_overflowed_request_rate_never_makes_the_demand_ema_nan(alpha):
+    # 1 / 1e-310 overflows; at alpha 1 the general form added 0.0 * inf
+    node = NodeState(0, 0.0, 0.0, 5e9, build_config({}).sim)
+    for now in (1.0, 2.0, 3.0):
+        node.record_arrival(now, 1e-310, alpha)
+        assert node.demand_ema == math.inf
+
+
 @pytest.mark.parametrize("amount", [0.01, math.nan, -math.inf])
 @pytest.mark.parametrize("resource", ["mem", "disk", "bw"])
 def test_release_guards(resource, amount):
@@ -312,7 +330,8 @@ def test_scenario_duration_alone_sets_the_decision_ticks():
 
 def test_records_carry_the_decision_node_of_their_arrival():
     _, result = run_short()
-    decided = {e[2]: e[3] for e in result.events if e[0] == "TaskArrival"}
+    arrivals = [e for e in map(event_dict, result.events) if e["kind"] == "TaskArrival"]
+    decided = {e["task_id"]: e["node_id"] for e in arrivals}
     assert len(decided) == result.ledger.k_total
     assert len(set(decided.values())) > 1
     for r in result.ledger.records:
@@ -744,8 +763,10 @@ def test_events_at_a_tick_precede_its_arrivals(tmp_path):
             hashlib.sha256(path.read_bytes()).hexdigest()) == PINNED_TICK_TRACE
 
     for tick, exiting in ((7.0, {0}), (12.0, {1, 2})):
-        # (kind, vehicle) for exits and arrivals, whose vehicle comes last
-        kinds = [(e[0], e[-1]) for e in result.events if e[1] == tick]
+        # (kind, vehicle) for every event at the tick; finish events have
+        # no vehicle
+        kinds = [(e["kind"], e["detail"].get("vehicle")) for e in map(event_dict, result.events)
+                 if e["time"] == tick]
         first_arrival = next(i for i, (kind, _) in enumerate(kinds) if kind == "TaskArrival")
         before, arrivals = kinds[:first_arrival], kinds[first_arrival:]
         # the exits and the tasks they end come first, then the tick's

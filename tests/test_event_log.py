@@ -2,9 +2,11 @@
 dict with sorted keys and compact separators, and the files of a few fixed
 runs keep the SHA-256 they had when the log was written through json.dumps."""
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -37,17 +39,63 @@ def test_every_line_equals_json_dumps(scenario, scheduler, trained_tables):
     cfg = build_config({"scenario.name": scenario, "sim.eval_episodes": "2"})
     tables = trained_tables[scenario] if scheduler == "qlearn" else None
     result = run_evaluation(cfg, scheduler, 5, tables=tables, collect_events=True)
-    kinds = {e[0] for e in result.events}
+    events = [event_dict(e) for e in result.events]
+    kinds = {e["kind"] for e in events}
     assert {"VehicleEnter", "VehicleExit", "TaskArrival", "TaskDropped"} <= kinds
-    assert {e[4] for e in result.events} == {0, 1}
+    assert {e["detail"]["episode"] for e in events} == {0, 1}
     for record in result.events:
         assert _format_event(record) == json_line(record)
     if (scenario, scheduler) == ("NO.1", "qlearn"):
         # this run places on every tier, so the check above sees the local
         # flag both ways and both UploadDone tiers
-        finishes = [e[5] for e in result.events if e[0] in ("ExecutionDone", "TaskDropped")]
+        finishes = [e for e in result.events if isinstance(e, TaskRecord)]
         assert {r.tier for r in finishes} == {-1, 0, 1, 2}
-        assert {e[5] for e in result.events if e[0] == "UploadDone"} == {"fog", "cloud"}
+        assert {e["detail"]["tier"] for e in events if e["kind"] == "UploadDone"} == {"fog", "cloud"}
+
+
+def test_finish_events_are_the_ledger_records(tmp_path):
+    # a finish event is the task's TaskRecord itself, not a second copy of
+    # its fields, and the record carries the episode that ran the task
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "40",
+                        "sim.eval_episodes": "2"})
+    result = run_evaluation(cfg, "fcfs", 3, collect_events=True)
+    finishes = [e for e in result.events if isinstance(e, TaskRecord)]
+    records = result.ledger.records
+    assert len(finishes) == len(records) > 0
+    assert all(event is record for event, record in zip(finishes, records))
+    episode = None
+    for e in result.events:
+        if isinstance(e, TaskRecord):
+            assert e.episode == episode
+        else:
+            episode = e[4]  # the flat tuple's episode slot
+    assert {r.episode for r in records} == {0, 1}
+    # one entry per event: every other event is one flat tuple
+    others = [e for e in result.events if isinstance(e, tuple)]
+    assert len(result.events) == len(others) + len(records)
+    path = tmp_path / "events.ndjson"
+    write_event_log(result.events, path)
+    assert len(path.read_bytes().splitlines()) == len(result.events)
+
+
+def test_retained_bytes_per_logged_event_bounded():
+    # the memory a logged NO.4 evaluation at arrival_prob 0.7 keeps alive,
+    # its ledger and events included, per event: 186-194 bytes on CPython
+    # 3.11 with finish events that are the ledger's records, 221-228 when
+    # each finish event was a 6-slot tuple around its record
+    cfg = build_config({"scenario.name": "NO.4", "scenario.duration": "60",
+                        "sim.arrival_prob": "0.7", "sim.eval_episodes": "1"})
+    run_evaluation(cfg, "fcfs", 1, collect_events=True)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_evaluation(cfg, "fcfs", 1, collect_events=True)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.events) > 4000
+    assert retained / len(result.events) < 207.0
 
 
 # SHA-256 of write_event_log output, recorded when every line was written by
@@ -98,51 +146,45 @@ SAMPLES = [
     ("TaskArrival", 13.0, 42, 3, 0, 1.75, 812.3, 24000000.0, 7),
     ("UploadDone", 14.1, 42, 3, 0, "fog"),
     ("UploadDone", 14.1, 42, 3, 0, "cloud"),
-    # TaskRecord(task_id, arrival, upload, wait, proc, completion, serviced,
-    # tier, node_id, decision_node, reward, components)
-    ("ExecutionDone", 16.9, 42, 3, 0,
-     TaskRecord(42, 13.0, 1.1, 0.3, 2.5, 16.9, True, 1, 3, 3, 0.41, (0.1, 0.6, 0.8, 0.9))),
-    ("ExecutionDone", 16.9, 44, -1, 1,
-     TaskRecord(44, 13.0, 0.0, 0.25, 1.5, 16.9, True, 0, -1, 2, 0.63, (0.2, 0.5, 0.7, 1.0))),
-    ("TaskDropped", 15.0, 43, -1, 0,
-     TaskRecord(43, 13.0, 0.0, 0.0, 0.0, 15.0, False, -1, -1, 3, -1.0, (1.0, 0.0, 0.0, 0.0))),
+    # finish events: TaskRecord(task_id, arrival, upload, wait, proc,
+    # completion, serviced, tier, node_id, decision_node, reward,
+    # components, episode)
+    TaskRecord(42, 13.0, 1.1, 0.3, 2.5, 16.9, True, 1, 3, 3, 0.41, (0.1, 0.6, 0.8, 0.9), 0),
+    TaskRecord(44, 13.0, 0.0, 0.25, 1.5, 16.9, True, 0, -1, 2, 0.63, (0.2, 0.5, 0.7, 1.0), 1),
+    TaskRecord(43, 13.0, 0.0, 0.0, 0.0, 15.0, False, -1, -1, 3, -1.0, (1.0, 0.0, 0.0, 0.0), 0),
 ]
 
 
 def float_slots(record):
-    """Paths of every float in an event: (index,) for a float in the tuple,
-    (index, field) or (index, field, component index) for one in a
-    finish event's TaskRecord."""
-    for i, value in enumerate(record):
+    """Paths of every float in an event: (index,) for a float in a flat
+    tuple, (field,) or (field, component index) for one in a TaskRecord."""
+    if not isinstance(record, TaskRecord):
+        yield from ((i,) for i, value in enumerate(record) if isinstance(value, float))
+        return
+    for f in fields(record):
+        value = getattr(record, f.name)
         if isinstance(value, float):
-            yield (i,)
-        elif isinstance(value, TaskRecord):
-            for f in fields(value):
-                inner = getattr(value, f.name)
-                if isinstance(inner, float):
-                    yield (i, f.name)
-                elif isinstance(inner, tuple):
-                    for j, component in enumerate(inner):
-                        if isinstance(component, float):
-                            yield (i, f.name, j)
+            yield (f.name,)
+        elif isinstance(value, tuple):
+            for j, component in enumerate(value):
+                if isinstance(component, float):
+                    yield (f.name, j)
 
 
 def with_value(record, slot, value):
-    items = list(record)
-    if len(slot) == 1:
+    if not isinstance(record, TaskRecord):
+        items = list(record)
         items[slot[0]] = value
-    else:
-        rec = items[slot[0]]
-        if len(slot) == 3:
-            components = list(getattr(rec, slot[1]))
-            components[slot[2]] = value
-            value = tuple(components)
-        items[slot[0]] = replace(rec, **{slot[1]: value})
-    return tuple(items)
+        return tuple(items)
+    if len(slot) == 2:
+        components = list(getattr(record, slot[0]))
+        components[slot[1]] = value
+        value = tuple(components)
+    return replace(record, **{slot[0]: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: r[0])
+@pytest.mark.parametrize("record", SAMPLES, ids=lambda r: event_dict(r)["kind"])
 def test_non_finite_floats_spelled_as_json(record, value):
     assert _format_event(record) == json_line(record)
     slots = list(float_slots(record))

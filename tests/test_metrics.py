@@ -36,6 +36,7 @@ def record(task_id=0, proc=1.0, upload=0.0, wait=0.0, serviced=True, local=False
         decision_node=decision_node,
         reward=reward,
         components=components,
+        episode=0,
     )
 
 

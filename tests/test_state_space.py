@@ -145,6 +145,30 @@ def test_rate_scale_divides_rates():
         assert (state.nr, state.ed) == (level, level), arrivals
 
 
+def test_overflowed_rate_readings_read_high():
+    # ANV/ADT = 1e-310 is subnormal: one arrival in the 10 s window and a
+    # demand EMA of 0.02 both divide to inf, which reads High, as any
+    # reading above the high threshold does; it once failed the run
+    cfg = build_config({"scenario.name": "NO.1", "scenario.anv": "1e-300",
+                        "scenario.adt": "1e10"})
+    episode = _Episode(cfg, build_scheduler(cfg, "fcfs"), 1, False, False, [], 0)
+    node = episode.nodes[0]
+    spec = VehicleSpec(0, 0.0, 100.0, 0.0, 0.0, 1500.0, 1500.0, 1.0e9)
+    task = Task(task_id=0, vehicle=VehicleState(spec), size_bits=4.0e7, demand_mips=100.0,
+                deadline=7.0, arrival=0.0, bound=7.0, cycles=2.0e10, mem_frac=0.005,
+                disk_frac=0.001, bw_frac=0.1)
+    node.arrivals = deque([0.0])
+    node.demand_ema = 0.02
+    assert 1 / cfg.sim.rate_window_s / cfg.scenario.entry_rate == math.inf
+    assert node.demand_ema / cfg.scenario.entry_rate == math.inf
+    state = state_from_index(episode.state_for(node, task, 1))
+    assert (state.nr, state.ed) == (Level.HIGH, Level.HIGH)
+    # only an overflow reads High: a NaN reading still fails, naming it
+    node.demand_ema = math.nan
+    with pytest.raises(ValidationError, match="expected_demand must be finite"):
+        episode.state_for(node, task, 1)
+
+
 # the readings that must lie in [0, 1]
 FRACTION_FIELDS = (
     "cpu_usage",
